@@ -38,8 +38,8 @@ print()
 print("Relative heat trace vs integrated invariants")
 print("--------------------------------------------")
 ts = np.geomspace(0.02, 0.2, 12)
-samples = [(float(s), relative_heat_trace_1d(potential, float(s), TraceGrid()))
-           for s in ts]
+traces = relative_heat_trace_1d(potential, ts, TraceGrid())  # one eigensolve for all t
+samples = list(zip(ts.tolist(), traces.tolist()))
 fit = fit_expansion(samples, 1, 4)
 for j in (1, 2):
     exact, _ = integrate_density(heat_invariant_binomial(j, 1).density,

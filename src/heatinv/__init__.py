@@ -21,7 +21,8 @@ from .oracles import (BridgeSampler, FitReport, SlopeReport, TraceGrid,
                       taylor_family_matches_operator_family)
 from .potentials import (DerivativeCapError, PotentialEvalError,
                          PotentialExpr, PotentialSyntaxError, differentiate,
-                         evaluate, evaluate_array, parse_potential)
+                         evaluate, evaluate_array, parse_potential,
+                         taylor_derivatives)
 
 __version__ = "0.1.0"
 
@@ -43,6 +44,6 @@ __all__ = [
     "taylor_family_matches_operator_family",
     "DerivativeCapError", "PotentialEvalError", "PotentialExpr",
     "PotentialSyntaxError", "differentiate", "evaluate", "evaluate_array",
-    "parse_potential",
+    "parse_potential", "taylor_derivatives",
     "__version__",
 ]

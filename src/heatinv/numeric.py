@@ -10,17 +10,15 @@ final multiplication.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from .diffpoly import DiffPoly
 from .halfint import POLE, GammaPole, HalfIntScalar, gamma_half_integer
-from .invariants import InvariantResult
-from .potentials import PotentialExpr, differentiate, evaluate, evaluate_array
+from .invariants import InvariantResult, monomial_decay_weight
+from .potentials import PotentialExpr, taylor_derivatives
 
 
 class QuadratureError(RuntimeError):
@@ -41,44 +39,150 @@ class QuadratureConfig:
     limit: int = 200             # max subinterval count per axis
 
 
+EVAL_CHUNK = 2048  # nodes per Taylor pass, so memory does not grow with a round
+
+
 class DensityEvaluator:
-    """Evaluates a DiffPoly density for a concrete potential, caching the
-    symbolic derivatives D^nu V it needs."""
+    """Evaluates DiffPoly densities for a concrete potential on node arrays,
+    taking every D^nu V a density needs from one Taylor-mode pass."""
 
     def __init__(self, potential: PotentialExpr):
         self.potential = potential
-        self._derivatives: dict[tuple[int, ...], PotentialExpr] = {}
-
-    def derivative(self, nu: tuple[int, ...]) -> PotentialExpr:
-        expr = self._derivatives.get(nu)
-        if expr is None:
-            expr = differentiate(self.potential, nu)
-            self._derivatives[nu] = expr
-        return expr
-
-    def __call__(self, density: DiffPoly, point) -> float:
-        total = 0.0
-        for mono, coeff in density.terms.items():
-            prod = float(coeff)
-            for nu in mono:
-                prod *= evaluate(self.derivative(nu), point)
-            total += prod
-        return total
 
     def on_arrays(self, density: DiffPoly, coords: list[np.ndarray]) -> np.ndarray:
-        shape = coords[0].shape
-        total = np.zeros(shape)
-        for mono, coeff in density.terms.items():
-            prod = np.full(shape, float(coeff))
-            for nu in mono:
-                prod = prod * evaluate_array(self.derivative(nu), coords)
-            total += prod
-        return total
+        shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+        flat = [np.broadcast_to(np.asarray(c, dtype=float), shape).ravel() for c in coords]
+        nus = density.jet_variables()
+        total = np.zeros(int(np.prod(shape)))
+        for lo in range(0, total.size, EVAL_CHUNK):
+            chunk = [c[lo:lo + EVAL_CHUNK] for c in flat]
+            derivs = taylor_derivatives(self.potential, nus, chunk)
+            out = total[lo:lo + EVAL_CHUNK]  # a view: the sums land in total
+            for mono, coeff in density.terms.items():
+                prod = np.full(out.shape, float(coeff))
+                for nu in mono:
+                    prod *= derivs[nu]
+                out += prod
+        return total.reshape(shape)
 
 
 def evaluate_density(density: DiffPoly, potential: PotentialExpr, point) -> float:
     """Numeric value of a symbolic density at one point."""
-    return DensityEvaluator(potential)(density, point)
+    coords = [np.array([float(x)]) for x in point]
+    return float(DensityEvaluator(potential).on_arrays(density, coords)[0])
+
+
+# ---------------------------------------------------------------------------
+# Adaptive Gauss-Kronrod quadrature
+# ---------------------------------------------------------------------------
+
+# Gauss-Kronrod G10/K21 on [-1, 1] (QUADPACK qk21).  The 21 Kronrod nodes
+# contain the 10 Gauss nodes, so one set of values gives both estimates.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208936940846, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+
+GK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+GK_KRONROD_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
+GK_GAUSS_WEIGHTS = np.zeros(21)
+GK_GAUSS_WEIGHTS[1:10:2] = _WG
+GK_GAUSS_WEIGHTS[19:10:-2] = _WG
+
+MAX_ROUND_NODES = 1 << 18  # integrand nodes evaluated per round at most
+
+
+def _contract(values: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
+    """Apply one 1-D rule per trailing axis of values (cells, 21, ..., 21)."""
+    for w in reversed(weights):
+        values = values @ w
+    return values
+
+
+def _apply_rules(f, centers: np.ndarray, halves: np.ndarray):
+    """Kronrod estimate, |Kronrod - Gauss| error and the axis to bisect for
+    each cell (center, half-widths), from one batched call of f."""
+    cells, n = centers.shape
+    offsets = np.stack(np.meshgrid(*([GK_NODES] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    nodes = centers[:, None, :] + halves[:, None, :] * offsets[None, :, :]
+    values = np.asarray(f([nodes[..., a].ravel() for a in range(n)]), dtype=float)
+    values = values.reshape((cells,) + (len(GK_NODES),) * n)
+    volume = np.prod(halves, axis=1)
+    kronrod = volume * _contract(values, [GK_KRONROD_WEIGHTS] * n)
+    gauss = volume * _contract(values, [GK_GAUSS_WEIGHTS] * n)
+    if n == 1:
+        axis = np.zeros(cells, dtype=int)
+    else:
+        # the axis along which swapping Kronrod for Gauss moves the estimate most
+        per_axis = [np.abs(kronrod - volume * _contract(
+            values, [GK_GAUSS_WEIGHTS if b == a else GK_KRONROD_WEIGHTS for b in range(n)]))
+            for a in range(n)]
+        axis = np.argmax(np.stack(per_axis, axis=1), axis=1)
+    return kronrod, np.abs(kronrod - gauss), axis
+
+
+def _subintervals_per_axis(centers: np.ndarray, halves: np.ndarray) -> int:
+    """Largest number of subintervals the cell endpoints cut any axis into."""
+    return max(len(np.unique(np.concatenate([c - h, c + h]))) - 1
+               for c, h in zip(centers.T, halves.T))
+
+
+def _adaptive_gauss_kronrod(f, n: int, config: QuadratureConfig) -> tuple[float, float]:
+    """Globally adaptive tensor-product G10/K21 quadrature of f over the box
+    [-L, L]^n, with f taking one coordinate array per axis.
+
+    Each round bisects the fewest largest-error cells that hold all but half
+    a tolerance of the total error, each along the axis where its Gauss and
+    Kronrod estimates differ most, and evaluates all new nodes in one call
+    of f.  Returns (value, error), the error being the sum of the
+    cells' |Kronrod - Gauss|.  Raises QuadratureError, carrying the value and
+    error reached, when a bisection would cut an axis into more than
+    config.limit subintervals.
+    """
+    centers = np.zeros((1, n))
+    halves = np.full((1, n), float(config.half_width))
+    est, err, axis = _apply_rules(f, centers, halves)
+    per_round = max(1, MAX_ROUND_NODES // (2 * len(GK_NODES) ** n))
+    while True:
+        value, error = float(np.sum(est)), float(np.sum(err))
+        tol = max(config.epsabs, config.epsrel * abs(value))
+        if error <= tol:
+            return value, error
+        order = np.argsort(err)[::-1]
+        count = int(np.searchsorted(np.cumsum(err[order]), error - tol / 2)) + 1
+        pick = order[:min(count, per_round, len(order))]
+        rows = np.arange(len(pick))
+        child_halves = halves[pick].copy()
+        child_halves[rows, axis[pick]] /= 2
+        shift = np.zeros_like(child_halves)
+        shift[rows, axis[pick]] = child_halves[rows, axis[pick]]
+        child_centers = np.concatenate([centers[pick] - shift, centers[pick] + shift])
+        child_halves = np.concatenate([child_halves, child_halves])
+        keep = np.ones(len(est), dtype=bool)
+        keep[pick] = False
+        new_centers = np.concatenate([centers[keep], child_centers])
+        new_halves = np.concatenate([halves[keep], child_halves])
+        if _subintervals_per_axis(new_centers, new_halves) > config.limit:
+            raise QuadratureError(
+                f"quadrature did not converge: error {error:.3g} above tolerance"
+                f" {tol:.3g} with {config.limit} subintervals per axis", value, error)
+        child = _apply_rules(f, child_centers, child_halves)
+        centers, halves = new_centers, new_halves
+        est, err, axis = (np.concatenate([old[keep], new]) for old, new in zip((est, err, axis), child))
 
 
 def integrate_density(density: DiffPoly, potential: PotentialExpr, n: int,
@@ -86,42 +190,27 @@ def integrate_density(density: DiffPoly, potential: PotentialExpr, n: int,
     """Adaptive quadrature of the density over the truncated box [-L, L]^n.
 
     Returns (value, error estimate).  Raises QuadratureError (carrying the
-    partial result) if the adaptive scheme reports non-convergence.
+    partial result) if the adaptive scheme does not converge.
     """
     config = config or QuadratureConfig()
     if density.is_zero():
         return 0.0, 0.0
     ev = DensityEvaluator(potential)
-    L = config.half_width
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            if n == 1:
-                value, err = integrate.quad(
-                    lambda x: ev(density, (x,)), -L, L,
-                    epsabs=config.epsabs, epsrel=config.epsrel,
-                    limit=config.limit)
-            else:
-                value, err = integrate.nquad(
-                    lambda *xs: ev(density, xs), [(-L, L)] * n,
-                    opts={"epsabs": config.epsabs, "epsrel": config.epsrel,
-                          "limit": config.limit})
-        except integrate.IntegrationWarning as exc:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                if n == 1:
-                    value, err = integrate.quad(
-                        lambda x: ev(density, (x,)), -L, L,
-                        epsabs=config.epsabs, epsrel=config.epsrel,
-                        limit=config.limit)
-                else:
-                    value, err = integrate.nquad(
-                        lambda *xs: ev(density, xs), [(-L, L)] * n,
-                        opts={"epsabs": config.epsabs, "epsrel": config.epsrel,
-                              "limit": config.limit})
-            raise QuadratureError(f"quadrature did not converge: {exc}",
-                                  value, err) from exc
-    return value, err
+    return _adaptive_gauss_kronrod(lambda coords: ev.on_arrays(density, coords), n, config)
+
+
+def box_tail_1d(density: DiffPoly, potential: PotentialExpr, epsilon: Fraction,
+                half_width: float) -> float:
+    """Twice the leading-order integral of a 1-D density outside [-L, L].
+
+    A density whose slowest monomial has decay weight w falls off like
+    |x|^(-w), which leaves about (|f(L)| + |f(-L)|) L / (w - 1) beyond the box.
+    """
+    w = min(monomial_decay_weight(mono, epsilon) for mono in density.terms)
+    if w <= 1:
+        raise ValueError(f"density decays like |x|^(-{w}), which is not integrable over R")
+    ends = DensityEvaluator(potential).on_arrays(density, [np.array([-half_width, half_width])])
+    return 2.0 * float(np.sum(np.abs(ends))) * half_width / float(w - 1)
 
 
 def spectral_prefactor(j: int, n: int) -> HalfIntScalar | GammaPole:
@@ -219,10 +308,13 @@ def coefficient_table(invariants: list[InvariantResult],
                       config: QuadratureConfig | None = None) -> CoefficientTable:
     """Integrate a list of densities and derive b_j (derived="b") or beta_j
     (derived="beta") for each row."""
+    config = config or QuadratureConfig()
     epsilon = invariants[0].epsilon if invariants else None
     table = CoefficientTable(dim=n, epsilon=epsilon)
     for inv in invariants:
         value, err = integrate_density(inv.density, potential, n, config)
+        if n == 1 and inv.epsilon is not None and not inv.density.is_zero():
+            err += box_tail_1d(inv.density, potential, inv.epsilon, config.half_width)
         if derived == "b":
             extra = b_from_a(value, inv.j, n)
         else:

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
 
 from .potentials import PotentialExpr, evaluate_array
 from .util import worker_count
@@ -117,14 +116,22 @@ class TraceGrid:
     points: int = 4000
 
 
-def relative_heat_trace_1d(potential: PotentialExpr, t: float,
-                           grid: TraceGrid | None = None) -> float:
+def relative_heat_trace_1d(potential: PotentialExpr, t,
+                           grid: TraceGrid | None = None):
     """Trace of e^(-tH) - e^(-tH0) for the second-order central-difference
     discretization on [-L, L] with Dirichlet ends.  H and H0 share the same
     discretization so the bulk of the discretization error cancels in the
     difference.
+
+    `t` is a float or an array of times; one eigensolve of H serves them
+    all, and H0's spectrum 4/h^2 sin^2(k pi / (2(m+1))) is in closed form.
+    Returns a float for a float t, an array for an array t.
     """
-    if t <= 0:
+    # imported on use, so commands that never reach an oracle start without scipy
+    from scipy.linalg import eigh_tridiagonal
+
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts <= 0):
         raise ValueError(f"t must be positive, got {t}")
     if potential.dim != 1:
         raise ValueError("relative_heat_trace_1d needs a 1-D potential")
@@ -133,11 +140,12 @@ def relative_heat_trace_1d(potential: PotentialExpr, t: float,
     x = np.linspace(-L, L, m + 2)[1:-1]  # interior nodes
     h = x[1] - x[0]
     v = evaluate_array(potential, [x])
-    off = np.full(m - 1, -1.0 / h ** 2)
-    lam_free = eigh_tridiagonal(np.full(m, 2.0 / h ** 2), off,
-                                eigvals_only=True)
-    lam = eigh_tridiagonal(2.0 / h ** 2 + v, off, eigvals_only=True)
-    return float(np.sum(np.exp(-t * lam) - np.exp(-t * lam_free)))
+    lam_free = 4.0 / h ** 2 * np.sin(np.arange(1, m + 1) * np.pi / (2 * (m + 1))) ** 2
+    lam = eigh_tridiagonal(2.0 / h ** 2 + v, np.full(m - 1, -1.0 / h ** 2),
+                           eigvals_only=True)
+    tcol = ts[..., None]
+    out = np.sum(np.exp(-tcol * lam) - np.exp(-tcol * lam_free), axis=-1)
+    return float(out) if ts.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +220,8 @@ def taylor_family(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 def taylor_remainder(a: np.ndarray, b: np.ndarray, t: float, N: int) -> float:
     """Operator-norm remainder of the degree-N non-commutative Taylor
     approximation e^(tB) ~ sum_m (-1)^m t^m/m! e^(tA) C_m(A, B)."""
+    from scipy.linalg import expm  # imported on use, as in relative_heat_trace_1d
+
     approx = np.zeros_like(a)
     eta = expm(t * a)
     for m in range(N + 1):

@@ -15,18 +15,23 @@ evaluation time.  `^` takes integer exponents only; rational powers must go
 through powr, which keeps symbolic differentiation total.
 
 ASTs are immutable; differentiation is exact with light constant folding and
-evaluation supports both scalars and numpy arrays.
+evaluation supports both scalars and numpy arrays.  Numeric derivatives come
+from `taylor_derivatives`, one truncated multivariate Taylor pass over the AST
+on node arrays; `differentiate` builds the symbolic D^nu V tree instead.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .diffpoly import MultiIndex
+from .diffpoly import MultiIndex, multi_index_factorial
 
 DERIVATIVE_CAP = 12
 
@@ -550,4 +555,211 @@ def evaluate_array(e: PotentialExpr, coords: list[np.ndarray]) -> np.ndarray:
         out = np.array(out, dtype=float)
     if not np.all(np.isfinite(out)):
         raise PotentialEvalError("non-finite values in array evaluation")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Taylor-mode derivatives
+# ---------------------------------------------------------------------------
+#
+# Every AST node becomes its truncated Taylor expansion at each point,
+# T[k] = D^alpha f / alpha! for the multi-indices alpha of a downward-closed
+# set S (Griewank & Walther, Evaluating Derivatives, ch. 13).  Along an axis
+# i with alpha_i > 0, the coefficient of x^(alpha - e_i) in an identity
+# between first derivatives gives the recurrences used below, e.g. for
+# w = exp(u), from d_i w = w d_i u,
+#
+#     alpha_i w_alpha = sum_(0 < g <= alpha) g_i u_g w_(alpha - g).
+
+
+class _Step(NamedTuple):
+    """One multi-index alpha != 0 of a Taylor recurrence, taken along the
+    first axis i with alpha_i > 0."""
+
+    k: int                # position of alpha
+    order: float          # alpha_i
+    lower: np.ndarray     # positions of the g with 0 < g <= alpha
+    rest: np.ndarray      # positions of alpha - g
+    lower_order: np.ndarray  # g_i
+    pairs: np.ndarray     # alpha's slice of the product tables
+
+
+class _TaylorPlan:
+    """Index tables for truncated Taylor arithmetic on the downward closure S
+    of a set of multi-indices, ordered by total order."""
+
+    def __init__(self, nus: tuple[MultiIndex, ...]):
+        closure = set()
+        for nu in nus:
+            closure.update(itertools.product(*(range(k + 1) for k in nu)))
+        self.indices = sorted(closure, key=lambda a: (sum(a), a))
+        self.pos = pos = {a: k for k, a in enumerate(self.indices)}
+        # products: (u v)_alpha = sum_(beta <= alpha) u_beta v_(alpha - beta)
+        left, right, starts = [], [], []
+        self.steps: list[_Step] = []
+        for alpha in self.indices:
+            below = list(itertools.product(*(range(k + 1) for k in alpha)))
+            starts.append(len(left))
+            left += [pos[b] for b in below]
+            right += [pos[tuple(a - b for a, b in zip(alpha, beta))] for beta in below]
+            if any(alpha):
+                axis = next(i for i, a in enumerate(alpha) if a)
+                g = [b for b in below if any(b)]
+                self.steps.append(_Step(
+                    pos[alpha], float(alpha[axis]),
+                    np.array([pos[b] for b in g]),
+                    np.array([pos[tuple(a - c for a, c in zip(alpha, b))] for b in g]),
+                    np.array([float(b[axis]) for b in g]),
+                    np.arange(starts[-1], len(left))))
+        self.left, self.right = np.array(left), np.array(right)
+        # row alpha of `gather` sums alpha's slice of the pair products
+        self.gather = np.zeros((len(self.indices), len(left)))
+        for k, (lo, hi) in enumerate(zip(starts, starts[1:] + [len(left)])):
+            self.gather[k, lo:hi] = 1.0
+
+    def constant(self, value: float, size: int) -> np.ndarray:
+        out = np.zeros((len(self.indices), size))
+        out[0] = value
+        return out
+
+    def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.gather @ (u[self.left] * v[self.right])
+
+    def div(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # v w = u: w_alpha = (u_alpha - sum_(0 < g <= alpha) v_g w_(alpha - g)) / v_0
+        w = np.empty_like(u)
+        w[0] = u[0] / v[0]
+        for st in self.steps:
+            w[st.k] = (u[st.k] - np.sum(v[st.lower] * w[st.rest], axis=0)) / v[0]
+        return w
+
+    def power(self, u: np.ndarray, k: int) -> np.ndarray:
+        # repeated multiplication, exact at a zero base
+        if k < 0:
+            return self.div(self.constant(1.0, u.shape[1]), self.power(u, -k))
+        out, base = None, u
+        while k:
+            if k & 1:
+                out = base if out is None else self.mul(out, base)
+            k >>= 1
+            if k:
+                base = self.mul(base, base)
+        return self.constant(1.0, u.shape[1]) if out is None else out
+
+    def real_power(self, u: np.ndarray, r: float, w0: np.ndarray) -> np.ndarray:
+        # w = u^r from its value w0: u d_i w = r w d_i u
+        w = np.empty_like(u)
+        w[0] = w0
+        for st in self.steps:
+            coeff = ((r + 1.0) * st.lower_order - st.order)[:, None]
+            w[st.k] = np.sum(coeff * u[st.lower] * w[st.rest], axis=0) / (st.order * u[0])
+        return w
+
+    def exp(self, u: np.ndarray) -> np.ndarray:
+        # d_i w = w d_i u
+        w = np.empty_like(u)
+        w[0] = np.exp(u[0])
+        for st in self.steps:
+            du = (st.lower_order / st.order)[:, None] * u[st.lower]
+            w[st.k] = np.sum(du * w[st.rest], axis=0)
+        return w
+
+    def sin_cos(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # d_i sin u = cos u d_i u, d_i cos u = -sin u d_i u
+        s, c = np.empty_like(u), np.empty_like(u)
+        s[0], c[0] = np.sin(u[0]), np.cos(u[0])
+        for st in self.steps:
+            du = (st.lower_order / st.order)[:, None] * u[st.lower]
+            s[st.k] = np.sum(du * c[st.rest], axis=0)
+            c[st.k] = -np.sum(du * s[st.rest], axis=0)
+        return s, c
+
+    def tanh(self, u: np.ndarray) -> np.ndarray:
+        # d_i w = (1 - w^2) d_i u, with q = 1 - w^2 built alongside w
+        w, q = np.empty_like(u), np.empty_like(u)
+        w[0] = np.tanh(u[0])
+        q[0] = 1.0 - w[0] ** 2
+        for st in self.steps:
+            du = (st.lower_order / st.order)[:, None] * u[st.lower]
+            w[st.k] = np.sum(du * q[st.rest], axis=0)
+            q[st.k] = -np.sum(w[self.left[st.pairs]] * w[self.right[st.pairs]], axis=0)
+        return w
+
+
+@lru_cache(maxsize=64)
+def _taylor_plan(nus: tuple[MultiIndex, ...]) -> _TaylorPlan:
+    return _TaylorPlan(nus)
+
+
+def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray]) -> np.ndarray:
+    size = coords[0].shape[0]
+    if isinstance(e, Const):
+        return plan.constant(float(e.value), size)
+    if isinstance(e, Pi):
+        return plan.constant(math.pi, size)
+    if isinstance(e, Var):
+        out = plan.constant(0.0, size)
+        out[0] = coords[e.index]
+        unit = tuple(int(i == e.index) for i in range(len(coords)))
+        if unit in plan.pos:
+            out[plan.pos[unit]] = 1.0
+        return out
+    if isinstance(e, Add):
+        return _taylor(e.left, plan, coords) + _taylor(e.right, plan, coords)
+    if isinstance(e, Sub):
+        return _taylor(e.left, plan, coords) - _taylor(e.right, plan, coords)
+    if isinstance(e, Mul):
+        return plan.mul(_taylor(e.left, plan, coords), _taylor(e.right, plan, coords))
+    if isinstance(e, Div):
+        return plan.div(_taylor(e.left, plan, coords), _taylor(e.right, plan, coords))
+    if isinstance(e, Neg):
+        return -_taylor(e.arg, plan, coords)
+    if isinstance(e, Pow):
+        return plan.power(_taylor(e.base, plan, coords), e.exponent)
+    if isinstance(e, Powr):
+        u = _taylor(e.base, plan, coords)
+        r = e.num / e.den
+        return plan.real_power(u, r, np.where(u[0] > 0.0, np.abs(u[0]) ** r, np.nan))
+    if isinstance(e, Call):
+        u = _taylor(e.arg, plan, coords)
+        if e.name == "exp":
+            return plan.exp(u)
+        if e.name == "sin":
+            return plan.sin_cos(u)[0]
+        if e.name == "cos":
+            return plan.sin_cos(u)[1]
+        if e.name == "tanh":
+            return plan.tanh(u)
+        if e.name == "sqrt":
+            return plan.real_power(u, 0.5, np.sqrt(u[0]))
+        raise TypeError(f"unknown function {e.name!r}")
+    raise TypeError(f"unknown node {e!r}")
+
+
+def taylor_derivatives(e: PotentialExpr, nus,
+                       coords: list[np.ndarray]) -> dict[MultiIndex, np.ndarray]:
+    """D^nu V for every nu in `nus` at the nodes given by `coords` (one
+    array per axis, broadcast together), from one truncated Taylor pass over
+    the AST.  No derivative tree is built, so the cost grows with the number of
+    Taylor coefficients rather than with the size of D^nu V.  Non-finite
+    values raise, as in evaluate_array(); so does a non-positive powr base."""
+    if len(coords) != e.dim:
+        raise ValueError(f"{len(coords)} coordinate arrays for dimension {e.dim}")
+    nus = tuple(sorted(set(nus)))
+    if any(len(nu) != e.dim for nu in nus):
+        raise ValueError(f"multi-indices {nus} have wrong length for dimension {e.dim}")
+    if not nus:
+        return {}
+    plan = _taylor_plan(nus)
+    coords = [np.asarray(c, dtype=float) for c in coords]
+    shape = np.broadcast_shapes(*(c.shape for c in coords))
+    flat = [np.broadcast_to(c, shape).ravel() for c in coords]
+    with np.errstate(all="ignore"):
+        series = _taylor(e.root, plan, flat)
+    out = {}
+    for nu in nus:
+        values = (series[plan.pos[nu]] * multi_index_factorial(nu)).reshape(shape)
+        if not np.all(np.isfinite(values)):
+            raise PotentialEvalError("non-finite values in Taylor-mode evaluation")
+        out[nu] = values
     return out

@@ -4,13 +4,16 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heatinv.halfint import POLE, HalfIntScalar
 from heatinv.invariants import alpha_density, heat_invariant_binomial
-from heatinv.numeric import (QuadratureConfig, b_from_a, beta_from_alpha,
-                             coefficient_table, evaluate_density,
-                             integrate_density, spectral_prefactor)
+from heatinv.numeric import (GK_GAUSS_WEIGHTS, GK_KRONROD_WEIGHTS, GK_NODES,
+                             QuadratureConfig, QuadratureError, b_from_a,
+                             beta_from_alpha, box_tail_1d, coefficient_table,
+                             evaluate_density, integrate_density,
+                             spectral_prefactor)
 from heatinv.potentials import parse_potential
 
 GAUSSIAN = parse_potential("exp(-x1^2)", 1)
@@ -64,6 +67,73 @@ class TestIntegration:
         value, _ = integrate_density(density, v, 2,
                                      QuadratureConfig(half_width=6.0))
         assert value == pytest.approx(-math.pi, abs=1e-7)
+
+
+    def test_three_dimensional_quadrature(self):
+        v = parse_potential("exp(-x1^2 - x2^2 - x3^2)", 3)
+        density = heat_invariant_binomial(1, 3).density
+        value, err = integrate_density(density, v, 3,
+                                       QuadratureConfig(half_width=6.0))
+        assert abs(value + math.pi ** 1.5) <= max(err, 1e-9)
+
+    def test_non_convergence_carries_partial_result(self):
+        density = heat_invariant_binomial(3, 1).density
+        with pytest.raises(QuadratureError) as exc:
+            integrate_density(density, GAUSSIAN, 1, QuadratureConfig(limit=2))
+        assert math.isfinite(exc.value.value) and math.isfinite(exc.value.error)
+        assert exc.value.error > 0
+
+
+class TestGaussKronrod:
+    def test_rules_exact_to_their_degree(self):
+        # K21 integrates polynomials of degree 31 exactly, G10 of degree 19
+        for degree, weights in ((31, GK_KRONROD_WEIGHTS), (19, GK_GAUSS_WEIGHTS)):
+            for k in range(degree + 1):
+                exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+                assert abs(weights @ GK_NODES ** k - exact) <= 1e-15
+        assert abs(GK_KRONROD_WEIGHTS @ GK_NODES ** 32 - 2.0 / 33) > 1e-13
+
+    def test_gauss_nodes_are_legendre_roots(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        used = GK_GAUSS_WEIGHTS > 0
+        assert np.allclose(GK_NODES[used], nodes, rtol=0, atol=1e-15)
+        assert np.allclose(GK_GAUSS_WEIGHTS[used], weights, rtol=0, atol=1e-15)
+
+
+class TestRegularizedTail:
+    EPS = Fraction(1, 3)
+    POWR = parse_potential("powr(1+x1^2,-1,6)", 1)
+
+    def test_tail_term_covers_whole_line_integral(self):
+        mpmath = pytest.importorskip("mpmath")
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x", real=True)
+        v = (1 + x ** 2) ** sympy.Rational(-1, 6)
+        invariants = [alpha_density(j, 1, self.EPS) for j in (3, 4)]
+        box = 2000.0
+        table = coefficient_table(invariants, self.POWR, 1, derived="beta",
+                                  config=QuadratureConfig(half_width=box))
+        for inv, row in zip(invariants, table.rows):
+            expr = sum(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(sympy.diff(v, x, nu[0]) for nu in mono))
+                       for mono, c in inv.density.terms.items())
+            f = sympy.lambdify(x, expr, "mpmath")
+            whole = float(mpmath.quad(f, [-mpmath.inf, -box, -1, 0, 1, box, mpmath.inf]))
+            assert abs(row.value - whole) <= row.err
+            # the tail term is what covers the miss, not the quadrature error
+            assert row.err < 3 * abs(row.value - whole) + 1e-6
+
+    def test_zero_density_keeps_zero_error(self):
+        table = coefficient_table([alpha_density(1, 1, self.EPS)], self.POWR, 1,
+                                  derived="beta")
+        assert (table.rows[0].value, table.rows[0].err) == (0.0, 0.0)
+
+    def test_tail_estimate_scales_with_box(self):
+        density = alpha_density(4, 1, self.EPS).density
+        near = box_tail_1d(density, self.POWR, self.EPS, 500.0)
+        far = box_tail_1d(density, self.POWR, self.EPS, 2000.0)
+        # the slowest monomial, V^4, decays like |x|^(-4/3)
+        assert far / near == pytest.approx(4.0 ** (-1 / 3), rel=1e-2)
 
 
 class TestSpectralPrefactor:

@@ -85,9 +85,21 @@ class TestRelativeTrace:
         # positive potential raises all eigenvalues, lowering the trace
         assert relative_heat_trace_1d(GAUSSIAN, 0.1) < 0
 
+    def test_array_of_times_matches_single_calls(self):
+        ts = np.geomspace(0.02, 0.2, 5)
+        grid = TraceGrid(points=1000)
+        together = relative_heat_trace_1d(GAUSSIAN, ts, grid)
+        assert together.shape == ts.shape
+        for t, value in zip(ts, together):
+            single = relative_heat_trace_1d(GAUSSIAN, float(t), grid)
+            assert isinstance(single, float)
+            assert single == pytest.approx(float(value), rel=1e-13, abs=0)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             relative_heat_trace_1d(GAUSSIAN, 0.0)
+        with pytest.raises(ValueError):
+            relative_heat_trace_1d(GAUSSIAN, np.array([0.1, -0.1]))
         with pytest.raises(ValueError):
             relative_heat_trace_1d(parse_potential("x1 + x2", 2), 0.1)
 

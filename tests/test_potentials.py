@@ -1,5 +1,6 @@
 """Potential expression language: parsing, differentiation, evaluation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from heatinv.potentials import (DERIVATIVE_CAP, DerivativeCapError,
                                 PotentialEvalError, PotentialSyntaxError,
                                 differentiate, evaluate, evaluate_array,
-                                parse_potential)
+                                parse_potential, taylor_derivatives)
 
 
 class TestParsing:
@@ -149,3 +150,80 @@ class TestEvaluation:
         arr = evaluate_array(e, [np.zeros((3, 4))])
         assert arr.shape == (3, 4)
         assert np.all(arr == 2.0)
+
+
+def assert_matches_trees(e, nus, coords):
+    """Taylor-mode D^nu V against the symbolic derivative trees, relative to
+    each derivative's largest magnitude on the sample."""
+    got = taylor_derivatives(e, nus, coords)
+    assert set(got) == set(nus)
+    for nu in nus:
+        want = evaluate_array(differentiate(e, nu), coords)
+        scale = max(float(np.abs(want).max()), 1e-300)
+        assert np.abs(got[nu] - want).max() <= 1e-12 * scale, nu
+
+
+class TestTaylorMode:
+    X = np.linspace(-1.3, 1.1, 7)
+
+    # One case per grammar construct.  The quotient rule squares the
+    # denominator of the symbolic tree at every order, so the reference trees
+    # of Div and sqrt become too large (and overflow) beyond order 7; their
+    # order-10 values are checked against closed forms below.
+    CASES_1D = [
+        ("3", 10), ("pi * x1", 10), ("x1", 10), ("x1 + x1^2", 10),
+        ("x1^3 - 2*x1", 10), ("x1 * exp(x1/2)", 10), ("(1 + x1) / (2 + x1^2)", 7),
+        ("-x1^4", 10), ("(1 + x1)^5", 10), ("(2 + x1)^(-3)", 10),
+        ("powr(1 + x1^2, -1, 6)", 10), ("exp(-x1^2)", 10), ("sin(2*x1)", 10),
+        ("cos(x1/2)", 10), ("tanh(x1)", 10), ("sqrt(2 + x1)", 7),
+    ]
+
+    @pytest.mark.parametrize("src,order", CASES_1D)
+    def test_one_dimension_matches_trees(self, src, order):
+        e = parse_potential(src, 1)
+        assert_matches_trees(e, [(k,) for k in range(order + 1)], [self.X])
+
+    def test_order_ten_closed_forms(self):
+        x = self.X
+        got = taylor_derivatives(parse_potential("1 / (2 + x1)", 1), [(10,)], [x])
+        want = math.factorial(10) / (2 + x) ** 11
+        assert np.allclose(got[(10,)], want, rtol=1e-12, atol=0)
+        got = taylor_derivatives(parse_potential("sqrt(2 + x1)", 1), [(10,)], [x])
+        falling = math.prod(0.5 - i for i in range(10))
+        assert np.allclose(got[(10,)], falling * (2 + x) ** (0.5 - 10), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("src,n", [
+        ("exp(-x1^2 - x2^2) * sin(x1 * x2)", 2),
+        ("powr(1 + x1^2 + x2^2, -1, 3) + tanh(x1 - x2) / (3 + x2^2)", 2),
+        ("exp(-x1^2 - x2^2 - x3^2) * cos(x1 * x3) + sqrt(2 + x2^2) * x3", 3),
+    ])
+    def test_mixed_partials_match_trees(self, src, n):
+        rng = np.random.default_rng(0)
+        coords = [rng.uniform(-1.5, 1.5, 9) for _ in range(n)]
+        nus = [nu for nu in itertools.product(range(5), repeat=n) if sum(nu) <= 4]
+        assert_matches_trees(parse_potential(src, n), nus, coords)
+
+    def test_exact_at_zero_base(self):
+        got = taylor_derivatives(parse_potential("x1^3", 1), [(k,) for k in range(5)],
+                                 [np.array([0.0])])
+        assert [float(got[(k,)][0]) for k in range(5)] == [0.0, 0.0, 0.0, 6.0, 0.0]
+
+    def test_only_requested_derivatives_and_shape(self):
+        e = parse_potential("exp(-x1^2 - x2^2)", 2)
+        gx, gy = np.meshgrid(np.linspace(-1, 1, 3), np.linspace(-1, 1, 4))
+        got = taylor_derivatives(e, [(2, 0), (0, 0)], [gx, gy])
+        assert set(got) == {(2, 0), (0, 0)}
+        assert got[(0, 0)].shape == (4, 3)
+        assert np.allclose(got[(0, 0)], np.exp(-gx ** 2 - gy ** 2), rtol=1e-15)
+
+    def test_domain_errors_raise(self):
+        zero, minus = [np.array([1.0, 0.0])], [np.array([1.0, -1.0])]
+        with pytest.raises(PotentialEvalError):
+            taylor_derivatives(parse_potential("1 / x1", 1), [(0,)], zero)
+        with pytest.raises(PotentialEvalError):
+            taylor_derivatives(parse_potential("sqrt(x1)", 1), [(0,)], minus)
+        for coords in (zero, minus):
+            with pytest.raises(PotentialEvalError):
+                taylor_derivatives(parse_potential("powr(x1, 1, 2)", 1), [(0,)], coords)
+        with pytest.raises(PotentialEvalError):
+            taylor_derivatives(parse_potential("exp(x1^2)", 1), [(0,)], [np.array([40.0])])
