@@ -27,15 +27,13 @@ from . import __version__
 from .invariants import (alpha_density, alpha_density_tail_sum, alpha_regime,
                          heat_invariant_binomial, heat_invariant_operator_sum,
                          regularization_depth)
-from .numeric import (QuadratureConfig, QuadratureError, b_from_a,
-                      beta_from_alpha, coefficient_table, evaluate_density,
-                      integrate_density)
+from .numeric import (QuadratureConfig, QuadratureError, coefficient_table,
+                      evaluate_density, integrate_density)
 from .oracles import (BridgeSampler, TraceGrid, discretized_schrodinger_1d,
                       fit_expansion, fk_diagonal, nc_taylor_matrix_check,
                       relative_heat_trace_1d,
                       taylor_family_matches_operator_family)
-from .potentials import (PotentialEvalError, PotentialSyntaxError,
-                         parse_potential)
+from .potentials import PotentialEvalError, parse_potential
 
 # Supported range of j.  Both routes and their equality are verified up to
 # here; a_7 in three dimensions already takes seconds of exact algebra.
@@ -253,7 +251,6 @@ def verify_taylor(args) -> int:
         checks.append({"name": f"taylor_slope_N{args.order}_seed{seed}",
                        "target": f"[{lo}, {hi}]", "observed": report.slope,
                        "tolerance": "slope window", "pass": bool(ok)})
-    rng = np.random.default_rng(args.seed)
     grid = np.linspace(-3.0, 3.0, args.matrix_dim)
     h0_mat, h_mat = discretized_schrodinger_1d(np.exp(-grid ** 2), 1.0)
     for m in range(args.order + 1):
@@ -345,15 +342,13 @@ def main(argv: list[str] | None = None) -> int:
         args.func = _VERIFY[args.suite]
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PotentialSyntaxError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (QuadratureError, PotentialEvalError, ArithmeticError) as exc:
+        # before ValueError, which PotentialEvalError subclasses
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (UsageError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -15,14 +15,9 @@ of canonical dictionaries is structural equality of polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
 MultiIndex = tuple[int, ...]
 Monomial = tuple[MultiIndex, ...]
-
-
-def multi_index_order(nu: MultiIndex) -> int:
-    return sum(nu)
 
 
 def multi_index_factorial(nu: MultiIndex) -> int:
@@ -182,9 +177,6 @@ class DiffPoly:
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))
-
-    def monomials(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(sorted(self.terms.items()))
 
     def jet_variables(self) -> set[MultiIndex]:
         """All distinct D^nu V appearing in the polynomial."""

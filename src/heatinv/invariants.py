@@ -115,7 +115,6 @@ def _laplacian_power_monomial(dim: int, alpha: tuple[int, ...],
     f = Jet.monomial(dim, sum(alpha), alpha)
     for _ in range(times):
         f = -f.laplacian()
-    zero_dim = DiffPoly.zero(dim)
     out = []
     for beta, c in sorted(f.terms.items()):
         const = c.terms.get((), Fraction(0))

@@ -14,12 +14,11 @@ moves information down by exactly two degrees).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .diffpoly import DiffPoly, DimensionMismatch, MultiIndex, multi_index_factorial
+from .diffpoly import DiffPoly, DimensionMismatch, multi_index_factorial
 from .halfint import binomial
 
 ZIndex = tuple[int, ...]
@@ -184,16 +183,10 @@ class Jet:
 
     # -- structure ---------------------------------------------------------
 
-    def degree(self) -> int:
-        return max((sum(a) for a in self.terms), default=0)
-
     def prune(self, max_degree: int) -> "Jet":
         """Drop terms of z-degree above max_degree (truncation unchanged)."""
         return Jet(self.dim, self.trunc,
                    {a: c for a, c in self.terms.items() if sum(a) <= max_degree})
-
-    def with_trunc(self, trunc: int) -> "Jet":
-        return Jet(self.dim, trunc, self.terms)
 
     def diagonal(self) -> DiffPoly:
         """Value at y = x, i.e. the z-constant coefficient."""
@@ -232,20 +225,6 @@ def apply_H(f: Jet) -> Jet:
     return -f.laplacian() + v_taylor_jet(f.dim, f.trunc) * f
 
 
-@dataclass(frozen=True)
-class OperatorWord:
-    """A word in the alphabet {"H", "H0"}, applied right-to-left, with an
-    overall rational coefficient."""
-
-    tokens: tuple[str, ...]
-    coeff: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        for t in self.tokens:
-            if t not in ("H", "H0"):
-                raise ValueError(f"unknown operator token {t!r}")
-
-
 def _apply_tokens(tokens: tuple[str, ...], f: Jet, prune_diagonal: bool) -> Jet:
     g = f
     remaining = len(tokens)
@@ -257,20 +236,6 @@ def _apply_tokens(tokens: tuple[str, ...], f: Jet, prune_diagonal: bool) -> Jet:
         if prune_diagonal:
             g = g.prune(2 * remaining)
     return g
-
-
-def apply_word(w: OperatorWord, f: Jet, *, prune_diagonal: bool = False) -> Jet:
-    """Apply a word of H/H0 tokens right-to-left.
-
-    With prune_diagonal=True only the contributions that can reach z-degree 0
-    are kept (each application lowers degree by at most two), which is exact
-    for subsequent diagonal() extraction and much cheaper.
-    """
-    if f.trunc < 2 * len(w.tokens):
-        raise TruncationError(
-            f"truncation {f.trunc} too small for word of length {len(w.tokens)}"
-            f" (need >= {2 * len(w.tokens)})")
-    return _apply_tokens(w.tokens, f, prune_diagonal).scale(w.coeff)
 
 
 def _check_trunc(m: int, f: Jet):

@@ -34,42 +34,38 @@ class QuadratureError(RuntimeError):
 @dataclass
 class QuadratureConfig:
     half_width: float = 12.0     # integration box [-L, L]^n
-    epsabs: float = 1e-9
-    epsrel: float = 1e-9
     limit: int = 200             # max subinterval count per axis
 
+
+QUAD_TOL = 1e-9  # absolute and relative error target of every integral
 
 EVAL_CHUNK = 2048  # nodes per Taylor pass, so memory does not grow with a round
 
 
-class DensityEvaluator:
-    """Evaluates DiffPoly densities for a concrete potential on node arrays,
-    taking every D^nu V a density needs from one Taylor-mode pass."""
-
-    def __init__(self, potential: PotentialExpr):
-        self.potential = potential
-
-    def on_arrays(self, density: DiffPoly, coords: list[np.ndarray]) -> np.ndarray:
-        shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
-        flat = [np.broadcast_to(np.asarray(c, dtype=float), shape).ravel() for c in coords]
-        nus = density.jet_variables()
-        total = np.zeros(int(np.prod(shape)))
-        for lo in range(0, total.size, EVAL_CHUNK):
-            chunk = [c[lo:lo + EVAL_CHUNK] for c in flat]
-            derivs = taylor_derivatives(self.potential, nus, chunk)
-            out = total[lo:lo + EVAL_CHUNK]  # a view: the sums land in total
-            for mono, coeff in density.terms.items():
-                prod = np.full(out.shape, float(coeff))
-                for nu in mono:
-                    prod *= derivs[nu]
-                out += prod
-        return total.reshape(shape)
+def _density_values(density: DiffPoly, potential: PotentialExpr,
+                    coords: list[np.ndarray]) -> np.ndarray:
+    """A DiffPoly density for a concrete potential on node arrays, taking
+    every D^nu V it needs from one Taylor-mode pass per chunk of nodes."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    flat = [np.broadcast_to(np.asarray(c, dtype=float), shape).ravel() for c in coords]
+    nus = density.jet_variables()
+    total = np.zeros(int(np.prod(shape)))
+    for lo in range(0, total.size, EVAL_CHUNK):
+        chunk = [c[lo:lo + EVAL_CHUNK] for c in flat]
+        derivs = taylor_derivatives(potential, nus, chunk)
+        out = total[lo:lo + EVAL_CHUNK]  # a view: the sums land in total
+        for mono, coeff in density.terms.items():
+            prod = np.full(out.shape, float(coeff))
+            for nu in mono:
+                prod *= derivs[nu]
+            out += prod
+    return total.reshape(shape)
 
 
 def evaluate_density(density: DiffPoly, potential: PotentialExpr, point) -> float:
     """Numeric value of a symbolic density at one point."""
     coords = [np.array([float(x)]) for x in point]
-    return float(DensityEvaluator(potential).on_arrays(density, coords)[0])
+    return float(_density_values(density, potential, coords)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +155,7 @@ def _adaptive_gauss_kronrod(f, n: int, config: QuadratureConfig) -> tuple[float,
     per_round = max(1, MAX_ROUND_NODES // (2 * len(GK_NODES) ** n))
     while True:
         value, error = float(np.sum(est)), float(np.sum(err))
-        tol = max(config.epsabs, config.epsrel * abs(value))
+        tol = QUAD_TOL * max(1.0, abs(value))
         if error <= tol:
             return value, error
         order = np.argsort(err)[::-1]
@@ -195,8 +191,8 @@ def integrate_density(density: DiffPoly, potential: PotentialExpr, n: int,
     config = config or QuadratureConfig()
     if density.is_zero():
         return 0.0, 0.0
-    ev = DensityEvaluator(potential)
-    return _adaptive_gauss_kronrod(lambda coords: ev.on_arrays(density, coords), n, config)
+    return _adaptive_gauss_kronrod(
+        lambda coords: _density_values(density, potential, coords), n, config)
 
 
 def box_tail_1d(density: DiffPoly, potential: PotentialExpr, epsilon: Fraction,
@@ -209,7 +205,7 @@ def box_tail_1d(density: DiffPoly, potential: PotentialExpr, epsilon: Fraction,
     w = min(monomial_decay_weight(mono, epsilon) for mono in density.terms)
     if w <= 1:
         raise ValueError(f"density decays like |x|^(-{w}), which is not integrable over R")
-    ends = DensityEvaluator(potential).on_arrays(density, [np.array([-half_width, half_width])])
+    ends = _density_values(density, potential, [np.array([-half_width, half_width])])
     return 2.0 * float(np.sum(np.abs(ends))) * half_width / float(w - 1)
 
 

@@ -43,26 +43,32 @@ class BridgeSampler:
     paths: int = 100_000
     dim: int = 1
 
-    def blocks(self):
-        """Yield (s_grid, block) pairs; block has shape (count, steps+1, dim).
+    def chunks(self) -> list[tuple[np.random.SeedSequence, int]]:
+        """(seed, path count) of each fixed-size chunk.
 
-        The seed sequence is split per fixed-size chunk, so the stream of
-        paths is independent of any consumer-side parallel partitioning.
+        The seed sequence is split per chunk, so the stream of paths is
+        independent of any consumer-side parallel partitioning.
         """
-        s = np.linspace(0.0, 1.0, self.steps + 1)
         n_chunks = (self.paths + _CHUNK - 1) // _CHUNK
         children = np.random.SeedSequence(self.seed).spawn(n_chunks)
-        remaining = self.paths
-        for child in children:
-            count = min(_CHUNK, remaining)
-            remaining -= count
-            rng = np.random.default_rng(child)
-            incr = rng.normal(scale=math.sqrt(1.0 / self.steps),
-                              size=(count, self.steps, self.dim))
-            w = np.concatenate(
-                [np.zeros((count, 1, self.dim)), np.cumsum(incr, axis=1)], axis=1)
-            bridge = w - s[None, :, None] * w[:, -1:, :]
-            yield s, bridge
+        return [(child, min(_CHUNK, self.paths - k * _CHUNK))
+                for k, child in enumerate(children)]
+
+    def draw(self, chunk: tuple[np.random.SeedSequence, int]):
+        """(s_grid, block) of one chunk; block has shape (count, steps+1, dim)."""
+        child, count = chunk
+        s = np.linspace(0.0, 1.0, self.steps + 1)
+        rng = np.random.default_rng(child)
+        incr = rng.normal(scale=math.sqrt(1.0 / self.steps),
+                          size=(count, self.steps, self.dim))
+        w = np.concatenate(
+            [np.zeros((count, 1, self.dim)), np.cumsum(incr, axis=1)], axis=1)
+        return s, w - s[None, :, None] * w[:, -1:, :]
+
+    def blocks(self):
+        """Yield draw(chunk) for each chunk, in chunk order."""
+        for chunk in self.chunks():
+            yield self.draw(chunk)
 
 
 def fk_diagonal(potential: PotentialExpr, x, t: float,
@@ -82,8 +88,10 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
     scale = math.sqrt(2.0 * t)
     prefactor = (4.0 * math.pi * t) ** (-n / 2)
 
-    def block_sums(args):
-        s, block = args
+    def block_sums(chunk):
+        # each chunk is drawn where it is consumed, so at most one block per
+        # worker is alive at a time
+        s, block = sampler.draw(chunk)
         coords = [x[i] + scale * block[:, :, i] for i in range(n)]
         values = evaluate_array(potential, coords)  # (paths, steps+1)
         path_integral = np.trapezoid(values, s, axis=1)
@@ -93,9 +101,9 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
     workers = worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(block_sums, sampler.blocks()))
+            sums = list(pool.map(block_sums, sampler.chunks()))
     else:
-        sums = [block_sums(args) for args in sampler.blocks()]
+        sums = [block_sums(chunk) for chunk in sampler.chunks()]
     total = sum(s0 for s0, _, _ in sums)
     total_sq = sum(s1 for _, s1, _ in sums)
     count = sum(c for _, _, c in sums)

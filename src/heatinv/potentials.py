@@ -14,10 +14,14 @@ powr(base, p, q) for the rational power base^(p/q) with base > 0 at
 evaluation time.  `^` takes integer exponents only; rational powers must go
 through powr, which keeps symbolic differentiation total.
 
-ASTs are immutable; differentiation is exact with light constant folding and
-evaluation supports both scalars and numpy arrays.  Numeric derivatives come
-from `taylor_derivatives`, one truncated multivariate Taylor pass over the AST
-on node arrays; `differentiate` builds the symbolic D^nu V tree instead.
+ASTs are immutable; differentiation is exact with light constant folding.
+Values come from one walk of the AST on numpy arrays (`evaluate` is its
+one-point case) and numeric derivatives from `taylor_derivatives`, one
+truncated multivariate Taylor pass over the AST on node arrays;
+`differentiate` builds the symbolic D^nu V tree instead.  All three share one
+rule: a non-positive powr base gives NaN, and a non-finite final value raises
+PotentialEvalError.  Nothing else raises it, so a finite value is accepted even
+where an intermediate one is infinite, as in exp(-1/x1^2) at x1 = 0.
 """
 
 from __future__ import annotations
@@ -440,14 +444,13 @@ def _d(e: Expr, axis: int) -> Expr:
     raise TypeError(f"unknown node {e!r}")
 
 
-def differentiate(e: PotentialExpr, nu: MultiIndex,
-                  cap: int = DERIVATIVE_CAP) -> PotentialExpr:
+def differentiate(e: PotentialExpr, nu: MultiIndex) -> PotentialExpr:
     """Exact symbolic derivative D^nu of the potential."""
     if len(nu) != e.dim:
         raise ValueError(f"multi-index {nu} has wrong length for dimension {e.dim}")
-    if sum(nu) > cap:
+    if sum(nu) > DERIVATIVE_CAP:
         raise DerivativeCapError(
-            f"derivative order {sum(nu)} exceeds the cap {cap}")
+            f"derivative order {sum(nu)} exceeds the cap {DERIVATIVE_CAP}")
     root = e.root
     for axis, count in enumerate(nu):
         for _ in range(count):
@@ -458,65 +461,6 @@ def differentiate(e: PotentialExpr, nu: MultiIndex,
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-
-_SCALAR_FUNCS = {"exp": math.exp, "sin": math.sin, "cos": math.cos,
-                 "tanh": math.tanh}
-
-
-def _eval(e: Expr, point) -> float:
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Pi):
-        return math.pi
-    if isinstance(e, Var):
-        return float(point[e.index])
-    if isinstance(e, Add):
-        return _eval(e.left, point) + _eval(e.right, point)
-    if isinstance(e, Sub):
-        return _eval(e.left, point) - _eval(e.right, point)
-    if isinstance(e, Mul):
-        return _eval(e.left, point) * _eval(e.right, point)
-    if isinstance(e, Div):
-        denom = _eval(e.right, point)
-        if denom == 0.0:
-            raise PotentialEvalError("division by zero")
-        return _eval(e.left, point) / denom
-    if isinstance(e, Neg):
-        return -_eval(e.arg, point)
-    if isinstance(e, Pow):
-        base = _eval(e.base, point)
-        if base == 0.0 and e.exponent < 0:
-            raise PotentialEvalError("zero raised to a negative power")
-        return base ** e.exponent
-    if isinstance(e, Powr):
-        base = _eval(e.base, point)
-        if base <= 0.0:
-            raise PotentialEvalError(
-                f"powr base must be positive, got {base}")
-        return base ** (e.num / e.den)
-    if isinstance(e, Call):
-        arg = _eval(e.arg, point)
-        if e.name == "sqrt":
-            if arg < 0.0:
-                raise PotentialEvalError(f"sqrt of negative value {arg}")
-            return math.sqrt(arg)
-        try:
-            return _SCALAR_FUNCS[e.name](arg)
-        except OverflowError as exc:
-            raise PotentialEvalError(f"overflow in {e.name}") from exc
-    raise TypeError(f"unknown node {e!r}")
-
-
-def evaluate(e: PotentialExpr, point) -> float:
-    """Evaluate at a point (sequence of dim floats); non-finite results are
-    reported as errors rather than propagated silently."""
-    if len(point) != e.dim:
-        raise ValueError(f"point of length {len(point)} for dimension {e.dim}")
-    value = _eval(e.root, point)
-    if not math.isfinite(value):
-        raise PotentialEvalError(f"non-finite value {value}")
-    return value
-
 
 def _eval_array(e: Expr, coords: list[np.ndarray]) -> np.ndarray:
     if isinstance(e, Const):
@@ -538,24 +482,42 @@ def _eval_array(e: Expr, coords: list[np.ndarray]) -> np.ndarray:
     if isinstance(e, Pow):
         return _eval_array(e.base, coords) ** e.exponent
     if isinstance(e, Powr):
-        return _eval_array(e.base, coords) ** (e.num / e.den)
+        return _positive_power(_eval_array(e.base, coords), e.num / e.den)
     if isinstance(e, Call):
         return getattr(np, e.name)(_eval_array(e.arg, coords))
     raise TypeError(f"unknown node {e!r}")
 
 
-def evaluate_array(e: PotentialExpr, coords: list[np.ndarray]) -> np.ndarray:
-    """Vectorized evaluation on numpy coordinate arrays (one per axis, equal
-    shapes).  Non-finite entries raise, matching scalar evaluate()."""
-    if len(coords) != e.dim:
-        raise ValueError(f"{len(coords)} coordinate arrays for dimension {e.dim}")
+def _positive_power(base: np.ndarray, r: float) -> np.ndarray:
+    """base^r for the powr base, NaN wherever the base is not positive."""
+    return np.where(base > 0.0, base ** r, np.nan)
+
+
+def _values(e: PotentialExpr, coords: list[np.ndarray]) -> np.ndarray:
     with np.errstate(all="ignore"):
         out = np.broadcast_to(_eval_array(e.root, coords),
                               np.broadcast(*coords).shape if e.dim > 1 else coords[0].shape)
         out = np.array(out, dtype=float)
     if not np.all(np.isfinite(out)):
-        raise PotentialEvalError("non-finite values in array evaluation")
+        raise PotentialEvalError("non-finite values in evaluation")
     return out
+
+
+def evaluate(e: PotentialExpr, point) -> float:
+    """Evaluate at a point (sequence of dim floats), as evaluate_array does
+    on one node."""
+    if len(point) != e.dim:
+        raise ValueError(f"point of length {len(point)} for dimension {e.dim}")
+    return float(_values(e, [np.asarray(float(x)) for x in point]))
+
+
+def evaluate_array(e: PotentialExpr, coords: list[np.ndarray]) -> np.ndarray:
+    """Vectorized evaluation on numpy coordinate arrays (one per axis, equal
+    shapes).  Non-finite entries raise PotentialEvalError, by the rule in the
+    module docstring."""
+    if len(coords) != e.dim:
+        raise ValueError(f"{len(coords)} coordinate arrays for dimension {e.dim}")
+    return _values(e, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +681,7 @@ def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray]) -> np.ndarray:
     if isinstance(e, Powr):
         u = _taylor(e.base, plan, coords)
         r = e.num / e.den
-        return plan.real_power(u, r, np.where(u[0] > 0.0, np.abs(u[0]) ** r, np.nan))
+        return plan.real_power(u, r, _positive_power(u[0], r))
     if isinstance(e, Call):
         u = _taylor(e.arg, plan, coords)
         if e.name == "exp":

@@ -122,6 +122,16 @@ class TestProcessLevel:
         code, _, _ = run_cli("nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--dim", "1", "--potential", "1/x1", "--order", "1"),
+        ("verify", "fk", "--potential", "powr(x1,1,2)", "--paths", "5000"),
+    ])
+    def test_numeric_failure_exit_code(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 3
+        assert err.startswith("numeric failure:")
+        assert out == ""
+
     def test_byte_identical_determinism(self):
         args = ("verify", "fk", "--paths", "12000", "--seed", "3",
                 "--format", "json")

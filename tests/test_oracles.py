@@ -42,6 +42,15 @@ class TestBridgeSampler:
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
+    def test_chunk_draws_match_blocks(self):
+        sampler = BridgeSampler(seed=5, paths=9000)
+        chunks = sampler.chunks()
+        assert [count for _, count in chunks] == [4096, 4096, 808]
+        for chunk, (s, block) in zip(chunks, sampler.blocks(), strict=True):
+            s2, block2 = sampler.draw(chunk)
+            assert np.array_equal(s, s2)
+            assert np.array_equal(block, block2)
+
 
 class TestFeynmanKac:
     def test_zero_potential_exact(self):

@@ -131,6 +131,26 @@ class TestEvaluation:
             evaluate(parse_potential("sqrt(x1)", 1), (-1.0,))
         with pytest.raises(PotentialEvalError):
             evaluate(parse_potential("powr(x1, 1, 2)", 1), (-1.0,))
+        with pytest.raises(PotentialEvalError):
+            evaluate(parse_potential("x1^400", 1), (10.0,))
+
+    def test_powr_base_must_be_positive_everywhere(self):
+        # 0^(1/2) is finite, but the powr domain is base > 0 in every evaluator
+        e = parse_potential("powr(x1, 1, 2)", 1)
+        with pytest.raises(PotentialEvalError):
+            evaluate(e, (0.0,))
+        with pytest.raises(PotentialEvalError):
+            evaluate_array(e, [np.array([1.0, 0.0])])
+        with pytest.raises(PotentialEvalError):
+            taylor_derivatives(e, [(0,)], [np.array([1.0, 0.0])])
+
+    def test_infinite_intermediate_with_finite_value(self):
+        e = parse_potential("exp(-1/x1^2)", 1)
+        x = np.array([0.0, 0.5])
+        want = [0.0, math.exp(-4.0)]
+        assert [evaluate(e, (xi,)) for xi in x] == want
+        assert evaluate_array(e, [x]).tolist() == want
+        assert taylor_derivatives(e, [(0,)], [x])[(0,)].tolist() == want
 
     def test_array_matches_scalar(self):
         e = parse_potential("exp(-x1^2 - x2^2) + tanh(x1 - x2)", 2)
