@@ -132,23 +132,6 @@ class DiffPoly:
             return DiffPoly(self.dim)
         return DiffPoly(self.dim, {m: c * q for m, c in self.terms.items()})
 
-    def derive(self, axis: int) -> "DiffPoly":
-        """Formal derivative along one axis: Leibniz over factors, with
-        d(D^nu V) = D^(nu + e_axis) V."""
-        if not 0 <= axis < self.dim:
-            raise ValueError(f"axis {axis} out of range for dim {self.dim}")
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
-            for i, nu in enumerate(mono):
-                bumped = nu[:axis] + (nu[axis] + 1,) + nu[axis + 1:]
-                key = tuple(sorted(mono[:i] + (bumped,) + mono[i + 1:], reverse=True))
-                s = out.get(key, Fraction(0)) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return DiffPoly(self.dim, out)
-
     def permute_axes(self, perm: tuple[int, ...]) -> "DiffPoly":
         """Relabel coordinate axes: entry i of each multi-index moves to
         position perm[i]."""

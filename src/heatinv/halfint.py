@@ -68,12 +68,6 @@ class HalfIntScalar:
         return f"{self.coeff}*pi^({self.sqrt_pi_power}/2)"
 
 
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"factorial of negative integer {n}")
-    return math.factorial(n)
-
-
 def binomial(n: int, k: int) -> int:
     """Ordinary integer binomial coefficient, 0 for k outside [0, n]."""
     if k < 0 or k > n:
@@ -99,7 +93,7 @@ def half_integer_binomial(j: int, k: int, n: int) -> Fraction:
     prod = Fraction(1)
     for i in range(k + 1, j):
         prod *= i + half_n
-    return prod / factorial(j - 1 - k)
+    return prod / math.factorial(j - 1 - k)
 
 
 def gamma_half_integer(two_z: int) -> HalfIntScalar | GammaPole:
@@ -114,7 +108,7 @@ def gamma_half_integer(two_z: int) -> HalfIntScalar | GammaPole:
         z = two_z // 2
         if z <= 0:
             return POLE
-        return HalfIntScalar(Fraction(factorial(z - 1)), 0)
+        return HalfIntScalar(Fraction(math.factorial(z - 1)), 0)
     # two_z = 2m + 1: walk from Gamma(1/2).
     coeff = Fraction(1)
     if two_z >= 1:

@@ -98,12 +98,8 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
         weights = np.exp(-t * path_integral)
         return float(weights.sum()), float((weights ** 2).sum()), weights.shape[0]
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(block_sums, sampler.chunks()))
-    else:
-        sums = [block_sums(chunk) for chunk in sampler.chunks()]
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        sums = list(pool.map(block_sums, sampler.chunks()))
     total = sum(s0 for s0, _, _ in sums)
     total_sq = sum(s1 for _, s1, _ in sums)
     count = sum(c for _, _, c in sums)

@@ -14,14 +14,15 @@ powr(base, p, q) for the rational power base^(p/q) with base > 0 at
 evaluation time.  `^` takes integer exponents only; rational powers must go
 through powr, which keeps symbolic differentiation total.
 
-ASTs are immutable; differentiation is exact with light constant folding.
-Values come from one walk of the AST on numpy arrays (`evaluate` is its
-one-point case) and numeric derivatives from `taylor_derivatives`, one
-truncated multivariate Taylor pass over the AST on node arrays;
-`differentiate` builds the symbolic D^nu V tree instead.  All three share one
-rule: a non-positive powr base gives NaN, and a non-finite final value raises
-PotentialEvalError.  Nothing else raises it, so a finite value is accepted even
-where an intermediate one is infinite, as in exp(-1/x1^2) at x1 = 0.
+ASTs are immutable.  Every number comes from one walk of the AST on numpy
+arrays: a truncated multivariate Taylor pass (`taylor_derivatives` gives
+D^nu V); values are its order-0 case (`evaluate_array`, and `evaluate` on one
+point).  `differentiate` builds the exact symbolic D^nu V tree, with light
+constant folding; it serves as the independent reference for Taylor mode.
+One error rule holds for every evaluation: a non-positive powr base gives NaN,
+and a non-finite final value raises PotentialEvalError.  Nothing else raises
+it, so a finite value is accepted even where an intermediate one is infinite,
+as in exp(-1/x1^2) at x1 = 0.
 """
 
 from __future__ import annotations
@@ -459,69 +460,7 @@ def differentiate(e: PotentialExpr, nu: MultiIndex) -> PotentialExpr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-def _eval_array(e: Expr, coords: list[np.ndarray]) -> np.ndarray:
-    if isinstance(e, Const):
-        return np.asarray(float(e.value))
-    if isinstance(e, Pi):
-        return np.asarray(math.pi)
-    if isinstance(e, Var):
-        return coords[e.index]
-    if isinstance(e, Add):
-        return _eval_array(e.left, coords) + _eval_array(e.right, coords)
-    if isinstance(e, Sub):
-        return _eval_array(e.left, coords) - _eval_array(e.right, coords)
-    if isinstance(e, Mul):
-        return _eval_array(e.left, coords) * _eval_array(e.right, coords)
-    if isinstance(e, Div):
-        return _eval_array(e.left, coords) / _eval_array(e.right, coords)
-    if isinstance(e, Neg):
-        return -_eval_array(e.arg, coords)
-    if isinstance(e, Pow):
-        return _eval_array(e.base, coords) ** e.exponent
-    if isinstance(e, Powr):
-        return _positive_power(_eval_array(e.base, coords), e.num / e.den)
-    if isinstance(e, Call):
-        return getattr(np, e.name)(_eval_array(e.arg, coords))
-    raise TypeError(f"unknown node {e!r}")
-
-
-def _positive_power(base: np.ndarray, r: float) -> np.ndarray:
-    """base^r for the powr base, NaN wherever the base is not positive."""
-    return np.where(base > 0.0, base ** r, np.nan)
-
-
-def _values(e: PotentialExpr, coords: list[np.ndarray]) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        out = np.broadcast_to(_eval_array(e.root, coords),
-                              np.broadcast(*coords).shape if e.dim > 1 else coords[0].shape)
-        out = np.array(out, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise PotentialEvalError("non-finite values in evaluation")
-    return out
-
-
-def evaluate(e: PotentialExpr, point) -> float:
-    """Evaluate at a point (sequence of dim floats), as evaluate_array does
-    on one node."""
-    if len(point) != e.dim:
-        raise ValueError(f"point of length {len(point)} for dimension {e.dim}")
-    return float(_values(e, [np.asarray(float(x)) for x in point]))
-
-
-def evaluate_array(e: PotentialExpr, coords: list[np.ndarray]) -> np.ndarray:
-    """Vectorized evaluation on numpy coordinate arrays (one per axis, equal
-    shapes).  Non-finite entries raise PotentialEvalError, by the rule in the
-    module docstring."""
-    if len(coords) != e.dim:
-        raise ValueError(f"{len(coords)} coordinate arrays for dimension {e.dim}")
-    return _values(e, coords)
-
-
-# ---------------------------------------------------------------------------
-# Taylor-mode derivatives
+# Evaluation: truncated Taylor arithmetic
 # ---------------------------------------------------------------------------
 #
 # Every AST node becomes its truncated Taylor expansion at each point,
@@ -532,6 +471,8 @@ def evaluate_array(e: PotentialExpr, coords: list[np.ndarray]) -> np.ndarray:
 # w = exp(u), from d_i w = w d_i u,
 #
 #     alpha_i w_alpha = sum_(0 < g <= alpha) g_i u_g w_(alpha - g).
+#
+# Plain values are the case S = {0}: one row, and no recurrence steps.
 
 
 class _Step(NamedTuple):
@@ -543,7 +484,6 @@ class _Step(NamedTuple):
     lower: np.ndarray     # positions of the g with 0 < g <= alpha
     rest: np.ndarray      # positions of alpha - g
     lower_order: np.ndarray  # g_i
-    pairs: np.ndarray     # alpha's slice of the product tables
 
 
 class _TaylorPlan:
@@ -556,41 +496,48 @@ class _TaylorPlan:
             closure.update(itertools.product(*(range(k + 1) for k in nu)))
         self.indices = sorted(closure, key=lambda a: (sum(a), a))
         self.pos = pos = {a: k for k, a in enumerate(self.indices)}
-        # products: (u v)_alpha = sum_(beta <= alpha) u_beta v_(alpha - beta)
-        left, right, starts = [], [], []
+        dim = len(self.indices[0])
+        # row of d x_i / d x_i = 1 in the series of x_i, if S holds e_i
+        self.unit_rows = [pos.get(tuple(int(i == j) for j in range(dim)))
+                          for i in range(dim)]
+        # products: (u v)_alpha = sum_(beta <= alpha) u_beta v_(alpha - beta),
+        # one (beta, alpha - beta) row pair per beta, beta = 0 first
+        self.pairs: list[list[tuple[int, int]]] = []
         self.steps: list[_Step] = []
         for alpha in self.indices:
             below = list(itertools.product(*(range(k + 1) for k in alpha)))
-            starts.append(len(left))
-            left += [pos[b] for b in below]
-            right += [pos[tuple(a - b for a, b in zip(alpha, beta))] for beta in below]
+            pairs = [(pos[b], pos[tuple(a - c for a, c in zip(alpha, b))]) for b in below]
+            self.pairs.append(pairs)
             if any(alpha):
                 axis = next(i for i, a in enumerate(alpha) if a)
-                g = [b for b in below if any(b)]
                 self.steps.append(_Step(
                     pos[alpha], float(alpha[axis]),
-                    np.array([pos[b] for b in g]),
-                    np.array([pos[tuple(a - c for a, c in zip(alpha, b))] for b in g]),
-                    np.array([float(b[axis]) for b in g]),
-                    np.arange(starts[-1], len(left))))
-        self.left, self.right = np.array(left), np.array(right)
-        # row alpha of `gather` sums alpha's slice of the pair products
-        self.gather = np.zeros((len(self.indices), len(left)))
-        for k, (lo, hi) in enumerate(zip(starts, starts[1:] + [len(left)])):
-            self.gather[k, lo:hi] = 1.0
+                    np.array([b for b, _ in pairs[1:]]),
+                    np.array([r for _, r in pairs[1:]]),
+                    np.array([float(b[axis]) for b in below[1:]])))
 
     def constant(self, value: float, size: int) -> np.ndarray:
         out = np.zeros((len(self.indices), size))
         out[0] = value
         return out
 
+    def pair_sum(self, u: np.ndarray, v: np.ndarray, k: int, out: np.ndarray):
+        """out = (u v) at position k, summed over its row pairs in order."""
+        (b, c), *rest = self.pairs[k]
+        np.multiply(u[b], v[c], out=out)
+        for b, c in rest:
+            out += u[b] * v[c]
+
     def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.gather @ (u[self.left] * v[self.right])
+        w = np.empty_like(u)
+        for k in range(len(self.indices)):
+            self.pair_sum(u, v, k, w[k])
+        return w
 
     def div(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         # v w = u: w_alpha = (u_alpha - sum_(0 < g <= alpha) v_g w_(alpha - g)) / v_0
         w = np.empty_like(u)
-        w[0] = u[0] / v[0]
+        np.divide(u[0], v[0], out=w[0])
         for st in self.steps:
             w[st.k] = (u[st.k] - np.sum(v[st.lower] * w[st.rest], axis=0)) / v[0]
         return w
@@ -620,7 +567,7 @@ class _TaylorPlan:
     def exp(self, u: np.ndarray) -> np.ndarray:
         # d_i w = w d_i u
         w = np.empty_like(u)
-        w[0] = np.exp(u[0])
+        np.exp(u[0], out=w[0])
         for st in self.steps:
             du = (st.lower_order / st.order)[:, None] * u[st.lower]
             w[st.k] = np.sum(du * w[st.rest], axis=0)
@@ -629,7 +576,8 @@ class _TaylorPlan:
     def sin_cos(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # d_i sin u = cos u d_i u, d_i cos u = -sin u d_i u
         s, c = np.empty_like(u), np.empty_like(u)
-        s[0], c[0] = np.sin(u[0]), np.cos(u[0])
+        np.sin(u[0], out=s[0])
+        np.cos(u[0], out=c[0])
         for st in self.steps:
             du = (st.lower_order / st.order)[:, None] * u[st.lower]
             s[st.k] = np.sum(du * c[st.rest], axis=0)
@@ -639,12 +587,13 @@ class _TaylorPlan:
     def tanh(self, u: np.ndarray) -> np.ndarray:
         # d_i w = (1 - w^2) d_i u, with q = 1 - w^2 built alongside w
         w, q = np.empty_like(u), np.empty_like(u)
-        w[0] = np.tanh(u[0])
+        np.tanh(u[0], out=w[0])
         q[0] = 1.0 - w[0] ** 2
         for st in self.steps:
             du = (st.lower_order / st.order)[:, None] * u[st.lower]
             w[st.k] = np.sum(du * q[st.rest], axis=0)
-            q[st.k] = -np.sum(w[self.left[st.pairs]] * w[self.right[st.pairs]], axis=0)
+            self.pair_sum(w, w, st.k, q[st.k])
+            np.negative(q[st.k], out=q[st.k])
         return w
 
 
@@ -662,9 +611,8 @@ def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray]) -> np.ndarray:
     if isinstance(e, Var):
         out = plan.constant(0.0, size)
         out[0] = coords[e.index]
-        unit = tuple(int(i == e.index) for i in range(len(coords)))
-        if unit in plan.pos:
-            out[plan.pos[unit]] = 1.0
+        if plan.unit_rows[e.index] is not None:
+            out[plan.unit_rows[e.index]] = 1.0
         return out
     if isinstance(e, Add):
         return _taylor(e.left, plan, coords) + _taylor(e.right, plan, coords)
@@ -675,13 +623,16 @@ def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray]) -> np.ndarray:
     if isinstance(e, Div):
         return plan.div(_taylor(e.left, plan, coords), _taylor(e.right, plan, coords))
     if isinstance(e, Neg):
-        return -_taylor(e.arg, plan, coords)
+        # every series _taylor returns is new and held by its caller alone
+        u = _taylor(e.arg, plan, coords)
+        return np.negative(u, out=u)
     if isinstance(e, Pow):
         return plan.power(_taylor(e.base, plan, coords), e.exponent)
     if isinstance(e, Powr):
         u = _taylor(e.base, plan, coords)
         r = e.num / e.den
-        return plan.real_power(u, r, _positive_power(u[0], r))
+        # the powr domain is base > 0: NaN elsewhere, which the caller rejects
+        return plan.real_power(u, r, np.where(u[0] > 0.0, u[0] ** r, np.nan))
     if isinstance(e, Call):
         u = _taylor(e.arg, plan, coords)
         if e.name == "exp":
@@ -698,18 +649,12 @@ def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray]) -> np.ndarray:
     raise TypeError(f"unknown node {e!r}")
 
 
-def taylor_derivatives(e: PotentialExpr, nus,
-                       coords: list[np.ndarray]) -> dict[MultiIndex, np.ndarray]:
-    """D^nu V for every nu in `nus` at the nodes given by `coords` (one
-    array per axis, broadcast together), from one truncated Taylor pass over
-    the AST.  No derivative tree is built, so the cost grows with the number of
-    Taylor coefficients rather than with the size of D^nu V.  Non-finite
-    values raise, as in evaluate_array(); so does a non-positive powr base."""
+def _derivatives(e: PotentialExpr, nus: tuple[MultiIndex, ...],
+                 coords) -> dict[MultiIndex, np.ndarray]:
+    """D^nu V for the sorted, distinct `nus` from one Taylor pass; the
+    common core of evaluate, evaluate_array and taylor_derivatives."""
     if len(coords) != e.dim:
         raise ValueError(f"{len(coords)} coordinate arrays for dimension {e.dim}")
-    nus = tuple(sorted(set(nus)))
-    if any(len(nu) != e.dim for nu in nus):
-        raise ValueError(f"multi-indices {nus} have wrong length for dimension {e.dim}")
     if not nus:
         return {}
     plan = _taylor_plan(nus)
@@ -720,8 +665,40 @@ def taylor_derivatives(e: PotentialExpr, nus,
         series = _taylor(e.root, plan, flat)
     out = {}
     for nu in nus:
-        values = (series[plan.pos[nu]] * multi_index_factorial(nu)).reshape(shape)
+        scale = multi_index_factorial(nu)
+        values = series[plan.pos[nu]]
+        values = (values if scale == 1 else values * scale).reshape(shape)
         if not np.all(np.isfinite(values)):
-            raise PotentialEvalError("non-finite values in Taylor-mode evaluation")
+            raise PotentialEvalError("non-finite values in evaluation")
         out[nu] = values
     return out
+
+
+def evaluate(e: PotentialExpr, point) -> float:
+    """Value at a point (sequence of dim floats), as evaluate_array gives it
+    on one node."""
+    if len(point) != e.dim:
+        raise ValueError(f"point of length {len(point)} for dimension {e.dim}")
+    zero = (0,) * e.dim
+    return float(_derivatives(e, (zero,), [float(x) for x in point])[zero])
+
+
+def evaluate_array(e: PotentialExpr, coords: list[np.ndarray]) -> np.ndarray:
+    """Values on numpy coordinate arrays (one per axis, broadcast together):
+    the order-0 Taylor pass.  Non-finite entries raise PotentialEvalError, by
+    the rule in the module docstring."""
+    zero = (0,) * e.dim
+    return _derivatives(e, (zero,), coords)[zero]
+
+
+def taylor_derivatives(e: PotentialExpr, nus,
+                       coords: list[np.ndarray]) -> dict[MultiIndex, np.ndarray]:
+    """D^nu V for every nu in `nus` at the nodes given by `coords` (one
+    array per axis, broadcast together), from one truncated Taylor pass over
+    the AST.  No derivative tree is built, so the cost grows with the number of
+    Taylor coefficients rather than with the size of D^nu V.  Errors follow
+    the rule in the module docstring."""
+    nus = tuple(sorted(set(nus)))
+    if any(len(nu) != e.dim for nu in nus):
+        raise ValueError(f"multi-indices {nus} have wrong length for dimension {e.dim}")
+    return _derivatives(e, nus, coords)

@@ -1,12 +1,15 @@
 """End-to-end CLI behavior: output formats, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from heatinv.cli import main
+from heatinv.oracles import BridgeSampler, fk_diagonal
+from heatinv.potentials import parse_potential
 
 
 def run_cli(*argv):
@@ -113,6 +116,30 @@ class TestVerify:
         data = json.loads(capsys.readouterr().out)
         check = data["checks"][0]
         assert abs(check["observed"] - check["target"]) <= check["tolerance"]
+
+    def test_fk_tolerance_covers_the_omitted_t4_term(self, capsys):
+        # at 200k paths the a_4 t^4 term left out of the 3-term target is
+        # close to 3 standard errors; at this seed the estimate is more than
+        # 3 standard errors from the target
+        assert main(["verify", "fk", "--paths", "200000", "--seed", "10",
+                     "--format", "json"]) == 0
+        check = json.loads(capsys.readouterr().out)["checks"][0]
+        assert check["name"] == "fk_vs_3term_expansion"
+        assert abs(check["observed"] - check["target"]) <= check["tolerance"]
+
+    def test_fk_tolerance_is_3_stderr_plus_the_t4_term(self, capsys):
+        # a_4 in one dimension is V^4/24 - V^2 V''/12 - V V'^2/12 + V''^2/40
+        # + V' V'''/30 + V V''''/60 - V^(6)/840.  For V = exp(-x^2) at 0,
+        # D^2k V(0) = (-1)^k (2k)!/k! and odd derivatives vanish, so V = 1,
+        # V'' = -2, V'''' = 12, V^(6) = -120 and a_4 = 547/840.
+        t, paths, seed = 0.05, 20000, 7
+        assert main(["verify", "fk", "--paths", str(paths), "--seed", str(seed),
+                     "--t", str(t), "--format", "json"]) == 0
+        check = json.loads(capsys.readouterr().out)["checks"][0]
+        _, stderr = fk_diagonal(parse_potential("exp(-x1^2)", 1), (0.0,), t,
+                                BridgeSampler(seed=seed, steps=256, paths=paths, dim=1))
+        t4_term = (4 * math.pi * t) ** -0.5 * (547 / 840) * t ** 4
+        assert check["tolerance"] == pytest.approx(3 * stderr + t4_term, rel=1e-12)
 
 
 class TestProcessLevel:

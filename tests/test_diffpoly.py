@@ -46,26 +46,6 @@ class TestRingAxioms:
             DiffPoly.constant(1, 1) + DiffPoly.constant(2, 1)
 
 
-class TestDerivation:
-    @given(polys(), polys())
-    @settings(max_examples=60)
-    def test_leibniz(self, a, b):
-        assert (a * b).derive(0) == a.derive(0) * b + a * b.derive(0)
-
-    @given(polys(dim=2, max_order=2))
-    @settings(max_examples=60)
-    def test_mixed_partials_commute(self, a):
-        assert a.derive(0).derive(1) == a.derive(1).derive(0)
-
-    def test_derivative_of_jet_variable(self):
-        v = DiffPoly.jet_variable(1, (0,))
-        assert v.derive(0) == DiffPoly.jet_variable(1, (1,))
-        assert (v * v).derive(0) == DiffPoly.jet_variable(1, (1,)) * v * 2
-
-    def test_constant_derivative_vanishes(self):
-        assert DiffPoly.constant(2, Fraction(7, 3)).derive(1).is_zero()
-
-
 class TestCanonicalForm:
     def test_zero_coefficients_never_stored(self):
         a = DiffPoly.jet_variable(1, (0,))

@@ -143,6 +143,8 @@ class TestEvaluation:
             evaluate_array(e, [np.array([1.0, 0.0])])
         with pytest.raises(PotentialEvalError):
             taylor_derivatives(e, [(0,)], [np.array([1.0, 0.0])])
+        # sqrt keeps its own domain, which holds 0
+        assert evaluate(parse_potential("sqrt(x1)", 1), (0.0,)) == 0.0
 
     def test_infinite_intermediate_with_finite_value(self):
         e = parse_potential("exp(-1/x1^2)", 1)
@@ -170,6 +172,31 @@ class TestEvaluation:
         arr = evaluate_array(e, [np.zeros((3, 4))])
         assert arr.shape == (3, 4)
         assert np.all(arr == 2.0)
+
+    # One case per grammar construct, against numpy written out by hand:
+    # a value reference that does not go through Taylor arithmetic.
+    @pytest.mark.parametrize("src,numpy_value", [
+        ("x1 + x2 - 3", lambda x, y: x + y - 3),
+        ("x1 * x2 / (1 + x2^2)", lambda x, y: x * y / (1 + y ** 2)),
+        ("-x1", lambda x, y: -x),
+        ("x1^(-3) + x2^4", lambda x, y: x ** -3.0 + y ** 4),
+        ("pi * x1", lambda x, y: np.pi * x),
+        ("exp(-x1^2 - x2^2)", lambda x, y: np.exp(-x ** 2 - y ** 2)),
+        ("sin(2*x1) * cos(x2/2)", lambda x, y: np.sin(2 * x) * np.cos(y / 2)),
+        ("tanh(x1 - x2)", lambda x, y: np.tanh(x - y)),
+        ("sqrt(1 + x1^2)", lambda x, y: np.sqrt(1 + x ** 2)),
+        ("powr(1 + x1^2 + x2^2, -1, 6)", lambda x, y: (1 + x ** 2 + y ** 2) ** (-1 / 6)),
+    ])
+    def test_values_match_numpy(self, src, numpy_value):
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0.3, 2.0, (3, 4))  # away from the x1^(-3) pole
+        y = rng.uniform(-2.0, 2.0, 4)      # broadcast against x
+        e = parse_potential(src, 2)
+        want = numpy_value(x, y)
+        got = evaluate_array(e, [x, y])
+        assert got.shape == (3, 4)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        assert evaluate(e, (x[0, 0], y[0])) == pytest.approx(want[0, 0], rel=1e-14, abs=0)
 
 
 def assert_matches_trees(e, nus, coords):
