@@ -15,16 +15,34 @@ of canonical dictionaries is structural equality of polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 MultiIndex = tuple[int, ...]
 Monomial = tuple[MultiIndex, ...]
 
 
 def multi_index_factorial(nu: MultiIndex) -> int:
-    import math
     out = 1
     for e in nu:
-        out *= math.factorial(e)
+        out *= factorial(e)
+    return out
+
+
+def multi_indices(dim: int, order: int) -> list[MultiIndex]:
+    """All multi-indices of length dim with total order exactly `order`."""
+    if dim == 1:
+        return [(order,)]
+    out = []
+    for first in range(order + 1):
+        for rest in multi_indices(dim - 1, order - first):
+            out.append((first,) + rest)
+    return out
+
+
+def multi_indices_upto(dim: int, order: int) -> list[MultiIndex]:
+    out: list[MultiIndex] = []
+    for d in range(order + 1):
+        out.extend(multi_indices(dim, d))
     return out
 
 
@@ -67,6 +85,23 @@ class DiffPoly:
         out = cls(dim)
         object.__setattr__(out, "terms", {m: c for m, c in acc.items() if c})
         return out
+
+    @classmethod
+    def combination(cls, dim: int, pairs) -> "DiffPoly":
+        """Exact linear combination sum q * p over (p, q) pairs, summed into
+        one accumulator and built once.  A sum that cancels drops its key, as
+        in __add__, so the terms keep the order that adding the pairs one by
+        one gives: the numeric layer sums a density's terms in that order."""
+        zero = Fraction(0)
+        acc: dict[Monomial, Fraction] = {}
+        for p, q in pairs:
+            for mono, c in p.terms.items():
+                s = acc.get(mono, zero) + c * q
+                if s:
+                    acc[mono] = s
+                else:
+                    acc.pop(mono, None)
+        return cls.from_accumulator(dim, acc)
 
     @classmethod
     def constant(cls, dim: int, value) -> "DiffPoly":

@@ -1,7 +1,7 @@
 """Symbolic heat-invariant and regularized-trace densities.
 
 Everything here reduces to exact diagonal values of operator words applied
-to z-monomial jets, combined with Gaussian moment factors.  The same density
+to z-monomials, combined with Gaussian moment factors.  The same density
 can be computed along several independent routes; their structural equality
 is the package's main correctness argument:
 
@@ -13,6 +13,13 @@ and for the regularized densities alpha_j:
 
   * "subtracted" - a_j minus a finite binomial correction sum,
   * "tail_sum"   - the truncated X_m sum that survives the subtraction.
+
+Two memoized diagonals carry the work: h_power_diagonal (H^p z^alpha) and
+_word_monomial_diagonal (H^h H0^k z^alpha, with (-Lap)^k z^alpha in closed
+form).  Every sum above is a list of (diagonal, coefficient) pairs built by
+_binomial_terms or _operator_terms and accumulated once by
+DiffPoly.combination; the operator lists read one Gaussian-moment order of
+the X_m diagonal at a time from _word_sum_coefficient.  No Jet is built here.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .diffpoly import DiffPoly, MultiIndex, multi_index_factorial
+from .diffpoly import (DiffPoly, MultiIndex, multi_index_factorial,
+                       multi_indices, multi_indices_upto)
 from .halfint import binomial, half_integer_binomial
-from .jets import Jet, multi_indices, multi_indices_upto
 
 # ---------------------------------------------------------------------------
 # Gaussian diagonal moments
@@ -47,8 +54,20 @@ def gaussian_diag_derivative(mu: MultiIndex, n: int) -> tuple[Fraction, int]:
 
 
 # ---------------------------------------------------------------------------
-# Memoized diagonal of H^p z^alpha
+# Memoized diagonals of operator words applied to z^alpha
 # ---------------------------------------------------------------------------
+
+
+def _by_sorted_exponents(fn, dim: int, alpha: tuple[int, ...], *head) -> DiffPoly:
+    """fn(dim, *head, alpha) for a diagonal that is symmetric under coordinate
+    relabeling: computed once per exponent pattern sorted descending, then
+    permuted back."""
+    order = sorted(range(dim), key=lambda i: -alpha[i])
+    canonical = tuple(alpha[i] for i in order)
+    result = fn(dim, *head, canonical)
+    if canonical == tuple(alpha):
+        return result
+    return result.permute_axes(tuple(order))
 
 
 @lru_cache(maxsize=None)
@@ -85,63 +104,46 @@ def _h_power_diag_canonical(dim: int, p: int, alpha: tuple[int, ...]) -> DiffPol
 
 
 def h_power_diagonal(dim: int, p: int, alpha: tuple[int, ...]) -> DiffPoly:
-    """Diagonal value (z-constant term) of H^p applied to z^alpha.
-
-    The computation is symmetric under coordinate relabeling, so it is done
-    once per sorted exponent pattern and permuted back.
-    """
-    order = sorted(range(dim), key=lambda i: -alpha[i])
-    canonical = tuple(alpha[i] for i in order)
-    result = _h_power_diag_canonical(dim, p, canonical)
-    if canonical == tuple(alpha):
-        return result
-    return result.permute_axes(tuple(order))
+    """Diagonal value (z-constant term) of H^p applied to z^alpha."""
+    return _by_sorted_exponents(_h_power_diag_canonical, dim, alpha, p)
 
 
 @lru_cache(maxsize=None)
 def _distance_power_diag(dim: int, p: int, k: int) -> DiffPoly:
-    """Diagonal of H^p applied to |z|^(2k)."""
-    out = DiffPoly.zero(dim)
-    for mu in multi_indices(dim, k):
-        coeff = Fraction(factorial(k), multi_index_factorial(mu))
-        out = out + h_power_diagonal(dim, p, tuple(2 * e for e in mu)).scale(coeff)
-    return out
+    """Diagonal of H^p applied to |z|^(2k) = sum_(|mu|=k) k!/mu! z^(2mu)."""
+    return DiffPoly.combination(dim, (
+        (h_power_diagonal(dim, p, tuple(2 * e for e in mu)),
+         Fraction(factorial(k), multi_index_factorial(mu)))
+        for mu in multi_indices(dim, k)))
 
 
-@lru_cache(maxsize=None)
-def _laplacian_power_monomial(dim: int, alpha: tuple[int, ...],
-                              times: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """(-Laplacian)^times applied to the monomial z^alpha, as (beta, coeff) pairs."""
-    f = Jet.monomial(dim, sum(alpha), alpha)
-    for _ in range(times):
-        f = -f.laplacian()
-    out = []
-    for beta, c in sorted(f.terms.items()):
-        const = c.terms.get((), Fraction(0))
-        if const:
-            out.append((beta, const))
-    return tuple(out)
+def _laplacian_power_monomial(alpha: tuple[int, ...], times: int):
+    """(-Laplacian)^times z^alpha as (beta, coeff) pairs: the multinomial
+    expansion of (-sum_i d_i^2)^times, where d_i^(2 k_i) z_i^e gives
+    e!/(e - 2 k_i)! z_i^(e - 2 k_i)."""
+    sign = (-1) ** times
+    for ks in multi_indices(len(alpha), times):
+        if any(2 * k > e for k, e in zip(ks, alpha)):
+            continue
+        coeff = sign * factorial(times)
+        for k, e in zip(ks, alpha):
+            coeff = coeff * factorial(e) // (factorial(k) * factorial(e - 2 * k))
+        yield tuple(e - 2 * k for k, e in zip(ks, alpha)), coeff
 
 
 @lru_cache(maxsize=None)
 def _word_monomial_diag_canonical(dim: int, h_count: int, h0_count: int,
                                   alpha: tuple[int, ...]) -> DiffPoly:
-    out = DiffPoly.zero(dim)
-    for beta, c in _laplacian_power_monomial(dim, alpha, h0_count):
-        out = out + h_power_diagonal(dim, h_count, beta).scale(c)
-    return out
+    return DiffPoly.combination(dim, (
+        (h_power_diagonal(dim, h_count, beta), c)
+        for beta, c in _laplacian_power_monomial(alpha, h0_count)))
 
 
 def _word_monomial_diagonal(dim: int, h_count: int, h0_count: int,
                             alpha: tuple[int, ...]) -> DiffPoly:
-    """Diagonal of H^h_count H0^h0_count applied to z^alpha (H0 acts first).
-    Symmetric under coordinate relabeling, like h_power_diagonal."""
-    order = sorted(range(dim), key=lambda i: -alpha[i])
-    canonical = tuple(alpha[i] for i in order)
-    result = _word_monomial_diag_canonical(dim, h_count, h0_count, canonical)
-    if canonical == tuple(alpha):
-        return result
-    return result.permute_axes(tuple(order))
+    """Diagonal of H^h_count H0^h0_count applied to z^alpha (H0 acts first)."""
+    return _by_sorted_exponents(_word_monomial_diag_canonical, dim, alpha,
+                                h_count, h0_count)
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +173,6 @@ class LaurentDiagonal:
         return LaurentDiagonal(self.dim,
                                {e: c.scale(q) for e, c in self.terms.items()})
 
-    def __add__(self, other: "LaurentDiagonal") -> "LaurentDiagonal":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentDiagonal(self.dim, out)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, LaurentDiagonal) and self.dim == other.dim
                 and self.terms == other.terms)
@@ -191,62 +182,40 @@ class LaurentDiagonal:
         return f"LaurentDiagonal({{{body}}})"
 
 
-def _alternating_word_diagonal(m: int, n: int, swapped: bool,
-                               mu_orders: tuple[int, ...] | None = None) -> LaurentDiagonal:
-    """Diagonal Laurent series of an alternating word sum applied to the free
-    heat kernel.  swapped=False gives the words H^k H0^(m-k) (the X_m family),
-    swapped=True gives H^(m-k) H0^k (the partial-integration transpose).
-    mu_orders restricts to the given Gaussian-moment orders |mu| (each
-    contributing the single t-exponent -|mu|)."""
-    terms: dict[int, DiffPoly] = {}
-    max_mu = max(m - 1, 0) // 2
-    if mu_orders is None:
-        mu_orders = tuple(range(max_mu + 1))
-    for order in mu_orders:
-        if order > max_mu:
-            continue
-        for mu in multi_indices(n, order):
-            two_mu = tuple(2 * e for e in mu)
-            # p_(2mu)(x): word applied to z^(2mu)/(2mu)!, on the diagonal
-            p = DiffPoly.zero(n)
-            for k in range(m + 1):
-                h_count, h0_count = (m - k, k) if swapped else (k, m - k)
-                contrib = _word_monomial_diagonal(n, h_count, h0_count, two_mu)
-                p = p + contrib.scale(Fraction((-1) ** k * binomial(m, k)))
-            p = p.scale(Fraction(1, multi_index_factorial(two_mu)))
-            weight, exponent = gaussian_diag_derivative(mu, n)
-            c = p.scale(weight)
-            if c:
-                s = terms.get(exponent)
-                terms[exponent] = c if s is None else s + c
-    return LaurentDiagonal(n, terms)
-
-
 @lru_cache(maxsize=None)
-def xm_diagonal(m: int, n: int) -> LaurentDiagonal:
-    """Exact Laurent diagonal of X_m e^(-tH0), without the (4 pi t)^(-n/2)."""
+def _word_sum_coefficient(m: int, n: int, order: int, swapped: bool) -> DiffPoly:
+    """Coefficient of t^(-order) in the diagonal of an alternating word sum
+    applied to the free heat kernel: the Gaussian moments of order |mu| = order
+    weighting the word sum's diagonal on z^(2mu)/(2mu)!.  swapped=False gives
+    the words H^k H0^(m-k) (the X_m family), swapped=True gives H^(m-k) H0^k
+    (the partial-integration transpose)."""
+    pairs = []
+    for mu in multi_indices(n, order):
+        two_mu = tuple(2 * e for e in mu)
+        weight = gaussian_diag_derivative(mu, n)[0] / multi_index_factorial(two_mu)
+        for k in range(m + 1):
+            h_count, h0_count = (m - k, k) if swapped else (k, m - k)
+            pairs.append((_word_monomial_diagonal(n, h_count, h0_count, two_mu),
+                          weight * (-1) ** k * binomial(m, k)))
+    return DiffPoly.combination(n, pairs)
+
+
+def _word_sum_diagonal(m: int, n: int, swapped: bool) -> LaurentDiagonal:
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    return _alternating_word_diagonal(m, n, swapped=False)
+    return LaurentDiagonal(n, {-order: _word_sum_coefficient(m, n, order, swapped)
+                               for order in range(max(m - 1, 0) // 2 + 1)})
 
 
-@lru_cache(maxsize=None)
+def xm_diagonal(m: int, n: int) -> LaurentDiagonal:
+    """Exact Laurent diagonal of X_m e^(-tH0), without the (4 pi t)^(-n/2)."""
+    return _word_sum_diagonal(m, n, swapped=False)
+
+
 def vm_diagonal(m: int, n: int) -> LaurentDiagonal:
     """Exact Laurent diagonal of e^(-tH0) V_m, via the swapped operator words
     coming from repeated partial integration (independent of xm_diagonal)."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    return _alternating_word_diagonal(m, n, swapped=True)
-
-
-@lru_cache(maxsize=None)
-def _xm_diag_coefficient(m: int, n: int, t_exp: int) -> DiffPoly:
-    """Single Laurent coefficient of the X_m diagonal (t-exponent t_exp),
-    computed without touching the other Gaussian-moment orders."""
-    if t_exp > 0 or -2 * t_exp > max(m - 1, 0):
-        return DiffPoly.zero(n)
-    slice_ = _alternating_word_diagonal(m, n, swapped=False, mu_orders=(-t_exp,))
-    return slice_.coefficient(t_exp)
+    return _word_sum_diagonal(m, n, swapped=True)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +241,30 @@ class InvariantResult:
         return out
 
 
+def _binomial_terms(j: int, n: int, upper: int) -> list:
+    """(diagonal, coefficient) pairs of the alternating binomial sum
+
+        (-1)^j sum_(k=0)^(upper-1) C(upper-1+n/2, k+n/2)
+                H^(k+j)(|z|^(2k))|_diag / (4^k k! (k+j)!).
+
+    upper = j gives a_j; upper = N-j+1 gives the correction that alpha_j
+    subtracts from it."""
+    sign = (-1) ** j
+    return [(_distance_power_diag(n, k + j, k),
+             sign * half_integer_binomial(upper, k, n)
+             / (Fraction(4) ** k * factorial(k) * factorial(k + j)))
+            for k in range(upper)]
+
+
+def _operator_terms(j: int, n: int, first_m: int) -> list:
+    """(diagonal, coefficient) pairs of sum_(m=first_m)^(2j-1) (1/m!) times
+    the t^(j-m) coefficient of the X_m diagonal, which holds the Gaussian
+    moments of order m-j <= (m-1)/2.  first_m = j gives a_j; first_m = N+1
+    gives the tail that survives the subtraction in alpha_j."""
+    return [(_word_sum_coefficient(m, n, m - j, False), Fraction(1, factorial(m)))
+            for m in range(first_m, 2 * j)]
+
+
 def heat_invariant_binomial(j: int, n: int) -> InvariantResult:
     """Local heat invariant a_j(x) via the closed alternating binomial sum
 
@@ -280,12 +273,8 @@ def heat_invariant_binomial(j: int, n: int) -> InvariantResult:
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    out = DiffPoly.zero(n)
-    for k in range(j):
-        coeff = (half_integer_binomial(j, k, n)
-                 / (Fraction(4) ** k * factorial(k) * factorial(k + j)))
-        out = out + _distance_power_diag(n, k + j, k).scale(coeff)
-    return InvariantResult(j, out.scale(Fraction((-1) ** j)), "binomial", n)
+    return InvariantResult(j, DiffPoly.combination(n, _binomial_terms(j, n, j)),
+                           "binomial", n)
 
 
 def heat_invariant_operator_sum(j: int, n: int) -> InvariantResult:
@@ -293,10 +282,8 @@ def heat_invariant_operator_sum(j: int, n: int) -> InvariantResult:
     the coefficient of t^j in sum_m (t^m/m!) (X_m e^(-tH0))(x,x)."""
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    out = DiffPoly.zero(n)
-    for m in range(j, 2 * j):
-        out = out + _xm_diag_coefficient(m, n, j - m).scale(Fraction(1, factorial(m)))
-    return InvariantResult(j, out, "operator", n)
+    return InvariantResult(j, DiffPoly.combination(n, _operator_terms(j, n, j)),
+                           "operator", n)
 
 
 def regularization_depth(n: int, epsilon: Fraction) -> int:
@@ -332,13 +319,8 @@ def alpha_density(j: int, n: int, epsilon: Fraction) -> InvariantResult:
     elif regime == "tail":
         density = heat_invariant_binomial(j, n).density
     else:
-        correction = DiffPoly.zero(n)
-        for k in range(depth - j + 1):
-            coeff = (half_integer_binomial(depth - j + 1, k, n)
-                     / (Fraction(4) ** k * factorial(k) * factorial(k + j)))
-            correction = correction + _distance_power_diag(n, k + j, k).scale(coeff)
-        density = (heat_invariant_binomial(j, n).density
-                   - correction.scale(Fraction((-1) ** j)))
+        correction = [(p, -q) for p, q in _binomial_terms(j, n, depth - j + 1)]
+        density = DiffPoly.combination(n, _binomial_terms(j, n, j) + correction)
     return InvariantResult(j, density, "subtracted", n, epsilon, depth)
 
 
@@ -352,10 +334,8 @@ def alpha_density_tail_sum(j: int, n: int, epsilon: Fraction) -> InvariantResult
         raise ValueError(
             f"j={j} is outside the middle regime [{(depth + 2) / 2}, {depth}]"
             f" for n={n}, epsilon={epsilon}")
-    out = DiffPoly.zero(n)
-    for m in range(depth + 1, 2 * j):
-        out = out + _xm_diag_coefficient(m, n, j - m).scale(Fraction(1, factorial(m)))
-    return InvariantResult(j, out, "tail_sum", n, epsilon, depth)
+    return InvariantResult(j, DiffPoly.combination(n, _operator_terms(j, n, depth + 1)),
+                           "tail_sum", n, epsilon, depth)
 
 
 def monomial_decay_weight(mono, epsilon: Fraction) -> Fraction:

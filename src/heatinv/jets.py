@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .diffpoly import DiffPoly, DimensionMismatch, multi_index_factorial
+from .diffpoly import (DiffPoly, DimensionMismatch, multi_index_factorial,
+                       multi_indices, multi_indices_upto)
 from .halfint import binomial
 
 ZIndex = tuple[int, ...]
@@ -27,24 +28,6 @@ ZIndex = tuple[int, ...]
 class TruncationError(ValueError):
     """Raised when a jet's truncation order is too small for the requested
     operator application to produce a trustworthy diagonal value."""
-
-
-def multi_indices(dim: int, order: int) -> list[ZIndex]:
-    """All multi-indices of length dim with total order exactly `order`."""
-    if dim == 1:
-        return [(order,)]
-    out = []
-    for first in range(order + 1):
-        for rest in multi_indices(dim - 1, order - first):
-            out.append((first,) + rest)
-    return out
-
-
-def multi_indices_upto(dim: int, order: int) -> list[ZIndex]:
-    out: list[ZIndex] = []
-    for d in range(order + 1):
-        out.extend(multi_indices(dim, d))
-    return out
 
 
 class Jet:
@@ -225,24 +208,46 @@ def apply_H(f: Jet) -> Jet:
     return -f.laplacian() + v_taylor_jet(f.dim, f.trunc) * f
 
 
-def _apply_tokens(tokens: tuple[str, ...], f: Jet, prune_diagonal: bool) -> Jet:
+def _apply_word(ops: tuple, f: Jet, prune_diagonal: bool) -> Jet:
+    """The operator word ops[0] ops[1] ... applied to f (last factor first)."""
     g = f
-    remaining = len(tokens)
-    for tok in reversed(tokens):
+    remaining = len(ops)
+    for op in reversed(ops):
         if prune_diagonal:
             g = g.prune(2 * remaining)
-        g = apply_H(g) if tok == "H" else apply_H0(g)
+        g = op(g)
         remaining -= 1
         if prune_diagonal:
             g = g.prune(2 * remaining)
     return g
 
 
-def _check_trunc(m: int, f: Jet):
+def _alternating_family(m: int, f: Jet, a, b, route: str, prune_diagonal: bool) -> Jet:
+    """W_m f for W_m = sum_k (-1)^k C(m,k) a^k b^(m-k).
+
+    route="closed" sums the words.  route="recurrence" uses W_0 = I,
+    W_k = W_(k-1) b - a W_(k-1) as a ladder: row k holds W_k b^i f for
+    i = 0..m-k, so a is applied m(m+1)/2 times."""
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     if f.trunc < 2 * m:
         raise TruncationError(
             f"truncation {f.trunc} too small for {m} operator applications"
             f" (need >= {2 * m})")
+    if route == "closed":
+        out = Jet.zero(f.dim, f.trunc)
+        for k in range(m + 1):
+            word = _apply_word((a,) * k + (b,) * (m - k), f, prune_diagonal)
+            out = out + word.scale((-1) ** k * binomial(m, k))
+        return out
+    if route == "recurrence":
+        row = [f]
+        for _ in range(m):
+            row.append(b(row[-1]))
+        for _ in range(m):
+            row = [row[i + 1] - a(row[i]) for i in range(len(row) - 1)]
+        return row[0]
+    raise ValueError(f"unknown route {route!r}")
 
 
 def apply_Xm(m: int, f: Jet, *, route: str = "closed",
@@ -250,29 +255,9 @@ def apply_Xm(m: int, f: Jet, *, route: str = "closed",
     """X_m = sum_k (-1)^k C(m,k) H^k H0^(m-k), acting on a jet.
 
     route="closed" evaluates the alternating word sum; route="recurrence"
-    uses X_m = -V X_(m-1) + [X_(m-1), H0].
+    uses X_0 = I, X_m = X_(m-1) H0 - H X_(m-1)  (= -V X_(m-1) + [X_(m-1), H0]).
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    _check_trunc(m, f)
-    if route == "closed":
-        out = Jet.zero(f.dim, f.trunc)
-        for k in range(m + 1):
-            coeff = Fraction((-1) ** k * binomial(m, k))
-            tokens = ("H",) * k + ("H0",) * (m - k)
-            out = out + _apply_tokens(tokens, f, prune_diagonal).scale(coeff)
-        return out
-    if route == "recurrence":
-        return _xm_rec(m, f)
-    raise ValueError(f"unknown route {route!r}")
-
-
-def _xm_rec(m: int, f: Jet) -> Jet:
-    if m == 0:
-        return f
-    prev = _xm_rec(m - 1, f)
-    prev_h0 = _xm_rec(m - 1, apply_H0(f))
-    return -(v_taylor_jet(f.dim, f.trunc) * prev) + prev_h0 - apply_H0(prev)
+    return _alternating_family(m, f, apply_H, apply_H0, route, prune_diagonal)
 
 
 def apply_Vm(m: int, f: Jet, *, route: str = "closed",
@@ -280,26 +265,6 @@ def apply_Vm(m: int, f: Jet, *, route: str = "closed",
     """V_m = sum_k (-1)^k C(m,k) H0^k H^(m-k), acting on a jet.
 
     route="closed" evaluates the alternating word sum; route="recurrence"
-    uses V_0 = I, V_m = V_(m-1) V + [V_(m-1), H0].
+    uses V_0 = I, V_m = V_(m-1) H - H0 V_(m-1)  (= V_(m-1) V + [V_(m-1), H0]).
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    _check_trunc(m, f)
-    if route == "closed":
-        out = Jet.zero(f.dim, f.trunc)
-        for k in range(m + 1):
-            coeff = Fraction((-1) ** k * binomial(m, k))
-            tokens = ("H0",) * k + ("H",) * (m - k)
-            out = out + _apply_tokens(tokens, f, prune_diagonal).scale(coeff)
-        return out
-    if route == "recurrence":
-        return _vm_rec(m, f)
-    raise ValueError(f"unknown route {route!r}")
-
-
-def _vm_rec(m: int, f: Jet) -> Jet:
-    if m == 0:
-        return f
-    v_mult = v_taylor_jet(f.dim, f.trunc) * f
-    return (_vm_rec(m - 1, v_mult) + _vm_rec(m - 1, apply_H0(f))
-            - apply_H0(_vm_rec(m - 1, f)))
+    return _alternating_family(m, f, apply_H0, apply_H, route, prune_diagonal)

@@ -273,6 +273,8 @@ class _Parser:
         return self.power()
 
     def power(self) -> Expr:
+        self.skip_ws()
+        start = self.pos
         base = self.atom()
         if not self.accept("^"):
             return base
@@ -282,6 +284,8 @@ class _Parser:
             raise PotentialSyntaxError(
                 "exponent of '^' must be an integer; use powr(base, p, q)"
                 " for rational powers", at)
+        if base == ZERO and exponent.value < 0:  # base as folded: (1-1) is 0
+            raise PotentialSyntaxError("zero base under a negative exponent", start)
         return _pow(base, int(exponent.value))
 
     def number(self) -> Expr:

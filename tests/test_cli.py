@@ -148,6 +148,10 @@ class TestProcessLevel:
         assert code == 2
         code, _, _ = run_cli("nonsense")
         assert code == 2
+        code, out, err = run_cli("coeffs", "--dim", "1", "--potential",
+                                 "0^(-1) + x1", "--order", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     @pytest.mark.parametrize("argv", [
         ("coeffs", "--dim", "1", "--potential", "1/x1", "--order", "1"),

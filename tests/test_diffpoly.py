@@ -41,6 +41,26 @@ class TestRingAxioms:
         assert a - a == zero
         assert a.scale(0) == zero
 
+    @given(st.lists(st.tuples(polys(), st.fractions(min_value=-3, max_value=3)),
+                    max_size=4))
+    @settings(max_examples=60)
+    def test_combination_is_the_sum_of_scaled_terms(self, pairs):
+        """One accumulation equals adding the scaled polynomials one by one,
+        term order included."""
+        expected = DiffPoly.zero(1)
+        for p, q in pairs:
+            expected = expected + p.scale(q)
+        got = DiffPoly.combination(1, pairs)
+        assert got == expected
+        assert list(got.terms) == list(expected.terms)
+
+    def test_combination_drops_a_cancelled_term(self):
+        """A term that cancels and comes back moves to the end, as with +."""
+        v = DiffPoly.jet_variable(1, (0,))
+        d1 = DiffPoly.jet_variable(1, (1,))
+        got = DiffPoly.combination(1, [(v, 1), (d1, 1), (v, -1), (v, 2)])
+        assert list(got.terms.items()) == [(((1,),), 1), (((0,),), 2)]
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             DiffPoly.constant(1, 1) + DiffPoly.constant(2, 1)

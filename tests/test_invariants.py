@@ -1,7 +1,10 @@
 """Symbolic invariant densities: known values, route equivalences, and the
 structure of the regularized densities."""
 
+import hashlib
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -140,3 +143,81 @@ class TestDecayWeight:
         assert monomial_decay_weight(((0,), (0,)), eps) == 1
         assert monomial_decay_weight(((2,), (1,), (0,)), eps) == Fraction(9, 2)
         assert monomial_decay_weight((), eps) == 0
+
+
+# j <= 6 for n = 1, 2 and j <= 5 for n = 3
+STRUCTURE_CASES = [(j, n) for n, top in ((1, 6), (2, 6), (3, 5))
+                   for j in range(1, top + 1)]
+
+
+class TestStructure:
+    """Cheap structural invariants of a_j that hold whatever route built it."""
+
+    @pytest.mark.parametrize("j,n", STRUCTURE_CASES)
+    def test_weight_homogeneity(self, j, n):
+        """D^nu V has weight 2 + |nu|, and every monomial of a_j weighs 2j."""
+        for mono in heat_invariant_binomial(j, n).density.terms:
+            assert sum(2 + sum(nu) for nu in mono) == 2 * j
+
+    @pytest.mark.parametrize("j,n", [(j, n) for j, n in STRUCTURE_CASES if n > 1])
+    def test_axis_permutation_invariance(self, j, n):
+        density = heat_invariant_binomial(j, n).density
+        for perm in permutations(range(n)):
+            assert density.permute_axes(perm) == density
+
+    @pytest.mark.parametrize("j,n", STRUCTURE_CASES)
+    def test_derivative_free_part(self, j, n):
+        """For a constant potential the kernel is e^(-tV) times the free one,
+        so the V-only part of a_j is (-1)^j/j! V^j."""
+        density = heat_invariant_binomial(j, n).density
+        free = {mono: c for mono, c in density.terms.items()
+                if not any(any(nu) for nu in mono)}
+        assert free == {((0,) * n,) * j: Fraction((-1) ** j, factorial(j))}
+
+
+def _digest(texts) -> str:
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+
+class TestGoldenText:
+    """sha256 of the joined to_text() of the densities, as the package printed
+    them before its symbolic layer was rebuilt on DiffPoly.combination.  Any
+    byte change to a density text fails here."""
+
+    A_DIGESTS = {
+        1: "6e7b4e02c4a689f8ffd6424e4f099b280031b9c950745fd1aee8dbbe1d929b07",
+        2: "30bfb93fc9387dc97862f4c24e81bc583f14f26cbe17f2d5860739727591f025",
+        3: "b39ba3510206e9781998e4b00ec577503822a98363f2301e2924501397c67373",
+    }
+    ALPHA_DIGESTS = {
+        (1, "1"): "c0b5d3c1a1617f790eb3311eead5183ce5eebc513c54aa6a8ced18d114193889",
+        (1, "1/2"): "e09195ba3f3edd2f8a07171688bde887d5d878c0c5bdf3187bc7462cc4115162",
+        (1, "1/3"): "088f57565bd4bd2e9108dda2b6b2558b7e32790cd8113c57355a88ad79e0f98e",
+        (2, "1"): "483f18780c487df9bcde9d566edca5eccdeb523072b873796c9a9981632cba7a",
+        (2, "1/2"): "92d17b50fbe600e5b071de02dbc2e8885738f76dc935c06bea30d6f0965dc797",
+        (2, "1/3"): "00f8917947730cb14f98ac5c2e2a2cb8e13cb4de1ea904c940499f404c1379c1",
+        (3, "1"): "b52c9e52e4533d393d2f74cb201c4901c6530cc23460450be5c7598bc364f366",
+        (3, "1/2"): "3920b28c4b1009fc3332e49c3c2479521353064d49863e2ce285120e1a8edc6a",
+        (3, "1/3"): "1f11d75c7f50437d92f4459b9c5ca8e5d4d7997a0ffa405213293e4c572a5c6e",
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_heat_invariants(self, n):
+        """a_1..a_6, each from the binomial then the operator route."""
+        texts = []
+        for j in range(1, 7):
+            texts.append(heat_invariant_binomial(j, n).density.to_text())
+            texts.append(heat_invariant_operator_sum(j, n).density.to_text())
+        assert _digest(texts) == self.A_DIGESTS[n]
+
+    @pytest.mark.parametrize("n,eps", list(ALPHA_DIGESTS))
+    def test_regularized_densities(self, n, eps):
+        """alpha_1..alpha_6 subtracted, each followed by its tail sum in the
+        middle regime."""
+        eps_q = Fraction(eps)
+        texts = []
+        for j in range(1, 7):
+            texts.append(alpha_density(j, n, eps_q).density.to_text())
+            if alpha_regime(j, n, eps_q) == "middle":
+                texts.append(alpha_density_tail_sum(j, n, eps_q).density.to_text())
+        assert _digest(texts) == self.ALPHA_DIGESTS[(n, eps)]

@@ -55,6 +55,20 @@ class TestJetBasics:
         assert apply_H0(f.scale(3)) == apply_H0(f).scale(3)
 
 
+class TestLaplacianPowerClosedForm:
+    @pytest.mark.parametrize("alpha,times", [
+        ((6,), 2), ((4, 2), 2), ((4, 2), 3), ((2, 3, 4), 2), ((4, 2, 2), 4)])
+    def test_matches_repeated_jet_laplacian(self, alpha, times):
+        """The multinomial closed form of (-Lap)^k z^alpha used by the
+        invariants equals k applications of H0 to the monomial jet."""
+        from heatinv.invariants import _laplacian_power_monomial
+        f = Jet.monomial(len(alpha), sum(alpha), alpha)
+        for _ in range(times):
+            f = apply_H0(f)
+        expected = {beta: c.terms[()] for beta, c in f.terms.items()}
+        assert dict(_laplacian_power_monomial(alpha, times)) == expected
+
+
 class TestOperatorAction:
     def test_H_on_constant_is_potential_jet(self):
         one = Jet.constant(1, 4, 1)

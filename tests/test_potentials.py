@@ -47,6 +47,11 @@ class TestParsing:
             parse_potential("x1 )", 1)
         with pytest.raises(PotentialSyntaxError):
             parse_potential("foo(x1)", 1)
+        # a zero base under a negative exponent, also once the base folds to 0
+        for text in ("0^(-1) + x1", "(1-1)^(-2)*x1"):
+            with pytest.raises(PotentialSyntaxError) as exc:
+                parse_potential(text, 1)
+            assert exc.value.offset == 0
 
     def test_non_integer_exponent_rejected(self):
         with pytest.raises(PotentialSyntaxError) as exc:
