@@ -8,14 +8,19 @@ as a tuple sorted in descending order; e.g. in one dimension
     V * V''   ->  ((2,), (0,))      (key sorted descending)
     V^3       ->  ((0,), (0,), (0,))
 
-Coefficients are Fractions, zero coefficients are never stored, so equality
-of canonical dictionaries is structural equality of polynomials.
+The coefficients are stored as integer numerators over one shared positive
+denominator, and every ring operation runs on Python ints.  The form is kept
+reduced (the gcd of the denominator and all numerators is 1, zero
+numerators are never stored, and zero has denominator 1), so equality of
+the stored (denominator, numerators) pair is structural equality of
+polynomials.  `terms` reads the coefficients as Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from types import MappingProxyType
 
 MultiIndex = tuple[int, ...]
 Monomial = tuple[MultiIndex, ...]
@@ -59,18 +64,49 @@ class DimensionMismatch(ValueError):
 
 
 class DiffPoly:
-    """Immutable canonical differential polynomial."""
+    """Immutable canonical differential polynomial: integer numerators over
+    one shared positive denominator, kept reduced."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "_num", "_den", "_terms")
 
     def __init__(self, dim: int, terms: dict[Monomial, Fraction] | None = None):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
+        coeffs = {m: Fraction(c) for m, c in terms.items() if c} if terms else {}
+        den = lcm(*(q.denominator for q in coeffs.values()))
+        self._init(dim, {m: q.numerator * (den // q.denominator)
+                         for m, q in coeffs.items()}, den)
+
+    def _init(self, dim: int, num: dict[Monomial, int], den: int):
+        """Adopt nonzero integer numerators over den > 0, dividing out their
+        common factor with den (zero ends up with den == 1)."""
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", dict(terms) if terms else {})
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_terms", None)
+
+    @classmethod
+    def _from_ints(cls, dim: int, num: dict[Monomial, int], den: int) -> "DiffPoly":
+        out = object.__new__(cls)
+        out._init(dim, num, den)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("DiffPoly is immutable")
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only {monomial: Fraction} view of the coefficients, in term
+        insertion order; built on first read."""
+        if self._terms is None:
+            den = self._den
+            object.__setattr__(self, "_terms", MappingProxyType(
+                {m: Fraction(c, den) for m, c in self._num.items()}))
+        return self._terms
 
     # -- constructors ------------------------------------------------------
 
@@ -79,36 +115,34 @@ class DiffPoly:
         return cls(dim)
 
     @classmethod
-    def from_accumulator(cls, dim: int, acc: dict[Monomial, Fraction]) -> "DiffPoly":
-        """Adopt a mutable accumulation dict (keys already canonical), dropping
-        zero entries.  The caller must not mutate acc afterwards."""
-        out = cls(dim)
-        object.__setattr__(out, "terms", {m: c for m, c in acc.items() if c})
-        return out
-
-    @classmethod
     def combination(cls, dim: int, pairs) -> "DiffPoly":
-        """Exact linear combination sum q * p over (p, q) pairs, summed into
-        one accumulator and built once.  A sum that cancels drops its key, as
-        in __add__, so the terms keep the order that adding the pairs one by
-        one gives: the numeric layer sums a density's terms in that order."""
-        zero = Fraction(0)
-        acc: dict[Monomial, Fraction] = {}
+        """Exact linear combination sum q * p over (p, q) pairs, q an int or
+        a Fraction, summed over the pairs' least common denominator into one
+        integer accumulator and built once.  A sum that cancels drops its
+        key, so the terms keep the order that adding the pairs one by one
+        gives: the numeric layer sums a density's terms in that order."""
+        pairs = list(pairs)
+        den = lcm(*(p._den * q.denominator for p, q in pairs))
+        acc: dict[Monomial, int] = {}
         for p, q in pairs:
-            for mono, c in p.terms.items():
-                s = acc.get(mono, zero) + c * q
+            f = q.numerator * (den // (p._den * q.denominator))
+            if not f:
+                continue
+            if not acc:
+                acc = (dict(p._num) if f == 1
+                       else {mono: c * f for mono, c in p._num.items()})
+                continue
+            for mono, c in p._num.items():
+                s = acc.get(mono, 0) + c * f
                 if s:
                     acc[mono] = s
                 else:
                     acc.pop(mono, None)
-        return cls.from_accumulator(dim, acc)
+        return cls._from_ints(dim, acc, den)
 
     @classmethod
     def constant(cls, dim: int, value) -> "DiffPoly":
-        q = Fraction(value)
-        if q == 0:
-            return cls(dim)
-        return cls(dim, {(): q})
+        return cls(dim, {(): Fraction(value)})
 
     @classmethod
     def jet_variable(cls, dim: int, nu: MultiIndex, coeff=1) -> "DiffPoly":
@@ -116,10 +150,7 @@ class DiffPoly:
         nu = tuple(nu)
         if len(nu) != dim:
             raise DimensionMismatch(f"multi-index {nu} has wrong length for dim {dim}")
-        q = Fraction(coeff)
-        if q == 0:
-            return cls(dim)
-        return cls(dim, {(nu,): q})
+        return cls(dim, {(nu,): Fraction(coeff)})
 
     # -- ring operations ---------------------------------------------------
 
@@ -129,77 +160,75 @@ class DiffPoly:
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
         self._check(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return DiffPoly(self.dim, out)
+        return DiffPoly.combination(self.dim, ((self, 1), (other, 1)))
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly(self.dim, {m: -c for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
-        return self + (-other)
+        self._check(other)
+        return DiffPoly.combination(self.dim, ((self, 1), (other, -1)))
 
     def __mul__(self, other) -> "DiffPoly":
         if not isinstance(other, DiffPoly):
             return self.scale(other)
         self._check(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        out: dict[Monomial, int] = {}
+        for m1, c1 in self._num.items():
+            for m2, c2 in other._num.items():
                 key = tuple(sorted(m1 + m2, reverse=True))
-                s = out.get(key, Fraction(0)) + c1 * c2
+                s = out.get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return DiffPoly(self.dim, out)
+        return DiffPoly._from_ints(self.dim, out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, q) -> "DiffPoly":
-        q = Fraction(q)
-        if q == 0:
-            return DiffPoly(self.dim)
-        return DiffPoly(self.dim, {m: c * q for m, c in self.terms.items()})
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return DiffPoly.combination(self.dim, ((self, q),))
 
     def permute_axes(self, perm: tuple[int, ...]) -> "DiffPoly":
         """Relabel coordinate axes: entry i of each multi-index moves to
         position perm[i]."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
+        source = [0] * self.dim
+        for i, p in enumerate(perm):
+            source[p] = i
+        images: dict[MultiIndex, MultiIndex] = {}
+        out: dict[Monomial, int] = {}
+        for mono, c in self._num.items():
             new = []
             for nu in mono:
-                img = [0] * self.dim
-                for i, e in enumerate(nu):
-                    img[perm[i]] = e
-                new.append(tuple(img))
-            out[tuple(sorted(new, reverse=True))] = c
-        return DiffPoly(self.dim, out)
+                img = images.get(nu)
+                if img is None:
+                    img = images[nu] = tuple([nu[k] for k in source])
+                new.append(img)
+            new.sort(reverse=True)
+            out[tuple(new)] = c
+        return DiffPoly._from_ints(self.dim, out, self._den)
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiffPoly) and self.dim == other.dim
-                and self.terms == other.terms)
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash((self.dim, self._den, frozenset(self._num.items())))
 
     def jet_variables(self) -> set[MultiIndex]:
         """All distinct D^nu V appearing in the polynomial."""
         out: set[MultiIndex] = set()
-        for mono in self.terms:
+        for mono in self._num:
             out.update(mono)
         return out
 

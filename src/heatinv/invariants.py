@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .diffpoly import (DiffPoly, MultiIndex, multi_index_factorial,
                        multi_indices, multi_indices_upto)
@@ -82,25 +82,28 @@ def _h_power_diag_canonical(dim: int, p: int, alpha: tuple[int, ...]) -> DiffPol
         return DiffPoly.zero(dim)
     if p == 0:
         return DiffPoly.constant(dim, 1)  # degree > 0 was excluded above
-    zero = Fraction(0)
-    acc: dict = {}
+    # (diagonal, integer weight, weight denominator, appended factor) parts,
+    # summed over their least common denominator.  A key that cancels keeps
+    # its place and is dropped only at the end.
+    parts = []
     for i, e in enumerate(alpha):
         if e >= 2:
             lowered = alpha[:i] + (e - 2,) + alpha[i + 1:]
-            q = Fraction(-e * (e - 1))
-            for mono, c in h_power_diagonal(dim, p - 1, lowered).terms.items():
-                acc[mono] = acc.get(mono, zero) + c * q
+            parts.append((h_power_diagonal(dim, p - 1, lowered), -e * (e - 1), 1, None))
     budget = 2 * (p - 1) - degree
     if budget >= 0:
         for nu in multi_indices_upto(dim, budget):
             sub = h_power_diagonal(dim, p - 1, tuple(a + b for a, b in zip(alpha, nu)))
-            if not sub:
-                continue
-            q = Fraction(1, multi_index_factorial(nu))
-            for mono, c in sub.terms.items():
-                key = tuple(sorted(mono + (nu,), reverse=True))
-                acc[key] = acc.get(key, zero) + c * q
-    return DiffPoly.from_accumulator(dim, acc)
+            if sub:
+                parts.append((sub, 1, multi_index_factorial(nu), nu))
+    den = lcm(*(sub._den * w_den for sub, _, w_den, _ in parts))
+    acc: dict = {}
+    for sub, w, w_den, nu in parts:
+        f = w * (den // (sub._den * w_den))
+        for mono, c in sub._num.items():
+            key = mono if nu is None else tuple(sorted(mono + (nu,), reverse=True))
+            acc[key] = acc.get(key, 0) + c * f
+    return DiffPoly._from_ints(dim, {m: c for m, c in acc.items() if c}, den)
 
 
 def h_power_diagonal(dim: int, p: int, alpha: tuple[int, ...]) -> DiffPoly:

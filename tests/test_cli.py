@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from heatinv.cli import main
+from heatinv.cli import MAX_ORDER, MAX_ORDER_HIGHER_DIMS, main
 from heatinv.oracles import BridgeSampler, fk_diagonal
 from heatinv.potentials import parse_potential
 
@@ -36,8 +36,10 @@ class TestLocal:
         assert all(r["routes_agree"] for r in data["rows"])
 
     def test_order_cap(self, capsys):
-        assert main(["local", "--dim", "1", "--order", "7"]) == 2
-        assert "exceeds" in capsys.readouterr().err
+        """One order past each dimension's cap is a usage error."""
+        for dim, cap in [*MAX_ORDER.items(), (4, MAX_ORDER_HIGHER_DIMS)]:
+            assert main(["local", "--dim", str(dim), "--order", str(cap + 1)]) == 2
+            assert "exceeds" in capsys.readouterr().err
 
 
 class TestAlpha:
@@ -103,6 +105,17 @@ class TestVerify:
         assert data["pass"] is True
         names = [c["name"] for c in data["checks"]]
         assert "alpha_routes_j3_n1_eps1/3" in names
+
+    @pytest.mark.parametrize("dim,eps", [(1, "1/10"), (2, "1/4"), (3, "3/7")])
+    def test_routes_agree_at_the_order_cap(self, capsys, dim, eps):
+        """Both a_j routes, and both alpha_j routes with N = cap so that the
+        cap lies in the middle regime, agree up to each dimension's cap."""
+        cap = MAX_ORDER[dim]
+        assert main(["verify", "routes", "--dim", str(dim), "--order", str(cap),
+                     "--epsilon", eps, "--format", "json"]) == 0
+        names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        assert f"density_routes_j{cap}_n{dim}" in names
+        assert f"alpha_routes_j{cap}_n{dim}_eps{eps}" in names
 
     def test_taylor_suite(self, capsys):
         assert main(["verify", "taylor", "--matrix-dim", "6", "--order", "1",

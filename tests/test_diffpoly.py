@@ -1,6 +1,7 @@
 """Ring structure, derivations, and canonical text form of DiffPoly."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,106 @@ class TestCanonicalForm:
         b = DiffPoly.jet_variable(1, (1,)) * DiffPoly.jet_variable(1, (0,)) * 2
         assert a == b
         assert hash(a) == hash(b)
+
+
+def _ref_accumulate(out, items):
+    """Add (monomial, coefficient) items into a {monomial: Fraction} dict,
+    dropping a key whose sum cancels."""
+    for mono, c in items:
+        s = out.get(mono, 0) + c
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+    return out
+
+
+def _ref_scale(a, q):
+    return {m: c * q for m, c in a.items()} if q else {}
+
+
+def _ref_mul(a, b):
+    return _ref_accumulate({}, ((tuple(sorted(m1 + m2, reverse=True)), c1 * c2)
+                                for m1, c1 in a.items() for m2, c2 in b.items()))
+
+
+def _ref_permute(a, perm):
+    out = {}
+    for mono, c in a.items():
+        images = []
+        for nu in mono:
+            img = [0] * len(nu)
+            for i, e in enumerate(nu):
+                img[perm[i]] = e
+            images.append(tuple(img))
+        out[tuple(sorted(images, reverse=True))] = c
+    return out
+
+
+def _ref_combination(pairs):
+    out = {}
+    for p, q in pairs:
+        _ref_accumulate(out, _ref_scale(dict(p.terms), q).items())
+    return out
+
+
+def _assert_matches(got, expected):
+    """Same values in the same term order, stored in the reduced form."""
+    assert dict(got.terms) == expected
+    assert list(got.terms) == list(expected)
+    assert got._den > 0
+    assert 0 not in got._num.values()
+    assert gcd(got._den, *got._num.values()) == 1
+    if not expected:
+        assert got._den == 1
+    for mono, c in got._num.items():
+        assert Fraction(c, got._den) == expected[mono]
+
+
+class TestIntegerRepresentation:
+    """Every ring operation on integer numerators over one denominator agrees
+    with the same operation on {monomial: Fraction} dicts."""
+
+    @given(polys(dim=2), polys(dim=2), st.fractions(min_value=-4, max_value=4),
+           st.permutations(range(2)))
+    @settings(max_examples=80)
+    def test_ring_operations_match_fraction_dicts(self, a, b, q, perm):
+        ta, tb = dict(a.terms), dict(b.terms)
+        _assert_matches(a + b, _ref_accumulate(dict(ta), tb.items()))
+        _assert_matches(a - b, _ref_accumulate(dict(ta), _ref_scale(tb, -1).items()))
+        _assert_matches(-a, _ref_scale(ta, -1))
+        _assert_matches(a * b, _ref_mul(ta, tb))
+        _assert_matches(a.scale(q), _ref_scale(ta, q))
+        _assert_matches(a.permute_axes(tuple(perm)), _ref_permute(ta, perm))
+
+    @given(st.lists(st.tuples(polys(dim=2),
+                              st.fractions(min_value=-3, max_value=3,
+                                           max_denominator=12)),
+                    max_size=5))
+    @settings(max_examples=80)
+    def test_combination_matches_fraction_dicts(self, pairs):
+        _assert_matches(DiffPoly.combination(2, pairs), _ref_combination(pairs))
+
+    def test_equal_hash_across_constructions(self):
+        v = DiffPoly.jet_variable(1, (0,))
+        unreduced = DiffPoly(1, {((0,),): Fraction(2, 4)})
+        combined = DiffPoly.combination(1, [(v, Fraction(1, 3)), (v, Fraction(1, 6))])
+        assert unreduced == combined == v.scale(Fraction(1, 2))
+        assert hash(unreduced) == hash(combined)
+        assert (unreduced._den, unreduced._num) == (2, {((0,),): 1})
+
+    def test_cancellation_across_denominators_drops_the_key(self):
+        v = DiffPoly.jet_variable(1, (0,))
+        d1 = DiffPoly.jet_variable(1, (1,))
+        d2 = DiffPoly.jet_variable(1, (2,))
+        a = v.scale(Fraction(1, 2)) + d1.scale(Fraction(1, 6))
+        b = d2.scale(Fraction(1, 3)) - d1.scale(Fraction(1, 6))
+        for got in (a + b, DiffPoly.combination(1, [(a, 1), (b, 1)])):
+            assert list(got.terms.items()) == [(((0,),), Fraction(1, 2)),
+                                               (((2,),), Fraction(1, 3))]
+            assert got._den == 6
+        zero = DiffPoly.combination(1, [(a, 1), (a, -1)])
+        assert zero == DiffPoly.zero(1) and zero._den == 1
 
 
 class TestTextForm:

@@ -210,6 +210,20 @@ class TestGoldenText:
             texts.append(heat_invariant_operator_sum(j, n).density.to_text())
         assert _digest(texts) == self.A_DIGESTS[n]
 
+    # a_j from the binomial route over the orders above 6 that each
+    # dimension's order cap admits (n, first j, last j)
+    A_DIGESTS_TO_CAP = {
+        (1, 1, 10): "d280ce395c5e77e52c04c31dc4750fc0747b39fceb1e08713a23730331da7341",
+        (2, 1, 8): "baf9190408d8264ee3ed3cb20113b96f86f4a833e7500e38ac734c9518589f94",
+        (3, 7, 7): "2450fcdedb063f371e68898f8558f6a94f1334896be510947f680aa4a295dd22",
+    }
+
+    @pytest.mark.parametrize("n,first,last", list(A_DIGESTS_TO_CAP))
+    def test_heat_invariants_to_the_order_cap(self, n, first, last):
+        texts = [heat_invariant_binomial(j, n).density.to_text()
+                 for j in range(first, last + 1)]
+        assert _digest(texts) == self.A_DIGESTS_TO_CAP[(n, first, last)]
+
     @pytest.mark.parametrize("n,eps", list(ALPHA_DIGESTS))
     def test_regularized_densities(self, n, eps):
         """alpha_1..alpha_6 subtracted, each followed by its tail sum in the
