@@ -106,6 +106,7 @@ def _h_power_diag_canonical(dim: int, p: int, alpha: tuple[int, ...]) -> DiffPol
     return DiffPoly._from_ints(dim, {m: c for m, c in acc.items() if c}, den)
 
 
+@lru_cache(maxsize=None)
 def h_power_diagonal(dim: int, p: int, alpha: tuple[int, ...]) -> DiffPoly:
     """Diagonal value (z-constant term) of H^p applied to z^alpha."""
     return _by_sorted_exponents(_h_power_diag_canonical, dim, alpha, p)
@@ -142,6 +143,7 @@ def _word_monomial_diag_canonical(dim: int, h_count: int, h0_count: int,
         for beta, c in _laplacian_power_monomial(alpha, h0_count)))
 
 
+@lru_cache(maxsize=None)
 def _word_monomial_diagonal(dim: int, h_count: int, h0_count: int,
                             alpha: tuple[int, ...]) -> DiffPoly:
     """Diagonal of H^h_count H0^h0_count applied to z^alpha (H0 acts first)."""

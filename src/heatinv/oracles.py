@@ -12,6 +12,7 @@ Everything is deterministic given the configured seeds.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -43,6 +44,11 @@ class BridgeSampler:
     paths: int = 100_000
     dim: int = 1
 
+    def __post_init__(self):
+        for name in ("steps", "paths", "dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     def chunks(self) -> list[tuple[np.random.SeedSequence, int]]:
         """(seed, path count) of each fixed-size chunk.
 
@@ -54,16 +60,31 @@ class BridgeSampler:
         return [(child, min(_CHUNK, self.paths - k * _CHUNK))
                 for k, child in enumerate(children)]
 
+    def grid(self) -> np.ndarray:
+        """The steps+1 uniform times s of a path, 0 and 1 included."""
+        return np.linspace(0.0, 1.0, self.steps + 1)
+
+    def fill(self, chunk: tuple[np.random.SeedSequence, int],
+             path: np.ndarray, work: np.ndarray) -> None:
+        """Write one chunk's bridges into `path`, shape (count, steps+1, dim),
+        using `work`, a C-contiguous array of the same shape, as scratch."""
+        child, count = chunk
+        # the increments fill the front of `work` in C order, as rng.normal
+        # would lay out a fresh (count, steps, dim) array: the stream is fixed
+        incr = work.reshape(-1)[:count * self.steps * self.dim].reshape(
+            count, self.steps, self.dim)
+        np.random.default_rng(child).standard_normal(out=incr)
+        incr *= math.sqrt(1.0 / self.steps)
+        path[:, 0] = 0.0
+        np.cumsum(incr, axis=1, out=path[:, 1:])
+        np.multiply(self.grid()[None, :, None], path[:, -1:], out=work)
+        path -= work
+
     def draw(self, chunk: tuple[np.random.SeedSequence, int]):
         """(s_grid, block) of one chunk; block has shape (count, steps+1, dim)."""
-        child, count = chunk
-        s = np.linspace(0.0, 1.0, self.steps + 1)
-        rng = np.random.default_rng(child)
-        incr = rng.normal(scale=math.sqrt(1.0 / self.steps),
-                          size=(count, self.steps, self.dim))
-        w = np.concatenate(
-            [np.zeros((count, 1, self.dim)), np.cumsum(incr, axis=1)], axis=1)
-        return s, w - s[None, :, None] * w[:, -1:, :]
+        block = np.empty((chunk[1], self.steps + 1, self.dim))
+        self.fill(chunk, block, np.empty_like(block))
+        return self.grid(), block
 
     def blocks(self):
         """Yield draw(chunk) for each chunk, in chunk order."""
@@ -87,25 +108,49 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
         raise ValueError("dimension mismatch between potential, point, sampler")
     scale = math.sqrt(2.0 * t)
     prefactor = (4.0 * math.pi * t) ** (-n / 2)
+    steps = sampler.steps
+    # each worker thread allocates its two block buffers on its first chunk
+    # and refills them for every later one; they go when this call returns
+    buffers = threading.local()
 
-    def block_sums(chunk):
-        # each chunk is drawn where it is consumed, so at most one block per
-        # worker is alive at a time
-        s, block = sampler.draw(chunk)
-        coords = [x[i] + scale * block[:, :, i] for i in range(n)]
-        values = evaluate_array(potential, coords)  # (paths, steps+1)
-        path_integral = np.trapezoid(values, s, axis=1)
-        weights = np.exp(-t * path_integral)
-        return float(weights.sum()), float((weights ** 2).sum()), weights.shape[0]
+    def block_stats(chunk):
+        count = chunk[1]
+        if not hasattr(buffers, "path"):
+            shape = (min(_CHUNK, sampler.paths), steps + 1, n)
+            buffers.path, buffers.work = np.empty(shape), np.empty(shape)
+        path, work = buffers.path[:count], buffers.work[:count]
+        sampler.fill(chunk, path, work)
+        # one contiguous (count, steps+1) plane per axis, which evaluate_array
+        # reads without a copy
+        coords = work.reshape(n, count, steps + 1)
+        np.multiply(path.transpose(2, 0, 1), scale, out=coords)
+        coords += np.reshape(x, (n, 1, 1))
+        values = evaluate_array(potential, list(coords))
+        # trapezoid rule on the uniform grid of `steps` intervals
+        weights = values.sum(axis=1)
+        weights -= (values[:, 0] + values[:, -1]) / 2
+        weights /= steps
+        weights *= -t
+        np.exp(weights, out=weights)
+        # two-pass block moments about the first weight, so equal weights
+        # give a mean equal to each of them and M2 exactly 0
+        w0 = weights[0]
+        weights -= w0
+        offset = weights.mean()
+        weights -= offset
+        return count, w0 + offset, float(np.square(weights, out=weights).sum())
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        sums = list(pool.map(block_sums, sampler.chunks()))
-    total = sum(s0 for s0, _, _ in sums)
-    total_sq = sum(s1 for _, s1, _ in sums)
-    count = sum(c for _, _, c in sums)
-    mean = total / count
-    var = max(total_sq / count - mean ** 2, 0.0)
-    stderr = math.sqrt(var / count)
+        stats = list(pool.map(block_stats, sampler.chunks()))
+    # Chan, Golub & LeVeque (1983) pairwise update, in chunk order
+    count, mean, m2 = stats[0]
+    for c, m, q in stats[1:]:
+        total = count + c
+        delta = m - mean
+        mean += delta * c / total
+        m2 += q + delta * delta * count * c / total
+        count = total
+    stderr = math.sqrt(m2 / count / count)
     return prefactor * mean, prefactor * stderr
 
 
@@ -221,17 +266,31 @@ def taylor_family(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring: the degree-18 Taylor sum
+    of A / 2^s with ||A / 2^s||_1 <= 1/2, whose truncation error is below
+    (1/2)^19 / 19! ~ 2e-23 relative, squared s times."""
+    # norm = m 2^e with 1/2 <= m < 1, so 2^(e+1) scales it to at most 1/2
+    s = max(0, math.frexp(float(np.linalg.norm(a, 1)))[1] + 1)
+    x = a / 2.0 ** s
+    eye = np.eye(a.shape[0])
+    out = eye + x / 18
+    for k in range(17, 0, -1):
+        out = eye + (x @ out) / k
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def taylor_remainder(a: np.ndarray, b: np.ndarray, t: float, N: int) -> float:
     """Operator-norm remainder of the degree-N non-commutative Taylor
     approximation e^(tB) ~ sum_m (-1)^m t^m/m! e^(tA) C_m(A, B)."""
-    from scipy.linalg import expm  # imported on use, as in relative_heat_trace_1d
-
     approx = np.zeros_like(a)
-    eta = expm(t * a)
+    eta = _expm(t * a)
     for m in range(N + 1):
         approx = approx + ((-1) ** m * t ** m / math.factorial(m)
                            ) * (eta @ taylor_family(a, b, m))
-    return float(np.linalg.norm(expm(t * b) - approx, 2))
+    return float(np.linalg.norm(_expm(t * b) - approx, 2))
 
 
 @dataclass

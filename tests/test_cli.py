@@ -166,6 +166,21 @@ class TestProcessLevel:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("flag,value", [("--paths", "0"), ("--paths", "-5"),
+                                            ("--steps", "0")])
+    def test_bad_sampler_size_is_usage_error(self, flag, value):
+        code, out, err = run_cli("verify", "fk", flag, value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_taylor_suite_imports_no_scipy(self):
+        code = ("import sys; from heatinv.cli import main; "
+                "main(['verify', 'taylor', '--matrix-dim', '6', '--order', '1']); "
+                "print('scipy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert proc.stdout.splitlines()[-1] == "False"
+
     @pytest.mark.parametrize("argv", [
         ("coeffs", "--dim", "1", "--potential", "1/x1", "--order", "1"),
         ("verify", "fk", "--potential", "powr(x1,1,2)", "--paths", "5000"),

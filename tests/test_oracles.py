@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from heatinv.oracles import (BridgeSampler, TraceGrid,
+from heatinv.oracles import (BridgeSampler, TraceGrid, _expm,
                              discretized_schrodinger_1d, fit_expansion,
                              fk_diagonal, matrix_operator_family,
                              nc_taylor_matrix_check, relative_heat_trace_1d,
@@ -51,6 +51,12 @@ class TestBridgeSampler:
             assert np.array_equal(s, s2)
             assert np.array_equal(block, block2)
 
+    @pytest.mark.parametrize("field", ["steps", "paths", "dim"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_rejects_sizes_below_one(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BridgeSampler(**{field: value})
+
 
 class TestFeynmanKac:
     def test_zero_potential_exact(self):
@@ -67,7 +73,7 @@ class TestFeynmanKac:
                               BridgeSampler(seed=1, paths=5000))
         expected = (4 * math.pi * t) ** -0.5 * math.exp(-3 * t)
         assert est == pytest.approx(expected, rel=1e-12)
-        assert se <= 1e-14 * expected
+        assert se == 0.0
 
     def test_thread_count_does_not_change_result(self, monkeypatch):
         sampler = BridgeSampler(seed=11, paths=12_000)
@@ -75,6 +81,40 @@ class TestFeynmanKac:
         monkeypatch.setenv("HEATINV_THREADS", "4")
         threaded = fk_diagonal(GAUSSIAN, (0.0,), 0.05, sampler)
         assert serial == threaded
+
+    @pytest.mark.parametrize("potential,x", [
+        (GAUSSIAN, (0.3,)),
+        (parse_potential("exp(-x1^2-x2^2)", 2), (0.3, -0.2)),
+    ])
+    def test_matches_fresh_array_reference(self, potential, x):
+        """The in-place pipeline against rng.normal + cumsum + pin +
+        np.trapezoid on fresh arrays; 9000 paths leave an 808-path last
+        chunk in the reused buffers."""
+        t = 0.05
+        sampler = BridgeSampler(seed=4, steps=100, paths=9000, dim=len(x))
+        weights = []
+        for child, count in sampler.chunks():
+            incr = np.random.default_rng(child).normal(
+                scale=math.sqrt(1.0 / sampler.steps),
+                size=(count, sampler.steps, sampler.dim))
+            w = np.concatenate([np.zeros((count, 1, sampler.dim)),
+                                np.cumsum(incr, axis=1)], axis=1)
+            s = np.linspace(0.0, 1.0, sampler.steps + 1)
+            bridge = w - s[None, :, None] * w[:, -1:, :]
+            values = np.exp(-sum((xi + math.sqrt(2 * t) * bridge[:, :, i]) ** 2
+                                 for i, xi in enumerate(x)))
+            weights.append(np.exp(-t * np.trapezoid(values, s, axis=1)))
+        weights = np.concatenate(weights)
+        prefactor = (4 * math.pi * t) ** (-len(x) / 2)
+        est, se = fk_diagonal(potential, x, t, sampler)
+        assert est == pytest.approx(prefactor * weights.mean(), rel=1e-13, abs=0)
+        assert se == pytest.approx(prefactor * weights.std() / math.sqrt(len(weights)),
+                                   rel=1e-13, abs=0)
+
+    def test_back_to_back_calls_agree(self):
+        sampler = BridgeSampler(seed=2, steps=32, paths=9000)
+        assert fk_diagonal(GAUSSIAN, (0.1,), 0.05, sampler) == \
+            fk_diagonal(GAUSSIAN, (0.1,), 0.05, sampler)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -158,6 +198,16 @@ class TestNcTaylor:
         a = rng.uniform(-1, 1, (4, 4))
         r = taylor_remainder(a, a, 0.01, 0)
         assert r <= 1e-14
+
+    def test_expm_matches_scipy(self):
+        from scipy.linalg import expm
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            a = rng.uniform(-1, 1, (6, 6))
+            for t in np.geomspace(1e-3, 10, 7):
+                want = expm(t * a)
+                err = np.linalg.norm(_expm(t * a) - want) / np.linalg.norm(want)
+                assert err <= 1e-12
 
     def test_operator_family_matches_taylor_family(self):
         grid = np.linspace(-3, 3, 7)
