@@ -29,8 +29,7 @@ print("-------------------------------------------------")
 slow = parse_potential("powr(1 + x1^2, -1, 6)", 1)
 eps = Fraction(1, 3)
 alphas = [alpha_density(j, 1, eps) for j in (1, 2, 3)]
-table = coefficient_table(alphas, slow, 1, derived="beta",
-                          config=QuadratureConfig(half_width=2000.0))
+table = coefficient_table(alphas, slow, 1, QuadratureConfig(half_width=2000.0))
 print(table.to_text())
 print()
 print("alpha_1 and alpha_2 vanish identically; alpha_3 integrates to a")

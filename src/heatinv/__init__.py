@@ -8,7 +8,7 @@ from .halfint import (POLE, GammaPole, HalfIntScalar, gamma_half_integer,
 from .invariants import (InvariantResult, alpha_density,
                          alpha_density_tail_sum, alpha_regime,
                          heat_invariant_binomial, heat_invariant_operator_sum,
-                         regularization_depth, vm_diagonal, xm_diagonal)
+                         regularization_depth)
 from .jets import Jet, TruncationError, apply_H, apply_H0, apply_Vm, apply_Xm
 from .numeric import (CoefficientRow, CoefficientTable, QuadratureConfig,
                       QuadratureError, b_from_a, beta_from_alpha,
@@ -32,7 +32,7 @@ __all__ = [
     "half_integer_binomial",
     "InvariantResult", "alpha_density", "alpha_density_tail_sum",
     "alpha_regime", "heat_invariant_binomial", "heat_invariant_operator_sum",
-    "regularization_depth", "vm_diagonal", "xm_diagonal",
+    "regularization_depth",
     "Jet", "TruncationError", "apply_H", "apply_H0", "apply_Vm", "apply_Xm",
     "CoefficientRow", "CoefficientTable", "QuadratureConfig",
     "QuadratureError", "b_from_a", "beta_from_alpha", "coefficient_table",

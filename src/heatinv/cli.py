@@ -135,11 +135,13 @@ def cmd_alpha(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _quad_config(args) -> QuadratureConfig:
+def _emit_table(args, invariants, potential) -> int:
     config = QuadratureConfig()
     if args.box is not None:
         config.half_width = args.box
-    return config
+    table = coefficient_table(invariants, potential, args.dim, config)
+    _emit(args, table.to_json_dict(), table.to_csv(), table.to_text())
+    return EXIT_OK
 
 
 def cmd_coeffs(args) -> int:
@@ -147,10 +149,7 @@ def cmd_coeffs(args) -> int:
     potential = parse_potential(args.potential, args.dim)
     invariants = [heat_invariant_binomial(j, args.dim)
                   for j in range(1, args.order + 1)]
-    table = coefficient_table(invariants, potential, args.dim, derived="b",
-                              config=_quad_config(args))
-    _emit(args, table.to_json_dict(), table.to_csv(), table.to_text())
-    return EXIT_OK
+    return _emit_table(args, invariants, potential)
 
 
 def cmd_regtrace(args) -> int:
@@ -159,10 +158,7 @@ def cmd_regtrace(args) -> int:
     potential = parse_potential(args.potential, args.dim)
     invariants = [alpha_density(j, args.dim, eps)
                   for j in range(1, args.order + 1)]
-    table = coefficient_table(invariants, potential, args.dim, derived="beta",
-                              config=_quad_config(args))
-    _emit(args, table.to_json_dict(), table.to_csv(), table.to_text())
-    return EXIT_OK
+    return _emit_table(args, invariants, potential)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,8 @@ class DiffPoly:
         a Fraction, summed over the pairs' least common denominator into one
         integer accumulator and built once.  A sum that cancels drops its
         key, so the terms keep the order that adding the pairs one by one
-        gives: the numeric layer sums a density's terms in that order."""
+        gives.  Nothing numeric depends on that order: densities are
+        evaluated term by term in sorted order."""
         pairs = list(pairs)
         den = lcm(*(p._den * q.denominator for p, q in pairs))
         acc: dict[Monomial, int] = {}

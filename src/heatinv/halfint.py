@@ -68,13 +68,6 @@ class HalfIntScalar:
         return f"{self.coeff}*pi^({self.sqrt_pi_power}/2)"
 
 
-def binomial(n: int, k: int) -> int:
-    """Ordinary integer binomial coefficient, 0 for k outside [0, n]."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def half_integer_binomial(j: int, k: int, n: int) -> Fraction:
     """Exact C(j-1+n/2, k+n/2) for integer j >= 1, 0 <= k <= j-1, dimension n >= 1.
 

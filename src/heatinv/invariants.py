@@ -14,12 +14,16 @@ and for the regularized densities alpha_j:
   * "subtracted" - a_j minus a finite binomial correction sum,
   * "tail_sum"   - the truncated X_m sum that survives the subtraction.
 
-Two memoized diagonals carry the work: h_power_diagonal (H^p z^alpha) and
-_word_monomial_diagonal (H^h H0^k z^alpha, with (-Lap)^k z^alpha in closed
-form).  Every sum above is a list of (diagonal, coefficient) pairs built by
-_binomial_terms or _operator_terms and accumulated once by
-DiffPoly.combination; the operator lists read one Gaussian-moment order of
-the X_m diagonal at a time from _word_sum_coefficient.  No Jet is built here.
+Two memoized diagonals carry the work: h_power_diagonal (H^p z^alpha, a
+recursion over p) and _word_monomial_diagonal (H^h H0^k z^alpha, with
+(-Lap)^k z^alpha in closed form).  Both are symmetric under relabeling the
+coordinates: each computes the exponent pattern sorted in descending order,
+and returns any other order of alpha as that diagonal with its axes permuted
+back, memoized in the same cache.  Every sum above is a list of (diagonal,
+coefficient) pairs built by _binomial_terms or _operator_terms and
+accumulated once by DiffPoly.combination; the operator lists read the
+X_m e^(-tH0) diagonal one Gaussian-moment order at a time from
+_word_sum_coefficient.  No Jet is built here.
 """
 
 from __future__ import annotations
@@ -27,30 +31,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from .diffpoly import (DiffPoly, MultiIndex, multi_index_factorial,
                        multi_indices, multi_indices_upto)
-from .halfint import binomial, half_integer_binomial
+from .halfint import half_integer_binomial
 
 # ---------------------------------------------------------------------------
 # Gaussian diagonal moments
 # ---------------------------------------------------------------------------
 
 
-def gaussian_diag_derivative(mu: MultiIndex, n: int) -> tuple[Fraction, int]:
+def gaussian_diag_derivative(mu: MultiIndex) -> Fraction:
     """Even-order derivative of the free heat kernel on the diagonal.
 
     For the doubled multi-index 2*mu, the derivative d^(2mu) e^(-tH0)(x,x)
     equals (4 pi t)^(-n/2) times  (-1)^|mu| (2mu)! / (4^|mu| mu!)  times
-    t^(-|mu|); returns (rational factor, t-exponent).  Odd derivatives vanish,
-    so the caller always supplies the halved index mu.
+    t^(-|mu|); returns the rational factor.  Odd derivatives vanish, so the
+    caller always supplies the halved index mu.
     """
     order = sum(mu)
     two_mu = tuple(2 * e for e in mu)
-    q = Fraction((-1) ** order * multi_index_factorial(two_mu),
-                 4 ** order * multi_index_factorial(mu))
-    return q, -order
+    return Fraction((-1) ** order * multi_index_factorial(two_mu),
+                    4 ** order * multi_index_factorial(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -58,20 +61,18 @@ def gaussian_diag_derivative(mu: MultiIndex, n: int) -> tuple[Fraction, int]:
 # ---------------------------------------------------------------------------
 
 
-def _by_sorted_exponents(fn, dim: int, alpha: tuple[int, ...], *head) -> DiffPoly:
-    """fn(dim, *head, alpha) for a diagonal that is symmetric under coordinate
-    relabeling: computed once per exponent pattern sorted descending, then
-    permuted back."""
-    order = sorted(range(dim), key=lambda i: -alpha[i])
-    canonical = tuple(alpha[i] for i in order)
-    result = fn(dim, *head, canonical)
-    if canonical == tuple(alpha):
-        return result
-    return result.permute_axes(tuple(order))
+def _sorted_exponents(alpha: tuple[int, ...]):
+    """(axis order that sorts alpha descending, the sorted pattern)."""
+    order = tuple(sorted(range(len(alpha)), key=lambda i: -alpha[i]))
+    return order, tuple(alpha[i] for i in order)
 
 
 @lru_cache(maxsize=None)
-def _h_power_diag_canonical(dim: int, p: int, alpha: tuple[int, ...]) -> DiffPoly:
+def h_power_diagonal(dim: int, p: int, alpha: tuple[int, ...]) -> DiffPoly:
+    """Diagonal value (z-constant term) of H^p applied to z^alpha."""
+    order, canonical = _sorted_exponents(alpha)
+    if canonical != alpha:
+        return h_power_diagonal(dim, p, canonical).permute_axes(order)
     # H acts on z only; DiffPoly coefficients are scalars for it.  Expanding
     # one application H z^alpha = -Lap z^alpha + sum_nu (D^nu V / nu!)
     # z^(alpha+nu) gives a linear recursion over (p, alpha).  A term of
@@ -107,12 +108,6 @@ def _h_power_diag_canonical(dim: int, p: int, alpha: tuple[int, ...]) -> DiffPol
 
 
 @lru_cache(maxsize=None)
-def h_power_diagonal(dim: int, p: int, alpha: tuple[int, ...]) -> DiffPoly:
-    """Diagonal value (z-constant term) of H^p applied to z^alpha."""
-    return _by_sorted_exponents(_h_power_diag_canonical, dim, alpha, p)
-
-
-@lru_cache(maxsize=None)
 def _distance_power_diag(dim: int, p: int, k: int) -> DiffPoly:
     """Diagonal of H^p applied to |z|^(2k) = sum_(|mu|=k) k!/mu! z^(2mu)."""
     return DiffPoly.combination(dim, (
@@ -136,91 +131,32 @@ def _laplacian_power_monomial(alpha: tuple[int, ...], times: int):
 
 
 @lru_cache(maxsize=None)
-def _word_monomial_diag_canonical(dim: int, h_count: int, h0_count: int,
-                                  alpha: tuple[int, ...]) -> DiffPoly:
+def _word_monomial_diagonal(dim: int, h_count: int, h0_count: int,
+                            alpha: tuple[int, ...]) -> DiffPoly:
+    """Diagonal of H^h_count H0^h0_count applied to z^alpha (H0 acts first)."""
+    order, canonical = _sorted_exponents(alpha)
+    if canonical != alpha:
+        return _word_monomial_diagonal(dim, h_count, h0_count,
+                                       canonical).permute_axes(order)
     return DiffPoly.combination(dim, (
         (h_power_diagonal(dim, h_count, beta), c)
         for beta, c in _laplacian_power_monomial(alpha, h0_count)))
 
 
 @lru_cache(maxsize=None)
-def _word_monomial_diagonal(dim: int, h_count: int, h0_count: int,
-                            alpha: tuple[int, ...]) -> DiffPoly:
-    """Diagonal of H^h_count H0^h0_count applied to z^alpha (H0 acts first)."""
-    return _by_sorted_exponents(_word_monomial_diag_canonical, dim, alpha,
-                                h_count, h0_count)
-
-
-# ---------------------------------------------------------------------------
-# Laurent diagonals of X_m e^(-tH0) and e^(-tH0) V_m
-# ---------------------------------------------------------------------------
-
-
-class LaurentDiagonal:
-    """Finite Laurent polynomial in t with DiffPoly coefficients, representing
-    a kernel diagonal divided by its overall (4 pi t)^(-n/2) factor."""
-
-    __slots__ = ("dim", "terms")
-
-    def __init__(self, dim: int, terms: dict[int, DiffPoly] | None = None):
-        object.__setattr__(self, "dim", dim)
-        clean = {e: c for e, c in (terms or {}).items() if c}
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentDiagonal is immutable")
-
-    def coefficient(self, exponent: int) -> DiffPoly:
-        return self.terms.get(exponent, DiffPoly.zero(self.dim))
-
-    def scale(self, q) -> "LaurentDiagonal":
-        q = Fraction(q)
-        return LaurentDiagonal(self.dim,
-                               {e: c.scale(q) for e, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LaurentDiagonal) and self.dim == other.dim
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        body = ", ".join(f"t^{e}: {c.to_text()}" for e, c in sorted(self.terms.items()))
-        return f"LaurentDiagonal({{{body}}})"
-
-
-@lru_cache(maxsize=None)
-def _word_sum_coefficient(m: int, n: int, order: int, swapped: bool) -> DiffPoly:
-    """Coefficient of t^(-order) in the diagonal of an alternating word sum
-    applied to the free heat kernel: the Gaussian moments of order |mu| = order
-    weighting the word sum's diagonal on z^(2mu)/(2mu)!.  swapped=False gives
-    the words H^k H0^(m-k) (the X_m family), swapped=True gives H^(m-k) H0^k
-    (the partial-integration transpose)."""
+def _word_sum_coefficient(m: int, n: int, order: int) -> DiffPoly:
+    """Coefficient of t^(-order) in the diagonal of X_m e^(-tH0), without the
+    (4 pi t)^(-n/2), where X_m = sum_k (-1)^k C(m,k) H^k H0^(m-k): the
+    Gaussian moments of order |mu| = order weighting the word sum's diagonal
+    on z^(2mu)/(2mu)!."""
     pairs = []
     for mu in multi_indices(n, order):
         two_mu = tuple(2 * e for e in mu)
-        weight = gaussian_diag_derivative(mu, n)[0] / multi_index_factorial(two_mu)
+        weight = gaussian_diag_derivative(mu) / multi_index_factorial(two_mu)
         for k in range(m + 1):
-            h_count, h0_count = (m - k, k) if swapped else (k, m - k)
-            pairs.append((_word_monomial_diagonal(n, h_count, h0_count, two_mu),
-                          weight * (-1) ** k * binomial(m, k)))
+            pairs.append((_word_monomial_diagonal(n, k, m - k, two_mu),
+                          weight * (-1) ** k * comb(m, k)))
     return DiffPoly.combination(n, pairs)
-
-
-def _word_sum_diagonal(m: int, n: int, swapped: bool) -> LaurentDiagonal:
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    return LaurentDiagonal(n, {-order: _word_sum_coefficient(m, n, order, swapped)
-                               for order in range(max(m - 1, 0) // 2 + 1)})
-
-
-def xm_diagonal(m: int, n: int) -> LaurentDiagonal:
-    """Exact Laurent diagonal of X_m e^(-tH0), without the (4 pi t)^(-n/2)."""
-    return _word_sum_diagonal(m, n, swapped=False)
-
-
-def vm_diagonal(m: int, n: int) -> LaurentDiagonal:
-    """Exact Laurent diagonal of e^(-tH0) V_m, via the swapped operator words
-    coming from repeated partial integration (independent of xm_diagonal)."""
-    return _word_sum_diagonal(m, n, swapped=True)
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +169,7 @@ class InvariantResult:
     j: int
     density: DiffPoly
     route: str
-    dim: int
-    epsilon: Fraction | None = None
-    depth: int | None = None  # N = floor(dim / epsilon) for regularized densities
-
-    def to_json_dict(self) -> dict:
-        out = {"j": self.j, "route": self.route, "density": self.density.to_text(),
-               "n": self.dim}
-        if self.epsilon is not None:
-            out["epsilon"] = str(self.epsilon)
-            out["N"] = self.depth
-        return out
+    epsilon: Fraction | None = None  # the decay rate of a regularized density
 
 
 def _binomial_terms(j: int, n: int, upper: int) -> list:
@@ -266,7 +192,7 @@ def _operator_terms(j: int, n: int, first_m: int) -> list:
     the t^(j-m) coefficient of the X_m diagonal, which holds the Gaussian
     moments of order m-j <= (m-1)/2.  first_m = j gives a_j; first_m = N+1
     gives the tail that survives the subtraction in alpha_j."""
-    return [(_word_sum_coefficient(m, n, m - j, False), Fraction(1, factorial(m)))
+    return [(_word_sum_coefficient(m, n, m - j), Fraction(1, factorial(m)))
             for m in range(first_m, 2 * j)]
 
 
@@ -279,7 +205,7 @@ def heat_invariant_binomial(j: int, n: int) -> InvariantResult:
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
     return InvariantResult(j, DiffPoly.combination(n, _binomial_terms(j, n, j)),
-                           "binomial", n)
+                           "binomial")
 
 
 def heat_invariant_operator_sum(j: int, n: int) -> InvariantResult:
@@ -288,7 +214,7 @@ def heat_invariant_operator_sum(j: int, n: int) -> InvariantResult:
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
     return InvariantResult(j, DiffPoly.combination(n, _operator_terms(j, n, j)),
-                           "operator", n)
+                           "operator")
 
 
 def regularization_depth(n: int, epsilon: Fraction) -> int:
@@ -326,7 +252,7 @@ def alpha_density(j: int, n: int, epsilon: Fraction) -> InvariantResult:
     else:
         correction = [(p, -q) for p, q in _binomial_terms(j, n, depth - j + 1)]
         density = DiffPoly.combination(n, _binomial_terms(j, n, j) + correction)
-    return InvariantResult(j, density, "subtracted", n, epsilon, depth)
+    return InvariantResult(j, density, "subtracted", epsilon)
 
 
 def alpha_density_tail_sum(j: int, n: int, epsilon: Fraction) -> InvariantResult:
@@ -340,7 +266,7 @@ def alpha_density_tail_sum(j: int, n: int, epsilon: Fraction) -> InvariantResult
             f"j={j} is outside the middle regime [{(depth + 2) / 2}, {depth}]"
             f" for n={n}, epsilon={epsilon}")
     return InvariantResult(j, DiffPoly.combination(n, _operator_terms(j, n, depth + 1)),
-                           "tail_sum", n, epsilon, depth)
+                           "tail_sum", epsilon)
 
 
 def monomial_decay_weight(mono, epsilon: Fraction) -> Fraction:

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .diffpoly import (DiffPoly, DimensionMismatch, multi_index_factorial,
                        multi_indices, multi_indices_upto)
-from .halfint import binomial
 
 ZIndex = tuple[int, ...]
 
@@ -238,7 +237,7 @@ def _alternating_family(m: int, f: Jet, a, b, route: str, prune_diagonal: bool) 
         out = Jet.zero(f.dim, f.trunc)
         for k in range(m + 1):
             word = _apply_word((a,) * k + (b,) * (m - k), f, prune_diagonal)
-            out = out + word.scale((-1) ** k * binomial(m, k))
+            out = out + word.scale((-1) ** k * comb(m, k))
         return out
     if route == "recurrence":
         row = [f]

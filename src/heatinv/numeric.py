@@ -34,10 +34,11 @@ class QuadratureError(RuntimeError):
 @dataclass
 class QuadratureConfig:
     half_width: float = 12.0     # integration box [-L, L]^n
-    limit: int = 200             # max subinterval count per axis
 
 
 QUAD_TOL = 1e-9  # absolute and relative error target of every integral
+
+QUAD_LIMIT = 200  # subintervals per axis at most
 
 EVAL_CHUNK = 2048  # nodes per Taylor pass, so memory does not grow with a round
 
@@ -45,7 +46,10 @@ EVAL_CHUNK = 2048  # nodes per Taylor pass, so memory does not grow with a round
 def _density_values(density: DiffPoly, potential: PotentialExpr,
                     coords: list[np.ndarray]) -> np.ndarray:
     """A DiffPoly density for a concrete potential on node arrays, taking
-    every D^nu V it needs from one Taylor-mode pass per chunk of nodes."""
+    every D^nu V it needs from one Taylor-mode pass per chunk of nodes.  The
+    terms are summed in sorted monomial order, so equal densities give equal
+    floats whatever order their terms were built in."""
+    terms = sorted(density.terms.items())
     shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
     flat = [np.broadcast_to(np.asarray(c, dtype=float), shape).ravel() for c in coords]
     nus = density.jet_variables()
@@ -54,7 +58,7 @@ def _density_values(density: DiffPoly, potential: PotentialExpr,
         chunk = [c[lo:lo + EVAL_CHUNK] for c in flat]
         derivs = taylor_derivatives(potential, nus, chunk)
         out = total[lo:lo + EVAL_CHUNK]  # a view: the sums land in total
-        for mono, coeff in density.terms.items():
+        for mono, coeff in terms:
             prod = np.full(out.shape, float(coeff))
             for nu in mono:
                 prod *= derivs[nu]
@@ -147,7 +151,7 @@ def _adaptive_gauss_kronrod(f, n: int, config: QuadratureConfig) -> tuple[float,
     of f.  Returns (value, error), the error being the sum of the
     cells' |Kronrod - Gauss|.  Raises QuadratureError, carrying the value and
     error reached, when a bisection would cut an axis into more than
-    config.limit subintervals.
+    QUAD_LIMIT subintervals.
     """
     centers = np.zeros((1, n))
     halves = np.full((1, n), float(config.half_width))
@@ -172,10 +176,10 @@ def _adaptive_gauss_kronrod(f, n: int, config: QuadratureConfig) -> tuple[float,
         keep[pick] = False
         new_centers = np.concatenate([centers[keep], child_centers])
         new_halves = np.concatenate([halves[keep], child_halves])
-        if _subintervals_per_axis(new_centers, new_halves) > config.limit:
+        if _subintervals_per_axis(new_centers, new_halves) > QUAD_LIMIT:
             raise QuadratureError(
                 f"quadrature did not converge: error {error:.3g} above tolerance"
-                f" {tol:.3g} with {config.limit} subintervals per axis", value, error)
+                f" {tol:.3g} with {QUAD_LIMIT} subintervals per axis", value, error)
         child = _apply_rules(f, child_centers, child_halves)
         centers, halves = new_centers, new_halves
         est, err, axis = (np.concatenate([old[keep], new]) for old, new in zip((est, err, axis), child))
@@ -300,10 +304,9 @@ class CoefficientTable:
 
 def coefficient_table(invariants: list[InvariantResult],
                       potential: PotentialExpr, n: int,
-                      derived: str = "b",
                       config: QuadratureConfig | None = None) -> CoefficientTable:
-    """Integrate a list of densities and derive b_j (derived="b") or beta_j
-    (derived="beta") for each row."""
+    """Integrate a list of densities and derive each row's b_j, or beta_j for
+    a regularized density (one with an epsilon)."""
     config = config or QuadratureConfig()
     epsilon = invariants[0].epsilon if invariants else None
     table = CoefficientTable(dim=n, epsilon=epsilon)
@@ -311,7 +314,7 @@ def coefficient_table(invariants: list[InvariantResult],
         value, err = integrate_density(inv.density, potential, n, config)
         if n == 1 and inv.epsilon is not None and not inv.density.is_zero():
             err += box_tail_1d(inv.density, potential, inv.epsilon, config.half_width)
-        if derived == "b":
+        if inv.epsilon is None:
             extra = b_from_a(value, inv.j, n)
         else:
             extra = beta_from_alpha(value, inv.j, n)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heatinv.halfint import (POLE, HalfIntScalar, binomial,
-                             gamma_half_integer, half_integer_binomial)
+from heatinv.halfint import (POLE, HalfIntScalar, gamma_half_integer,
+                             half_integer_binomial)
 
 
 class TestHalfIntScalar:
@@ -45,7 +45,7 @@ class TestHalfIntegerBinomial:
         if k > j - 1:
             k = j - 1
         even_n = 2 * n
-        expected = binomial(j - 1 + n, k + n)
+        expected = math.comb(j - 1 + n, k + n)
         assert half_integer_binomial(j, k, even_n) == expected
 
     def test_edge_values(self):

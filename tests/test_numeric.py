@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from heatinv.halfint import POLE, HalfIntScalar
-from heatinv.invariants import alpha_density, heat_invariant_binomial
+from heatinv import numeric
+from heatinv.invariants import (alpha_density, heat_invariant_binomial,
+                                heat_invariant_operator_sum)
 from heatinv.numeric import (GK_GAUSS_WEIGHTS, GK_KRONROD_WEIGHTS, GK_NODES,
                              QuadratureConfig, QuadratureError, b_from_a,
                              beta_from_alpha, box_tail_1d, coefficient_table,
@@ -76,10 +78,21 @@ class TestIntegration:
                                        QuadratureConfig(half_width=6.0))
         assert abs(value + math.pi ** 1.5) <= max(err, 1e-9)
 
-    def test_non_convergence_carries_partial_result(self):
+    def test_equal_densities_integrate_to_equal_floats(self):
+        """Terms are summed in sorted order, not in the order a route built
+        them: the binomial and operator routes give bitwise equal results."""
+        binomial = heat_invariant_binomial(4, 1).density
+        operator = heat_invariant_operator_sum(4, 1).density
+        assert binomial == operator
+        assert list(binomial.terms) != list(operator.terms)
+        assert (integrate_density(binomial, GAUSSIAN, 1)
+                == integrate_density(operator, GAUSSIAN, 1))
+
+    def test_non_convergence_carries_partial_result(self, monkeypatch):
+        monkeypatch.setattr(numeric, "QUAD_LIMIT", 2)
         density = heat_invariant_binomial(3, 1).density
         with pytest.raises(QuadratureError) as exc:
-            integrate_density(density, GAUSSIAN, 1, QuadratureConfig(limit=2))
+            integrate_density(density, GAUSSIAN, 1)
         assert math.isfinite(exc.value.value) and math.isfinite(exc.value.error)
         assert exc.value.error > 0
 
@@ -111,8 +124,8 @@ class TestRegularizedTail:
         v = (1 + x ** 2) ** sympy.Rational(-1, 6)
         invariants = [alpha_density(j, 1, self.EPS) for j in (3, 4)]
         box = 2000.0
-        table = coefficient_table(invariants, self.POWR, 1, derived="beta",
-                                  config=QuadratureConfig(half_width=box))
+        table = coefficient_table(invariants, self.POWR, 1,
+                                  QuadratureConfig(half_width=box))
         for inv, row in zip(invariants, table.rows):
             expr = sum(sympy.Rational(c.numerator, c.denominator)
                        * sympy.Mul(*(sympy.diff(v, x, nu[0]) for nu in mono))
@@ -124,8 +137,7 @@ class TestRegularizedTail:
             assert row.err < 3 * abs(row.value - whole) + 1e-6
 
     def test_zero_density_keeps_zero_error(self):
-        table = coefficient_table([alpha_density(1, 1, self.EPS)], self.POWR, 1,
-                                  derived="beta")
+        table = coefficient_table([alpha_density(1, 1, self.EPS)], self.POWR, 1)
         assert (table.rows[0].value, table.rows[0].err) == (0.0, 0.0)
 
     def test_tail_estimate_scales_with_box(self):
