@@ -3,8 +3,7 @@ Schrodinger operators -Laplacian + V, with a numeric evaluation pipeline
 and independent Monte-Carlo / spectral verification oracles."""
 
 from .diffpoly import DiffPoly, DimensionMismatch
-from .halfint import (POLE, GammaPole, HalfIntScalar, gamma_half_integer,
-                      half_integer_binomial)
+from .halfint import HalfIntScalar, gamma_half_integer, half_integer_binomial
 from .invariants import (InvariantResult, alpha_density,
                          alpha_density_tail_sum, alpha_regime,
                          heat_invariant_binomial, heat_invariant_operator_sum,
@@ -28,8 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiffPoly", "DimensionMismatch",
-    "POLE", "GammaPole", "HalfIntScalar", "gamma_half_integer",
-    "half_integer_binomial",
+    "HalfIntScalar", "gamma_half_integer", "half_integer_binomial",
     "InvariantResult", "alpha_density", "alpha_density_tail_sum",
     "alpha_regime", "heat_invariant_binomial", "heat_invariant_operator_sum",
     "regularization_depth",

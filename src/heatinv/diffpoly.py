@@ -100,8 +100,8 @@ class DiffPoly:
 
     @property
     def terms(self) -> MappingProxyType:
-        """Read-only {monomial: Fraction} view of the coefficients, in term
-        insertion order; built on first read."""
+        """Read-only {monomial: Fraction} view of the coefficients, in no
+        particular order; built on first read."""
         if self._terms is None:
             den = self._den
             object.__setattr__(self, "_terms", MappingProxyType(
@@ -118,28 +118,16 @@ class DiffPoly:
     def combination(cls, dim: int, pairs) -> "DiffPoly":
         """Exact linear combination sum q * p over (p, q) pairs, q an int or
         a Fraction, summed over the pairs' least common denominator into one
-        integer accumulator and built once.  A sum that cancels drops its
-        key, so the terms keep the order that adding the pairs one by one
-        gives.  Nothing numeric depends on that order: densities are
-        evaluated term by term in sorted order."""
+        integer accumulator and built once.  The term order is not part of
+        the result: to_text and numeric evaluation read terms sorted."""
         pairs = list(pairs)
         den = lcm(*(p._den * q.denominator for p, q in pairs))
         acc: dict[Monomial, int] = {}
         for p, q in pairs:
             f = q.numerator * (den // (p._den * q.denominator))
-            if not f:
-                continue
-            if not acc:
-                acc = (dict(p._num) if f == 1
-                       else {mono: c * f for mono, c in p._num.items()})
-                continue
             for mono, c in p._num.items():
-                s = acc.get(mono, 0) + c * f
-                if s:
-                    acc[mono] = s
-                else:
-                    acc.pop(mono, None)
-        return cls._from_ints(dim, acc, den)
+                acc[mono] = acc.get(mono, 0) + c * f
+        return cls._from_ints(dim, {m: c for m, c in acc.items() if c}, den)
 
     @classmethod
     def constant(cls, dim: int, value) -> "DiffPoly":

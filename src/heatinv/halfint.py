@@ -12,27 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class GammaPole:
-    """Marker for Gamma evaluated at a nonpositive integer.
-
-    A pole is a legitimate value (it signals an absent expansion coefficient
-    in even dimension), not an error.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "GammaPole"
-
-
-POLE = GammaPole()
-
-
 @dataclass(frozen=True)
 class HalfIntScalar:
     """Exact number coeff * pi^(sqrt_pi_power / 2)."""
@@ -89,18 +68,20 @@ def half_integer_binomial(j: int, k: int, n: int) -> Fraction:
     return prod / math.factorial(j - 1 - k)
 
 
-def gamma_half_integer(two_z: int) -> HalfIntScalar | GammaPole:
+def gamma_half_integer(two_z: int) -> HalfIntScalar | None:
     """Exact Gamma(two_z / 2) for any integer two_z.
 
     Odd two_z: value is q * sqrt(pi) obtained from Gamma(1/2) = sqrt(pi) and
     the recursion Gamma(z+1) = z * Gamma(z), run in either direction.
     Even two_z > 0: the factorial (two_z/2 - 1)!.
-    Even two_z <= 0: the distinguished POLE value.
+    Even two_z <= 0: None, a pole of Gamma.  A pole is a legitimate value
+    (it signals an absent expansion coefficient in even dimension), not an
+    error.
     """
     if two_z % 2 == 0:
         z = two_z // 2
         if z <= 0:
-            return POLE
+            return None
         return HalfIntScalar(Fraction(math.factorial(z - 1)), 0)
     # two_z = 2m + 1: walk from Gamma(1/2).
     coeff = Fraction(1)

@@ -14,16 +14,13 @@ and for the regularized densities alpha_j:
   * "subtracted" - a_j minus a finite binomial correction sum,
   * "tail_sum"   - the truncated X_m sum that survives the subtraction.
 
-Two memoized diagonals carry the work: h_power_diagonal (H^p z^alpha, a
-recursion over p) and _word_monomial_diagonal (H^h H0^k z^alpha, with
-(-Lap)^k z^alpha in closed form).  Both are symmetric under relabeling the
-coordinates: each computes the exponent pattern sorted in descending order,
-and returns any other order of alpha as that diagonal with its axes permuted
-back, memoized in the same cache.  Every sum above is a list of (diagonal,
-coefficient) pairs built by _binomial_terms or _operator_terms and
-accumulated once by DiffPoly.combination; the operator lists read the
-X_m e^(-tH0) diagonal one Gaussian-moment order at a time from
-_word_sum_coefficient.  No Jet is built here.
+One memoized diagonal carries the work: h_power_diagonal, the z-constant
+term of H^p z^alpha, a recursion over p.  Each route only lists its terms
+as ((p, alpha), coefficient) items: _binomial_terms expands |z|^(2k) into
+z-monomials, and _operator_terms the X_m e^(-tH0) diagonal, with
+(-Lap)^k z^alpha in closed form.  _combine merges equal keys as rationals
+and sums the diagonals once through DiffPoly.combination.  No Jet is built
+here.
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb, factorial, lcm
 
 from .diffpoly import (DiffPoly, MultiIndex, multi_index_factorial,
@@ -57,20 +55,19 @@ def gaussian_diag_derivative(mu: MultiIndex) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Memoized diagonals of operator words applied to z^alpha
+# The memoized diagonal of H^p z^alpha, and (-Lap)^k z^alpha in closed form
 # ---------------------------------------------------------------------------
-
-
-def _sorted_exponents(alpha: tuple[int, ...]):
-    """(axis order that sorts alpha descending, the sorted pattern)."""
-    order = tuple(sorted(range(len(alpha)), key=lambda i: -alpha[i]))
-    return order, tuple(alpha[i] for i in order)
 
 
 @lru_cache(maxsize=None)
 def h_power_diagonal(dim: int, p: int, alpha: tuple[int, ...]) -> DiffPoly:
-    """Diagonal value (z-constant term) of H^p applied to z^alpha."""
-    order, canonical = _sorted_exponents(alpha)
+    """Diagonal value (z-constant term) of H^p applied to z^alpha.
+
+    Symmetric under relabeling the coordinates: only the exponent pattern
+    sorted in descending order runs the recursion, and any other order of
+    alpha is that diagonal with its axes permuted back, memoized here too."""
+    order = tuple(sorted(range(len(alpha)), key=lambda i: -alpha[i]))
+    canonical = tuple(alpha[i] for i in order)
     if canonical != alpha:
         return h_power_diagonal(dim, p, canonical).permute_axes(order)
     # H acts on z only; DiffPoly coefficients are scalars for it.  Expanding
@@ -107,15 +104,6 @@ def h_power_diagonal(dim: int, p: int, alpha: tuple[int, ...]) -> DiffPoly:
     return DiffPoly._from_ints(dim, {m: c for m, c in acc.items() if c}, den)
 
 
-@lru_cache(maxsize=None)
-def _distance_power_diag(dim: int, p: int, k: int) -> DiffPoly:
-    """Diagonal of H^p applied to |z|^(2k) = sum_(|mu|=k) k!/mu! z^(2mu)."""
-    return DiffPoly.combination(dim, (
-        (h_power_diagonal(dim, p, tuple(2 * e for e in mu)),
-         Fraction(factorial(k), multi_index_factorial(mu)))
-        for mu in multi_indices(dim, k)))
-
-
 def _laplacian_power_monomial(alpha: tuple[int, ...], times: int):
     """(-Laplacian)^times z^alpha as (beta, coeff) pairs: the multinomial
     expansion of (-sum_i d_i^2)^times, where d_i^(2 k_i) z_i^e gives
@@ -128,35 +116,6 @@ def _laplacian_power_monomial(alpha: tuple[int, ...], times: int):
         for k, e in zip(ks, alpha):
             coeff = coeff * factorial(e) // (factorial(k) * factorial(e - 2 * k))
         yield tuple(e - 2 * k for k, e in zip(ks, alpha)), coeff
-
-
-@lru_cache(maxsize=None)
-def _word_monomial_diagonal(dim: int, h_count: int, h0_count: int,
-                            alpha: tuple[int, ...]) -> DiffPoly:
-    """Diagonal of H^h_count H0^h0_count applied to z^alpha (H0 acts first)."""
-    order, canonical = _sorted_exponents(alpha)
-    if canonical != alpha:
-        return _word_monomial_diagonal(dim, h_count, h0_count,
-                                       canonical).permute_axes(order)
-    return DiffPoly.combination(dim, (
-        (h_power_diagonal(dim, h_count, beta), c)
-        for beta, c in _laplacian_power_monomial(alpha, h0_count)))
-
-
-@lru_cache(maxsize=None)
-def _word_sum_coefficient(m: int, n: int, order: int) -> DiffPoly:
-    """Coefficient of t^(-order) in the diagonal of X_m e^(-tH0), without the
-    (4 pi t)^(-n/2), where X_m = sum_k (-1)^k C(m,k) H^k H0^(m-k): the
-    Gaussian moments of order |mu| = order weighting the word sum's diagonal
-    on z^(2mu)/(2mu)!."""
-    pairs = []
-    for mu in multi_indices(n, order):
-        two_mu = tuple(2 * e for e in mu)
-        weight = gaussian_diag_derivative(mu) / multi_index_factorial(two_mu)
-        for k in range(m + 1):
-            pairs.append((_word_monomial_diagonal(n, k, m - k, two_mu),
-                          weight * (-1) ** k * comb(m, k)))
-    return DiffPoly.combination(n, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -172,28 +131,53 @@ class InvariantResult:
     epsilon: Fraction | None = None  # the decay rate of a regularized density
 
 
-def _binomial_terms(j: int, n: int, upper: int) -> list:
-    """(diagonal, coefficient) pairs of the alternating binomial sum
+def _binomial_terms(j: int, n: int, upper: int):
+    """((p, alpha), coefficient) items of the alternating binomial sum
 
         (-1)^j sum_(k=0)^(upper-1) C(upper-1+n/2, k+n/2)
-                H^(k+j)(|z|^(2k))|_diag / (4^k k! (k+j)!).
+                H^(k+j)(|z|^(2k))|_diag / (4^k k! (k+j)!),
 
-    upper = j gives a_j; upper = N-j+1 gives the correction that alpha_j
-    subtracts from it."""
+    with |z|^(2k) = sum_(|mu|=k) k!/mu! z^(2mu).  upper = j gives a_j;
+    upper = N-j+1 gives the correction that alpha_j subtracts from it."""
     sign = (-1) ** j
-    return [(_distance_power_diag(n, k + j, k),
-             sign * half_integer_binomial(upper, k, n)
-             / (Fraction(4) ** k * factorial(k) * factorial(k + j)))
-            for k in range(upper)]
+    for k in range(upper):
+        q = sign * half_integer_binomial(upper, k, n) / (Fraction(4) ** k * factorial(k + j))
+        for mu in multi_indices(n, k):
+            yield (k + j, tuple(2 * e for e in mu)), q / multi_index_factorial(mu)
 
 
-def _operator_terms(j: int, n: int, first_m: int) -> list:
-    """(diagonal, coefficient) pairs of sum_(m=first_m)^(2j-1) (1/m!) times
+def _xm_terms(m: int, n: int, order: int):
+    """((p, beta), coefficient) items of the t^(-order) coefficient of the
+    X_m e^(-tH0) diagonal, without the (4 pi t)^(-n/2), where
+    X_m = sum_k (-1)^k C(m,k) H^k H0^(m-k): the Gaussian moments of order
+    |mu| = order weighting the diagonals of H^k (-Lap)^(m-k) z^(2mu)/(2mu)!."""
+    for mu in multi_indices(n, order):
+        two_mu = tuple(2 * e for e in mu)
+        weight = gaussian_diag_derivative(mu) / multi_index_factorial(two_mu)
+        for k in range(m + 1):
+            w = weight * (-1) ** k * comb(m, k)
+            for beta, c in _laplacian_power_monomial(two_mu, m - k):
+                yield (k, beta), w * c
+
+
+def _operator_terms(j: int, n: int, first_m: int):
+    """((p, beta), coefficient) items of sum_(m=first_m)^(2j-1) (1/m!) times
     the t^(j-m) coefficient of the X_m diagonal, which holds the Gaussian
     moments of order m-j <= (m-1)/2.  first_m = j gives a_j; first_m = N+1
     gives the tail that survives the subtraction in alpha_j."""
-    return [(_word_sum_coefficient(m, n, m - j), Fraction(1, factorial(m)))
-            for m in range(first_m, 2 * j)]
+    for m in range(first_m, 2 * j):
+        for key, q in _xm_terms(m, n, m - j):
+            yield key, q / factorial(m)
+
+
+def _combine(n: int, items) -> DiffPoly:
+    """sum q * h_power_diagonal(n, p, alpha) over ((p, alpha), q) items,
+    equal keys merged as rationals first, so shared terms cancel as scalars."""
+    acc: dict = {}
+    for key, q in items:
+        acc[key] = acc.get(key, 0) + q
+    return DiffPoly.combination(n, ((h_power_diagonal(n, *key), q)
+                                    for key, q in acc.items() if q))
 
 
 def heat_invariant_binomial(j: int, n: int) -> InvariantResult:
@@ -204,8 +188,7 @@ def heat_invariant_binomial(j: int, n: int) -> InvariantResult:
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    return InvariantResult(j, DiffPoly.combination(n, _binomial_terms(j, n, j)),
-                           "binomial")
+    return InvariantResult(j, _combine(n, _binomial_terms(j, n, j)), "binomial")
 
 
 def heat_invariant_operator_sum(j: int, n: int) -> InvariantResult:
@@ -213,8 +196,7 @@ def heat_invariant_operator_sum(j: int, n: int) -> InvariantResult:
     the coefficient of t^j in sum_m (t^m/m!) (X_m e^(-tH0))(x,x)."""
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    return InvariantResult(j, DiffPoly.combination(n, _operator_terms(j, n, j)),
-                           "operator")
+    return InvariantResult(j, _combine(n, _operator_terms(j, n, j)), "operator")
 
 
 def regularization_depth(n: int, epsilon: Fraction) -> int:
@@ -250,8 +232,8 @@ def alpha_density(j: int, n: int, epsilon: Fraction) -> InvariantResult:
     elif regime == "tail":
         density = heat_invariant_binomial(j, n).density
     else:
-        correction = [(p, -q) for p, q in _binomial_terms(j, n, depth - j + 1)]
-        density = DiffPoly.combination(n, _binomial_terms(j, n, j) + correction)
+        correction = ((key, -q) for key, q in _binomial_terms(j, n, depth - j + 1))
+        density = _combine(n, chain(_binomial_terms(j, n, j), correction))
     return InvariantResult(j, density, "subtracted", epsilon)
 
 
@@ -265,7 +247,7 @@ def alpha_density_tail_sum(j: int, n: int, epsilon: Fraction) -> InvariantResult
         raise ValueError(
             f"j={j} is outside the middle regime [{(depth + 2) / 2}, {depth}]"
             f" for n={n}, epsilon={epsilon}")
-    return InvariantResult(j, DiffPoly.combination(n, _operator_terms(j, n, depth + 1)),
+    return InvariantResult(j, _combine(n, _operator_terms(j, n, depth + 1)),
                            "tail_sum", epsilon)
 
 

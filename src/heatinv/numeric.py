@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .diffpoly import DiffPoly
-from .halfint import POLE, GammaPole, HalfIntScalar, gamma_half_integer
+from .halfint import HalfIntScalar, gamma_half_integer
 from .invariants import InvariantResult, monomial_decay_weight
 from .potentials import PotentialExpr, taylor_derivatives
 
@@ -124,14 +124,11 @@ def _apply_rules(f, centers: np.ndarray, halves: np.ndarray):
     volume = np.prod(halves, axis=1)
     kronrod = volume * _contract(values, [GK_KRONROD_WEIGHTS] * n)
     gauss = volume * _contract(values, [GK_GAUSS_WEIGHTS] * n)
-    if n == 1:
-        axis = np.zeros(cells, dtype=int)
-    else:
-        # the axis along which swapping Kronrod for Gauss moves the estimate most
-        per_axis = [np.abs(kronrod - volume * _contract(
-            values, [GK_GAUSS_WEIGHTS if b == a else GK_KRONROD_WEIGHTS for b in range(n)]))
-            for a in range(n)]
-        axis = np.argmax(np.stack(per_axis, axis=1), axis=1)
+    # the axis along which swapping Kronrod for Gauss moves the estimate most
+    per_axis = [np.abs(kronrod - volume * _contract(
+        values, [GK_GAUSS_WEIGHTS if b == a else GK_KRONROD_WEIGHTS for b in range(n)]))
+        for a in range(n)]
+    axis = np.argmax(np.stack(per_axis, axis=1), axis=1)
     return kronrod, np.abs(kronrod - gauss), axis
 
 
@@ -213,11 +210,11 @@ def box_tail_1d(density: DiffPoly, potential: PotentialExpr, epsilon: Fraction,
     return 2.0 * float(np.sum(np.abs(ends))) * half_width / float(w - 1)
 
 
-def spectral_prefactor(j: int, n: int) -> HalfIntScalar | GammaPole:
-    """Exact (4 pi)^(-n/2) / Gamma(n/2 - j); POLE when Gamma is at a pole."""
+def spectral_prefactor(j: int, n: int) -> HalfIntScalar | None:
+    """Exact (4 pi)^(-n/2) / Gamma(n/2 - j); None when Gamma is at a pole."""
     g = gamma_half_integer(n - 2 * j)
-    if g is POLE:
-        return POLE
+    if g is None:
+        return None
     four_pi = HalfIntScalar(Fraction(1, 2 ** n), -n)  # (4 pi)^(-n/2)
     return four_pi / g
 
@@ -231,7 +228,7 @@ def b_from_a(a_j: float, j: int, n: int) -> float | None:
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
     factor = spectral_prefactor(j, n)
-    if factor is POLE:
+    if factor is None:
         return None
     return a_j * float(factor)
 

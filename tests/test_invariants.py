@@ -9,7 +9,7 @@ from math import factorial
 import pytest
 
 from heatinv.diffpoly import DiffPoly
-from heatinv.invariants import (_word_sum_coefficient, alpha_density,
+from heatinv.invariants import (_combine, _xm_terms, alpha_density,
                                 alpha_density_tail_sum, alpha_regime,
                                 gaussian_diag_derivative,
                                 heat_invariant_binomial,
@@ -57,10 +57,18 @@ class TestRouteEquivalence:
 
 class TestOperatorFamilyDiagonals:
     def test_x0_diagonal_is_one(self):
-        assert _word_sum_coefficient(0, 2, 0) == DiffPoly.constant(2, 1)
+        assert _combine(2, _xm_terms(0, 2, 0)) == DiffPoly.constant(2, 1)
 
     def test_x1_diagonal_is_minus_V(self):
-        assert _word_sum_coefficient(1, 1, 0) == -DiffPoly.jet_variable(1, (0,))
+        assert _combine(1, _xm_terms(1, 1, 0)) == -DiffPoly.jet_variable(1, (0,))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_moments_above_the_truncation_vanish(self, m, n):
+        """The operator routes read the X_m diagonal only at Gaussian-moment
+        orders m-j <= (m-1)/2; the next two orders are zero."""
+        for order in range((m + 1) // 2, (m + 1) // 2 + 2):
+            assert _combine(n, _xm_terms(m, n, order)).is_zero()
 
 
 class TestRegularizedDensities:
