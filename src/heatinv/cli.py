@@ -35,11 +35,11 @@ from .oracles import (BridgeSampler, TraceGrid, discretized_schrodinger_1d,
                       taylor_family_matches_operator_family)
 from .potentials import PotentialEvalError, parse_potential
 
-# Supported range of j per dimension n (6 for n >= 4).  Both routes and
-# their equality are verified up to each cap, and `verify routes --dim n
-# --order <cap> --epsilon 1/2` stays within the budget stated in the README.
-MAX_ORDER = {1: 10, 2: 8, 3: 7}
-MAX_ORDER_HIGHER_DIMS = 6
+# Supported dimensions n and range of j per n.  Both routes and their
+# equality are verified up to each cap, and `verify routes --dim n --order
+# <cap> --epsilon 1/2` stays within the budget stated in the README; one
+# order more breaks it at every n >= 4.
+MAX_ORDER = {1: 10, 2: 8, 3: 7, 4: 6, 5: 5, 6: 4, 7: 4, 8: 3}
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -67,7 +67,10 @@ def _parse_epsilon(text: str) -> Fraction:
 def _check_order(order: int, dim: int):
     if order < 1:
         raise UsageError(f"order must be >= 1, got {order}")
-    cap = MAX_ORDER.get(dim, MAX_ORDER_HIGHER_DIMS)
+    cap = MAX_ORDER.get(dim)
+    if cap is None:
+        raise UsageError(
+            f"dimension {dim} is outside the supported range 1..{max(MAX_ORDER)}")
     if order > cap:
         raise UsageError(
             f"order {order} exceeds the supported range 1..{cap} for dimension {dim}")
@@ -274,8 +277,7 @@ POTENTIAL_HELP = (
 
 
 ORDER_HELP = ("max j: at most "
-              + ", ".join(f"{cap} for n={n}" for n, cap in MAX_ORDER.items())
-              + f", {MAX_ORDER_HIGHER_DIMS} beyond")
+              + ", ".join(f"{cap} for n={n}" for n, cap in MAX_ORDER.items()))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -186,10 +186,14 @@ def integrate_density(density: DiffPoly, potential: PotentialExpr, n: int,
                       config: QuadratureConfig | None = None) -> tuple[float, float]:
     """Adaptive quadrature of the density over the truncated box [-L, L]^n.
 
-    Returns (value, error estimate).  Raises QuadratureError (carrying the
-    partial result) if the adaptive scheme does not converge.
+    Returns (value, error estimate).  Raises ValueError unless L is positive
+    and finite, and QuadratureError (carrying the partial result) if the
+    adaptive scheme does not converge.
     """
     config = config or QuadratureConfig()
+    if not 0 < config.half_width < np.inf:
+        raise ValueError(
+            f"box half-width must be positive and finite, got {config.half_width}")
     if density.is_zero():
         return 0.0, 0.0
     return _adaptive_gauss_kronrod(

@@ -17,7 +17,7 @@ from heatinv.invariants import (alpha_density, alpha_density_tail_sum,
                                 alpha_regime, heat_invariant_binomial,
                                 heat_invariant_operator_sum,
                                 regularization_depth)
-from heatinv.jets import Jet, apply_Vm, apply_Xm, multi_indices, multi_indices_upto
+from heatinv.jets import transport_jets
 from heatinv.numeric import b_from_a, beta_from_alpha, integrate_density
 from heatinv.oracles import (BridgeSampler, TraceGrid,
                              discretized_schrodinger_1d, fit_expansion,
@@ -92,35 +92,19 @@ def test_2_route_equivalence():
     assert ok
 
 
-def _deterministic_jet(dim: int, trunc: int, salt: int) -> Jet:
-    terms = {}
-    for i, alpha in enumerate(multi_indices_upto(dim, 3)):
-        c = ((i + salt) % 7) - 3
-        if c:
-            terms[alpha] = DiffPoly.constant(dim, c)
-    return Jet(dim, trunc, terms)
-
-
-def test_4_operator_families_on_jets():
+def test_4_transport_equals_binomial():
+    """The transport recursion shares no code with h_power_diagonal, which
+    both routes of gate 2 read."""
     bad = []
-    cases = [(1, m) for m in range(MAX_ORDER + 1)] + [(2, m) for m in range(5)]
-    for dim, m in cases:
-        f = _deterministic_jet(dim, 2 * m, salt=dim + m)
-        if apply_Xm(m, f, route="closed") != apply_Xm(m, f, route="recurrence"):
-            bad.append(f"X_{m} dim={dim}")
-        if apply_Vm(m, f, route="closed") != apply_Vm(m, f, route="recurrence"):
-            bad.append(f"V_{m} dim={dim}")
-    for n in (1, 2):
-        for m in range(1, MAX_ORDER + 1):
-            for order in range((m + 1) // 2, (m + 1) // 2 + 2):
-                for mu in multi_indices(n, order):
-                    alpha = tuple(2 * e for e in mu)
-                    f = Jet.monomial(n, max(2 * m, sum(alpha)), alpha)
-                    if not apply_Xm(m, f, prune_diagonal=True).diagonal().is_zero():
-                        bad.append(f"order bound m={m} mu={mu}")
+    cases = ((1, MAX_ORDER), (2, 5), (3, 4))
+    for n, J in cases:
+        u = transport_jets(J, n)
+        for k in range(1, J + 1):
+            if u[k].diagonal() != heat_invariant_binomial(k, n).density:
+                bad.append(f"a_{k} n={n}")
     ok = not bad
-    report(4, "closed form vs recurrence on jets; order-bound vanishing", ok,
-           "; ".join(bad) or f"m<={MAX_ORDER}")
+    report(4, "transport equals binomial", ok,
+           "; ".join(bad) or ", ".join(f"a_j j<={J} n={n}" for n, J in cases))
     assert ok
 
 

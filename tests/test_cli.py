@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from heatinv.cli import MAX_ORDER, MAX_ORDER_HIGHER_DIMS, main
+from heatinv.cli import MAX_ORDER, main
 from heatinv.oracles import BridgeSampler, fk_diagonal
 from heatinv.potentials import parse_potential
 
@@ -36,10 +36,13 @@ class TestLocal:
         assert all(r["routes_agree"] for r in data["rows"])
 
     def test_order_cap(self, capsys):
-        """One order past each dimension's cap is a usage error."""
-        for dim, cap in [*MAX_ORDER.items(), (4, MAX_ORDER_HIGHER_DIMS)]:
+        """One order past each dimension's cap is a usage error, and so is
+        any order in a dimension past the table."""
+        for dim, cap in MAX_ORDER.items():
             assert main(["local", "--dim", str(dim), "--order", str(cap + 1)]) == 2
             assert "exceeds" in capsys.readouterr().err
+        assert main(["local", "--dim", str(max(MAX_ORDER) + 1), "--order", "1"]) == 2
+        assert "outside the supported range" in capsys.readouterr().err
 
 
 class TestAlpha:
@@ -85,6 +88,15 @@ class TestCoeffs:
         capsys.readouterr()
         data = json.loads(target.read_text())
         assert data["rows"][0]["density"] == "-V"
+
+    @pytest.mark.parametrize("box", ["0", "-1", "nan", "inf"])
+    def test_box_must_be_positive_and_finite(self, box, capsys):
+        for argv in (["coeffs"], ["regtrace", "--epsilon", "1/3"]):
+            assert main([*argv, "--dim", "1", "--potential", "exp(-x1^2)",
+                         "--order", "3", "--box", box]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "box half-width" in err
 
 
 class TestRegtrace:

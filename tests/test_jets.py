@@ -1,15 +1,17 @@
-"""Jet arithmetic and the alternating operator families acting on jets."""
+"""Jet arithmetic, the operators H0 and H on jets, and the transport
+recursion of the heat kernel."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatinv.diffpoly import DiffPoly
-from heatinv.jets import (Jet, TruncationError, apply_H, apply_H0, apply_Vm,
-                          apply_Xm, multi_indices, multi_indices_upto,
-                          v_taylor_jet)
+from heatinv.diffpoly import DiffPoly, multi_indices, multi_indices_upto
+from heatinv.invariants import h_power_diagonal, heat_invariant_binomial
+from heatinv.jets import (Jet, TruncationError, apply_H, apply_H0,
+                          transport_jets, v_taylor_jet)
 
 
 def random_jet(dim: int, trunc: int, rng_data) -> Jet:
@@ -32,13 +34,6 @@ class TestJetBasics:
         assert f.terms == {}
         with pytest.raises(TruncationError):
             Jet.monomial(1, 2, (3,))
-
-    def test_distance_power(self):
-        f = Jet.distance_power(2, 2, 4)
-        assert f.terms[(4, 0)] == DiffPoly.constant(2, 1)
-        assert f.terms[(2, 2)] == DiffPoly.constant(2, 2)
-        with pytest.raises(TruncationError):
-            Jet.distance_power(3, 2, 4)
 
     def test_mul_respects_truncation(self):
         z = Jet.monomial(1, 3, (2,))
@@ -76,7 +71,9 @@ class TestOperatorAction:
 
     def test_H_on_distance_square_diagonal(self):
         for n in (1, 2, 3):
-            f = Jet.distance_power(1, n, 2)
+            f = Jet(n, 2)
+            for i in range(n):
+                f = f + Jet.monomial(n, 2, tuple(2 * (k == i) for k in range(n)))
             assert apply_H(f).diagonal() == DiffPoly.constant(n, -2 * n)
 
     def test_H_on_z1(self):
@@ -87,56 +84,84 @@ class TestOperatorAction:
         assert out.terms[(2,)] == DiffPoly.jet_variable(1, (1,))
 
     def test_truncation_guard(self):
-        f = Jet.constant(1, 3, 1)
-        with pytest.raises(TruncationError):
-            apply_Xm(2, f)
+        """A negative truncation order, hence a negative transport order, is
+        refused rather than read as an empty jet."""
+        with pytest.raises(ValueError):
+            Jet(1, -1)
+        with pytest.raises(ValueError):
+            transport_jets(-1, 1)
 
 
-class TestAlternatingFamilies:
-    # dim 2 cases stop at m = 3: jet sizes at truncation 2m grow quickly
-    # with the dimension, and m = 6 in one dimension is covered separately
-    CASES = [(1, m) for m in range(6)] + [(2, m) for m in range(4)]
+def _poly_mul(f: dict, g: dict) -> dict:
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            key = tuple(x + y for x, y in zip(m1, m2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
 
-    @pytest.mark.parametrize("dim,m", CASES)
-    @given(data=st.data())
-    @settings(max_examples=3, deadline=None)
-    def test_Xm_routes_agree(self, dim, m, data):
-        f = random_jet(dim, 2 * m, data)
-        assert apply_Xm(m, f, route="closed") == apply_Xm(m, f, route="recurrence")
 
-    @pytest.mark.parametrize("dim,m", CASES)
-    @given(data=st.data())
-    @settings(max_examples=3, deadline=None)
-    def test_Vm_routes_agree(self, dim, m, data):
-        f = random_jet(dim, 2 * m, data)
-        assert apply_Vm(m, f, route="closed") == apply_Vm(m, f, route="recurrence")
+def linear_potential_jets(J: int, n: int) -> list[Jet]:
+    """u_0..u_J for V(x+z) = V + g.z, read off the exact kernel of
+    -Lap + g.x: sum_k t^k u_k = exp(-t(V + g.z/2) + t^3 |g|^2/12).
 
-    def test_routes_agree_at_m6(self):
-        from heatinv.jets import multi_indices_upto as upto
-        terms = {a: DiffPoly.constant(1, (i % 5) - 2)
-                 for i, a in enumerate(upto(1, 3))}
-        f = Jet(1, 12, {a: c for a, c in terms.items() if c})
-        assert apply_Xm(6, f, route="closed") == apply_Xm(6, f, route="recurrence")
-        assert apply_Vm(6, f, route="closed") == apply_Vm(6, f, route="recurrence")
+    Polynomials in (V, g_1..g_n, z_1..z_n) are {exponent tuple: Fraction}
+    dicts; u_k is the t^k coefficient sum_(a+3b=k) (-A)^a/a! B^b/b!, with
+    V as the jet variable D^0 V and g_i as D^(e_i) V."""
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    zero = (0,) * n
+    minus_a = {(1,) + zero + zero: Fraction(-1)}
+    for e in unit:
+        minus_a[(0,) + e + e] = Fraction(-1, 2)
+    b_term = {(0,) + tuple(2 * x for x in e) + zero: Fraction(1, 12)
+              for e in unit}
+    one = {(0,) * (2 * n + 1): Fraction(1)}
+    powers_a, powers_b = [one], [one]
+    for _ in range(J):
+        powers_a.append(_poly_mul(powers_a[-1], minus_a))
+        powers_b.append(_poly_mul(powers_b[-1], b_term))
+    out = []
+    for k in range(J + 1):
+        coeffs: dict = {}
+        for b in range(k // 3 + 1):
+            a = k - 3 * b
+            weight = Fraction(1, factorial(a) * factorial(b))
+            for key, c in _poly_mul(powers_a[a], powers_b[b]).items():
+                v_power, g_powers, alpha = key[0], key[1:n + 1], key[n + 1:]
+                factors = [zero] * v_power
+                for e, q in zip(unit, g_powers):
+                    factors += [e] * q
+                mono = tuple(sorted(factors, reverse=True))
+                row = coeffs.setdefault(alpha, {})
+                row[mono] = row.get(mono, 0) + weight * c
+        out.append(Jet(n, 2 * (J - k), {alpha: DiffPoly(n, row)
+                                        for alpha, row in coeffs.items()}))
+    return out
 
-    def test_X0_and_V0_are_identity(self):
-        f = Jet.monomial(1, 2, (2,))
-        assert apply_Xm(0, f) == f
-        assert apply_Vm(0, f) == f
 
-    def test_X1_is_multiplication_by_minus_V(self):
-        f = Jet.constant(1, 4, 1)
-        expected = (-v_taylor_jet(1, 4)).prune(4)
-        assert apply_Xm(1, f) == expected
+class TestTransport:
+    @pytest.mark.parametrize("n,J", [(1, 10), (2, 6), (3, 5), (4, 4)])
+    def test_diagonals_equal_the_binomial_route(self, n, J):
+        u = transport_jets(J, n)
+        assert u[0] == Jet.constant(n, 2 * J, 1)
+        for k in range(1, J + 1):
+            assert u[k].trunc == 2 * (J - k)
+            assert u[k].diagonal() == heat_invariant_binomial(k, n).density
 
-    @pytest.mark.parametrize("m", range(1, 7))
-    def test_order_bound_vanishing(self, m):
-        """diag(X_m z^(2 mu)) = 0 when 2 |mu| >= m: the family has operator
-        order at most m - 1."""
-        for n in (1, 2):
-            for mu_order in range((m + 1) // 2, (m + 1) // 2 + 2):
-                for mu in multi_indices(n, mu_order):
-                    alpha = tuple(2 * e for e in mu)
-                    trunc = max(2 * m, sum(alpha))
-                    f = Jet.monomial(n, trunc, alpha, Fraction(1))
-                    assert apply_Xm(m, f, prune_diagonal=True).diagonal().is_zero()
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_linear_potential_closed_form(self, n):
+        """The off-diagonal jets, with every D^nu V of order >= 2 set to
+        zero, are those of the exact kernel of -Lap + g.x."""
+        J = 5
+        expected = linear_potential_jets(J, n)
+        for k, u in enumerate(transport_jets(J, n)):
+            linear = Jet(n, u.trunc, {
+                alpha: DiffPoly(n, {m: q for m, q in c.terms.items()
+                                    if all(sum(nu) <= 1 for nu in m)})
+                for alpha, c in u.terms.items()})
+            assert linear == expected[k]
+
+    def test_reads_no_memoized_diagonal(self):
+        h_power_diagonal.cache_clear()
+        transport_jets(4, 2)
+        assert h_power_diagonal.cache_info().currsize == 0
