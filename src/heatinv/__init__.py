@@ -8,7 +8,7 @@ from .invariants import (InvariantResult, alpha_density,
                          alpha_density_tail_sum, alpha_regime,
                          heat_invariant_binomial, heat_invariant_operator_sum,
                          regularization_depth)
-from .jets import Jet, TruncationError, apply_H, apply_H0, transport_jets
+from .jets import transport_jets
 from .numeric import (CoefficientRow, CoefficientTable, QuadratureConfig,
                       QuadratureError, b_from_a, beta_from_alpha,
                       coefficient_table, evaluate_density, integrate_density,
@@ -31,7 +31,7 @@ __all__ = [
     "InvariantResult", "alpha_density", "alpha_density_tail_sum",
     "alpha_regime", "heat_invariant_binomial", "heat_invariant_operator_sum",
     "regularization_depth",
-    "Jet", "TruncationError", "apply_H", "apply_H0", "transport_jets",
+    "transport_jets",
     "CoefficientRow", "CoefficientTable", "QuadratureConfig",
     "QuadratureError", "b_from_a", "beta_from_alpha", "coefficient_table",
     "evaluate_density", "integrate_density", "spectral_prefactor",

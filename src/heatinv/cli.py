@@ -64,13 +64,17 @@ def _parse_epsilon(text: str) -> Fraction:
     return eps
 
 
+def _check_dim(dim: int):
+    if dim not in MAX_ORDER:
+        raise UsageError(
+            f"dimension {dim} is outside the supported range 1..{max(MAX_ORDER)}")
+
+
 def _check_order(order: int, dim: int):
     if order < 1:
         raise UsageError(f"order must be >= 1, got {order}")
-    cap = MAX_ORDER.get(dim)
-    if cap is None:
-        raise UsageError(
-            f"dimension {dim} is outside the supported range 1..{max(MAX_ORDER)}")
+    _check_dim(dim)
+    cap = MAX_ORDER[dim]
     if order > cap:
         raise UsageError(
             f"order {order} exceeds the supported range 1..{cap} for dimension {dim}")
@@ -208,6 +212,9 @@ def verify_routes(args) -> int:
 
 
 def verify_fk(args) -> int:
+    # a_1..a_4 are computed past the order cap at n = 8 (cap 3), which stays
+    # cheap; only the dimension is checked
+    _check_dim(args.dim)
     potential = parse_potential(args.potential, args.dim)
     sampler = BridgeSampler(seed=args.seed, steps=args.steps,
                             paths=args.paths, dim=args.dim)

@@ -115,18 +115,25 @@ class DiffPoly:
         return cls(dim)
 
     @classmethod
-    def combination(cls, dim: int, pairs) -> "DiffPoly":
-        """Exact linear combination sum q * p over (p, q) pairs, q an int or
-        a Fraction, summed over the pairs' least common denominator into one
+    def combination(cls, dim: int, items) -> "DiffPoly":
+        """Exact linear combination of (p, q) items, each adding q * p, and
+        (p, q, nu) items, each adding q * D^nu V * p; q is an int or a
+        Fraction.  Summed over the items' least common denominator into one
         integer accumulator and built once.  The term order is not part of
         the result: to_text and numeric evaluation read terms sorted."""
-        pairs = list(pairs)
-        den = lcm(*(p._den * q.denominator for p, q in pairs))
+        items = list(items)
+        den = lcm(*(item[0]._den * item[1].denominator for item in items))
         acc: dict[Monomial, int] = {}
-        for p, q in pairs:
+        for item in items:
+            p, q, factor = item[0], item[1], item[2:]
             f = q.numerator * (den // (p._den * q.denominator))
-            for mono, c in p._num.items():
-                acc[mono] = acc.get(mono, 0) + c * f
+            if factor:
+                for mono, c in p._num.items():
+                    key = tuple(sorted(mono + factor, reverse=True))
+                    acc[key] = acc.get(key, 0) + c * f
+            else:
+                for mono, c in p._num.items():
+                    acc[mono] = acc.get(mono, 0) + c * f
         return cls._from_ints(dim, {m: c for m, c in acc.items() if c}, den)
 
     @classmethod

@@ -15,12 +15,12 @@ and for the regularized densities alpha_j:
   * "tail_sum"   - the truncated X_m sum that survives the subtraction.
 
 One memoized diagonal carries the work: h_power_diagonal, the z-constant
-term of H^p z^alpha, a recursion over p.  Each route only lists its terms
-as ((p, alpha), coefficient) items: _binomial_terms expands |z|^(2k) into
+term of H^p z^alpha, a recursion over p whose steps are each one
+DiffPoly.combination.  Each route only lists its terms as
+((p, alpha), coefficient) items: _binomial_terms expands |z|^(2k) into
 z-monomials, and _operator_terms the X_m e^(-tH0) diagonal, with
 (-Lap)^k z^alpha in closed form.  _combine merges equal keys as rationals
-and sums the diagonals once through DiffPoly.combination.  No Jet is built
-here.
+and sums the diagonals once through DiffPoly.combination.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .diffpoly import (DiffPoly, MultiIndex, multi_index_factorial,
                        multi_indices, multi_indices_upto)
@@ -60,6 +60,14 @@ def gaussian_diag_derivative(mu: MultiIndex) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _taylor_weights(dim: int, order: int) -> tuple:
+    """(nu, 1/nu!) for every |nu| <= order: the Taylor coefficients of V,
+    built once per (dim, order) instead of once per diagonal."""
+    return tuple((nu, Fraction(1, multi_index_factorial(nu)))
+                 for nu in multi_indices_upto(dim, order))
+
+
+@lru_cache(maxsize=None)
 def h_power_diagonal(dim: int, p: int, alpha: tuple[int, ...]) -> DiffPoly:
     """Diagonal value (z-constant term) of H^p applied to z^alpha.
 
@@ -80,28 +88,20 @@ def h_power_diagonal(dim: int, p: int, alpha: tuple[int, ...]) -> DiffPoly:
         return DiffPoly.zero(dim)
     if p == 0:
         return DiffPoly.constant(dim, 1)  # degree > 0 was excluded above
-    # (diagonal, integer weight, weight denominator, appended factor) parts,
-    # summed over their least common denominator.  A key that cancels keeps
-    # its place and is dropped only at the end.
-    parts = []
+    # One combination item per term of H z^alpha: the Laplacian lowers an
+    # exponent, and a (sub, 1/nu!, nu) item multiplies sub by D^nu V.
+    items = []
     for i, e in enumerate(alpha):
         if e >= 2:
             lowered = alpha[:i] + (e - 2,) + alpha[i + 1:]
-            parts.append((h_power_diagonal(dim, p - 1, lowered), -e * (e - 1), 1, None))
+            items.append((h_power_diagonal(dim, p - 1, lowered), -e * (e - 1)))
     budget = 2 * (p - 1) - degree
     if budget >= 0:
-        for nu in multi_indices_upto(dim, budget):
+        for nu, weight in _taylor_weights(dim, budget):
             sub = h_power_diagonal(dim, p - 1, tuple(a + b for a, b in zip(alpha, nu)))
             if sub:
-                parts.append((sub, 1, multi_index_factorial(nu), nu))
-    den = lcm(*(sub._den * w_den for sub, _, w_den, _ in parts))
-    acc: dict = {}
-    for sub, w, w_den, nu in parts:
-        f = w * (den // (sub._den * w_den))
-        for mono, c in sub._num.items():
-            key = mono if nu is None else tuple(sorted(mono + (nu,), reverse=True))
-            acc[key] = acc.get(key, 0) + c * f
-    return DiffPoly._from_ints(dim, {m: c for m, c in acc.items() if c}, den)
+                items.append((sub, weight, nu))
+    return DiffPoly.combination(dim, items)
 
 
 def _laplacian_power_monomial(alpha: tuple[int, ...], times: int):

@@ -179,7 +179,7 @@ class TestProcessLevel:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize("flag,value", [("--paths", "0"), ("--paths", "-5"),
-                                            ("--steps", "0")])
+                                            ("--steps", "0"), ("--dim", "9")])
     def test_bad_sampler_size_is_usage_error(self, flag, value):
         code, out, err = run_cli("verify", "fk", flag, value)
         assert (code, out) == (2, "")

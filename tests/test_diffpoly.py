@@ -161,6 +161,21 @@ class TestIntegerRepresentation:
     def test_combination_matches_fraction_dicts(self, pairs):
         _assert_matches(DiffPoly.combination(2, pairs), _ref_combination(pairs))
 
+    @given(st.lists(st.tuples(polys(dim=2), st.fractions(min_value=-3, max_value=3,
+                                                       max_denominator=12),
+                              st.none() | st.tuples(st.integers(0, 3),
+                                                    st.integers(0, 3))),
+                    max_size=5))
+    @settings(max_examples=80)
+    def test_jet_factor_items_match_fraction_dicts(self, triples):
+        """A (p, q, nu) item adds q * D^nu V * p."""
+        items = [(p, q) if nu is None else (p, q, nu) for p, q, nu in triples]
+        expected: dict = {}
+        for p, q, nu in triples:
+            terms = dict(p.terms) if nu is None else _ref_mul(dict(p.terms), {(nu,): 1})
+            _ref_accumulate(expected, _ref_scale(terms, q).items())
+        _assert_matches(DiffPoly.combination(2, items), expected)
+
     def test_equal_hash_across_constructions(self):
         v = DiffPoly.jet_variable(1, (0,))
         unreduced = DiffPoly(1, {((0,),): Fraction(2, 4)})

@@ -1,27 +1,14 @@
-"""Jet arithmetic, the operators H0 and H on jets, and the transport
-recursion of the heat kernel."""
+"""The transport recursion of the heat kernel, and the closed form of
+(-Lap)^k z^alpha that the invariants use."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from heatinv.diffpoly import DiffPoly, multi_indices, multi_indices_upto
 from heatinv.invariants import h_power_diagonal, heat_invariant_binomial
-from heatinv.jets import (Jet, TruncationError, apply_H, apply_H0,
-                          transport_jets, v_taylor_jet)
-
-
-def random_jet(dim: int, trunc: int, rng_data) -> Jet:
-    """Jet with small integer coefficients drawn from hypothesis data."""
-    terms = {}
-    for alpha in multi_indices_upto(dim, min(trunc, 3)):
-        c = rng_data.draw(st.integers(-3, 3))
-        if c:
-            terms[alpha] = DiffPoly.constant(dim, c)
-    return Jet(dim, trunc, terms)
+from heatinv.jets import transport_jets
 
 
 class TestJetBasics:
@@ -29,25 +16,16 @@ class TestJetBasics:
         assert multi_indices(2, 2) == [(0, 2), (1, 1), (2, 0)]
         assert len(multi_indices_upto(3, 2)) == 10
 
-    def test_truncation_drops_high_degrees(self):
-        f = Jet(1, 2, {(3,): DiffPoly.constant(1, 1)})
-        assert f.terms == {}
-        with pytest.raises(TruncationError):
-            Jet.monomial(1, 2, (3,))
 
-    def test_mul_respects_truncation(self):
-        z = Jet.monomial(1, 3, (2,))
-        assert (z * z).terms == {}
-        z1 = Jet.monomial(1, 3, (1,))
-        assert (z1 * z).terms == {(3,): DiffPoly.constant(1, 1)}
-
-    @given(st.data())
-    @settings(max_examples=30)
-    def test_linearity_of_H(self, data):
-        f = random_jet(1, 4, data)
-        g = random_jet(1, 4, data)
-        assert apply_H(f + g) == apply_H(f) + apply_H(g)
-        assert apply_H0(f.scale(3)) == apply_H0(f).scale(3)
+def _minus_laplacian(f: dict) -> dict:
+    """-Laplacian of a polynomial in z held as a {z-index: int} dict."""
+    out: dict = {}
+    for alpha, c in f.items():
+        for i, e in enumerate(alpha):
+            if e >= 2:
+                key = alpha[:i] + (e - 2,) + alpha[i + 1:]
+                out[key] = out.get(key, 0) - e * (e - 1) * c
+    return {beta: c for beta, c in out.items() if c}
 
 
 class TestLaplacianPowerClosedForm:
@@ -55,39 +33,18 @@ class TestLaplacianPowerClosedForm:
         ((6,), 2), ((4, 2), 2), ((4, 2), 3), ((2, 3, 4), 2), ((4, 2, 2), 4)])
     def test_matches_repeated_jet_laplacian(self, alpha, times):
         """The multinomial closed form of (-Lap)^k z^alpha used by the
-        invariants equals k applications of H0 to the monomial jet."""
+        invariants equals k applications of -Lap to the monomial."""
         from heatinv.invariants import _laplacian_power_monomial
-        f = Jet.monomial(len(alpha), sum(alpha), alpha)
+        f = {alpha: 1}
         for _ in range(times):
-            f = apply_H0(f)
-        expected = {beta: c.terms[()] for beta, c in f.terms.items()}
-        assert dict(_laplacian_power_monomial(alpha, times)) == expected
+            f = _minus_laplacian(f)
+        assert dict(_laplacian_power_monomial(alpha, times)) == f
 
 
 class TestOperatorAction:
-    def test_H_on_constant_is_potential_jet(self):
-        one = Jet.constant(1, 4, 1)
-        assert apply_H(one) == v_taylor_jet(1, 4)
-
-    def test_H_on_distance_square_diagonal(self):
-        for n in (1, 2, 3):
-            f = Jet(n, 2)
-            for i in range(n):
-                f = f + Jet.monomial(n, 2, tuple(2 * (k == i) for k in range(n)))
-            assert apply_H(f).diagonal() == DiffPoly.constant(n, -2 * n)
-
-    def test_H_on_z1(self):
-        f = Jet.monomial(1, 2, (1,))
-        out = apply_H(f)
-        # V(y) z = (V + V' z + ...) z ; no Laplacian contribution
-        assert out.terms[(1,)] == DiffPoly.jet_variable(1, (0,))
-        assert out.terms[(2,)] == DiffPoly.jet_variable(1, (1,))
-
     def test_truncation_guard(self):
-        """A negative truncation order, hence a negative transport order, is
-        refused rather than read as an empty jet."""
-        with pytest.raises(ValueError):
-            Jet(1, -1)
+        """A negative transport order is refused rather than read as an
+        empty expansion."""
         with pytest.raises(ValueError):
             transport_jets(-1, 1)
 
@@ -101,7 +58,7 @@ def _poly_mul(f: dict, g: dict) -> dict:
     return out
 
 
-def linear_potential_jets(J: int, n: int) -> list[Jet]:
+def linear_potential_jets(J: int, n: int) -> list[dict]:
     """u_0..u_J for V(x+z) = V + g.z, read off the exact kernel of
     -Lap + g.x: sum_k t^k u_k = exp(-t(V + g.z/2) + t^3 |g|^2/12).
 
@@ -134,8 +91,8 @@ def linear_potential_jets(J: int, n: int) -> list[Jet]:
                 mono = tuple(sorted(factors, reverse=True))
                 row = coeffs.setdefault(alpha, {})
                 row[mono] = row.get(mono, 0) + weight * c
-        out.append(Jet(n, 2 * (J - k), {alpha: DiffPoly(n, row)
-                                        for alpha, row in coeffs.items()}))
+        out.append({alpha: DiffPoly(n, row) for alpha, row in coeffs.items()
+                    if sum(alpha) <= 2 * (J - k)})
     return out
 
 
@@ -143,23 +100,32 @@ class TestTransport:
     @pytest.mark.parametrize("n,J", [(1, 10), (2, 6), (3, 5), (4, 4)])
     def test_diagonals_equal_the_binomial_route(self, n, J):
         u = transport_jets(J, n)
-        assert u[0] == Jet.constant(n, 2 * J, 1)
+        zero = (0,) * n
+        assert u[0] == {zero: DiffPoly.constant(n, 1)}
         for k in range(1, J + 1):
-            assert u[k].trunc == 2 * (J - k)
-            assert u[k].diagonal() == heat_invariant_binomial(k, n).density
+            assert all(sum(b) <= 2 * (J - k) for b in u[k])
+            assert u[k].get(zero, DiffPoly.zero(n)) == heat_invariant_binomial(k, n).density
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n,J", [(1, 6), (2, 5), (3, 4)])
+    def test_first_order_is_minus_the_averaged_potential(self, n, J):
+        """u_1(x, x+z) = -int_0^1 V(x+sz) ds, so its z^alpha coefficient
+        is -D^alpha V / (alpha! (|alpha|+1)), derivatives of every order."""
+        expected = {alpha: DiffPoly.jet_variable(n, alpha, Fraction(
+                        -1, prod(map(factorial, alpha)) * (sum(alpha) + 1)))
+                    for alpha in multi_indices_upto(n, 2 * (J - 1))}
+        assert transport_jets(J, n)[1] == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_linear_potential_closed_form(self, n):
         """The off-diagonal jets, with every D^nu V of order >= 2 set to
         zero, are those of the exact kernel of -Lap + g.x."""
         J = 5
         expected = linear_potential_jets(J, n)
         for k, u in enumerate(transport_jets(J, n)):
-            linear = Jet(n, u.trunc, {
-                alpha: DiffPoly(n, {m: q for m, q in c.terms.items()
-                                    if all(sum(nu) <= 1 for nu in m)})
-                for alpha, c in u.terms.items()})
-            assert linear == expected[k]
+            linear = {alpha: DiffPoly(n, {m: q for m, q in c.terms.items()
+                                          if all(sum(nu) <= 1 for nu in m)})
+                      for alpha, c in u.items()}
+            assert {a: c for a, c in linear.items() if c} == expected[k]
 
     def test_reads_no_memoized_diagonal(self):
         h_power_diagonal.cache_clear()
