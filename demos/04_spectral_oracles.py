@@ -38,7 +38,7 @@ print()
 print("Relative heat trace vs integrated invariants")
 print("--------------------------------------------")
 ts = np.geomspace(0.02, 0.2, 12)
-traces = relative_heat_trace_1d(potential, ts, TraceGrid())  # one eigensolve for all t
+traces = relative_heat_trace_1d(potential, ts, TraceGrid())  # one resolvent sweep for all t
 samples = list(zip(ts.tolist(), traces.tolist()))
 fit = fit_expansion(samples, 1, 4)
 for j in (1, 2):

@@ -237,6 +237,8 @@ def verify_fk(args) -> int:
 
 
 def verify_trace(args) -> int:
+    if args.dim != 1:
+        raise UsageError(f"verify trace is one-dimensional, got --dim {args.dim}")
     potential = parse_potential(args.potential, 1)
     ts = np.geomspace(0.02, 0.2, 12)
     traces = relative_heat_trace_1d(potential, ts, TraceGrid())

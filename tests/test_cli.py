@@ -185,9 +185,23 @@ class TestProcessLevel:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("dim", ["0", "2", "3"])
+    def test_trace_suite_rejects_other_dims(self, dim):
+        code, out, err = run_cli("verify", "trace", "--dim", dim)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
     def test_taylor_suite_imports_no_scipy(self):
         code = ("import sys; from heatinv.cli import main; "
                 "main(['verify', 'taylor', '--matrix-dim', '6', '--order', '1']); "
+                "print('scipy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_trace_suite_imports_no_scipy(self):
+        code = ("import sys; from heatinv.cli import main; "
+                "main(['verify', 'trace']); "
                 "print('scipy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True)

@@ -6,12 +6,12 @@ import os
 import numpy as np
 import pytest
 
-from heatinv.oracles import (BridgeSampler, TraceGrid, _expm,
+from heatinv.oracles import (BridgeSampler, TraceGrid, _contour_nodes, _expm,
                              discretized_schrodinger_1d, fit_expansion,
                              fk_diagonal, matrix_operator_family,
                              nc_taylor_matrix_check, relative_heat_trace_1d,
                              taylor_family, taylor_remainder)
-from heatinv.potentials import parse_potential
+from heatinv.potentials import evaluate_array, parse_potential
 
 GAUSSIAN = parse_potential("exp(-x1^2)", 1)
 
@@ -151,6 +151,35 @@ class TestRelativeTrace:
             relative_heat_trace_1d(GAUSSIAN, np.array([0.1, -0.1]))
         with pytest.raises(ValueError):
             relative_heat_trace_1d(parse_potential("x1 + x2", 2), 0.1)
+
+
+class TestTraceContour:
+    def test_contour_rule_matches_exponential(self):
+        x = np.concatenate([[0.0], np.geomspace(1e-8, 1e7, 2000)])
+        z, c = _contour_nodes()
+        rule = 2 * np.sum(c / (z + x[:, None]), axis=1).real
+        assert np.max(np.abs(rule - np.exp(-x))) <= 1e-13
+
+    @pytest.mark.parametrize("text", ["exp(-x1^2)", "2*sin(x1)*exp(-x1^2)",
+                                      "powr(1+x1^2,-1,1)", "-50*exp(-x1^2)"])
+    def test_matches_eigensolve_reference(self, text):
+        """The CLI's 12 times against the exact eigenvalues of the same
+        discretization; -50*exp(-x1^2) has bound states."""
+        from scipy.linalg import eigh_tridiagonal
+        potential = parse_potential(text, 1)
+        grid = TraceGrid()
+        x = np.linspace(-grid.half_width, grid.half_width, grid.points + 2)[1:-1]
+        h = x[1] - x[0]
+        free = np.full(grid.points, 2.0 / h ** 2)
+        off = np.full(grid.points - 1, -1.0 / h ** 2)
+        lam = eigh_tridiagonal(free + evaluate_array(potential, [x]), off,
+                               eigvals_only=True)
+        lam0 = eigh_tridiagonal(free, off, eigvals_only=True)
+        ts = np.geomspace(0.02, 0.2, 12)
+        ref = np.sum(np.exp(-ts[:, None] * lam) - np.exp(-ts[:, None] * lam0),
+                     axis=1)
+        got = relative_heat_trace_1d(potential, ts, grid)
+        assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
 
 
 class TestFitExpansion:
