@@ -167,6 +167,99 @@ class TestVerify:
         assert check["tolerance"] == pytest.approx(3 * stderr + t4_term, rel=1e-12)
 
 
+# The csv and text bytes of one command of each report kind.  A `{...}`
+# field is a float that the last digits of the platform's arithmetic
+# decide; it is filled from the same command's JSON report, so the
+# floats' formatting stays pinned while their values come from the run.
+REPORT_BYTES = [
+    (("local", "--dim", "1", "--order", "2"), "csv",
+     'j,density,routes_agree\n'
+     '1,"-V",True\n'
+     '2,"1/2*V^2 - 1/6*D[2]V",True\n'),
+    (("local", "--dim", "1", "--order", "2"), "text",
+     "a_1: -V\n"
+     "a_2: 1/2*V^2 - 1/6*D[2]V\n"),
+    (("alpha", "--dim", "1", "--epsilon", "1/3", "--order", "3"), "csv",
+     'j,regime,density\n'
+     '1,zero,"0"\n'
+     '2,zero,"0"\n'
+     '3,middle,"-1/4*D[1]V^2 - 1/3*D[2]V*V + 3/20*D[4]V"\n'),
+    (("alpha", "--dim", "1", "--epsilon", "1/3", "--order", "3"), "text",
+     "N = 3\n"
+     "alpha_1 [zero]: 0\n"
+     "alpha_2 [zero]: 0\n"
+     "alpha_3 [middle]: -1/4*D[1]V^2 - 1/3*D[2]V*V + 3/20*D[4]V\n"),
+    (("coeffs", "--dim", "1", "--potential", "exp(-x1^2)", "--order", "2"), "csv",
+     'j,value,b_or_beta,err,route,density\n'
+     '1,{rows[0][value]},{rows[0][b_or_beta]},{rows[0][err]},binomial,"-V"\n'
+     '2,{rows[1][value]},{rows[1][b_or_beta]},{rows[1][err]},binomial,'
+     '"1/2*V^2 - 1/6*D[2]V"\n'),
+    (("coeffs", "--dim", "1", "--potential", "exp(-x1^2)", "--order", "2"), "text",
+     "j  value        b_or_beta     err       route     density            \n"
+     "1  {rows[0][value]:.9g}  {rows[0][b_or_beta]:.9g}   {rows[0][err]:.3g}"
+     "  binomial  -V                 \n"
+     "2  {rows[1][value]:.9g}  {rows[1][b_or_beta]:.9g}  {rows[1][err]:.3g} "
+     "  binomial  1/2*V^2 - 1/6*D[2]V\n"),
+    (("regtrace", "--dim", "1", "--epsilon", "1/3", "--potential",
+      "powr(1+x1^2,-1,6)", "--order", "3", "--box", "2000"), "csv",
+     'j,value,b_or_beta,err,route,density\n'
+     '1,0.0,-0.0,0.0,subtracted,"0"\n'
+     '2,0.0,0.0,0.0,subtracted,"0"\n'
+     '3,{rows[2][value]},{rows[2][b_or_beta]},{rows[2][err]},subtracted,'
+     '"-1/4*D[1]V^2 - 1/3*D[2]V*V + 3/20*D[4]V"\n'),
+    (("regtrace", "--dim", "1", "--epsilon", "1/3", "--potential",
+      "powr(1+x1^2,-1,6)", "--order", "3", "--box", "2000"), "text",
+     "j  value          b_or_beta      err       route       density"
+     "                                \n"
+     "1  0              -0             0         subtracted  0"
+     "                                      \n"
+     "2  0              0              0         subtracted  0"
+     "                                      \n"
+     "3  {rows[2][value]:.9g}  {rows[2][b_or_beta]:.9g}  {rows[2][err]:.3g}"
+     "  subtracted  -1/4*D[1]V^2 - 1/3*D[2]V*V + 3/20*D[4]V\n"),
+    (("verify", "routes", "--dim", "1", "--order", "3", "--epsilon", "1/3"), "csv",
+     "name,target,observed,tolerance,pass\n"
+     "density_routes_j1_n1,equal,equal,exact,True\n"
+     "density_routes_j2_n1,equal,equal,exact,True\n"
+     "density_routes_j3_n1,equal,equal,exact,True\n"
+     "alpha_routes_j3_n1_eps1/3,equal,equal,exact,True\n"),
+    (("verify", "routes", "--dim", "1", "--order", "3", "--epsilon", "1/3"), "text",
+     "[PASS] density_routes_j1_n1: observed=equal target=equal tol=exact\n"
+     "[PASS] density_routes_j2_n1: observed=equal target=equal tol=exact\n"
+     "[PASS] density_routes_j3_n1: observed=equal target=equal tol=exact\n"
+     "[PASS] alpha_routes_j3_n1_eps1/3: observed=equal target=equal tol=exact\n"),
+    (("verify", "taylor", "--order", "1"), "csv",
+     "name,target,observed,tolerance,pass\n"
+     "taylor_slope_N1_seed0,[1.8, 2.3],{checks[0][observed]},slope window,True\n"
+     "taylor_slope_N1_seed1,[1.8, 2.3],{checks[1][observed]},slope window,True\n"
+     "taylor_slope_N1_seed2,[1.8, 2.3],{checks[2][observed]},slope window,True\n"
+     "taylor_family_equals_operator_family_m0,0.0,0.0,1e-12,True\n"
+     "taylor_family_equals_operator_family_m1,0.0,0.0,1e-12,True\n"),
+    (("verify", "taylor", "--order", "1"), "text",
+     "[PASS] taylor_slope_N1_seed0: observed={checks[0][observed]}"
+     " target=[1.8, 2.3] tol=slope window\n"
+     "[PASS] taylor_slope_N1_seed1: observed={checks[1][observed]}"
+     " target=[1.8, 2.3] tol=slope window\n"
+     "[PASS] taylor_slope_N1_seed2: observed={checks[2][observed]}"
+     " target=[1.8, 2.3] tol=slope window\n"
+     "[PASS] taylor_family_equals_operator_family_m0:"
+     " observed=0.0 target=0.0 tol=1e-12\n"
+     "[PASS] taylor_family_equals_operator_family_m1:"
+     " observed=0.0 target=0.0 tol=1e-12\n"),
+]
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize(
+        "argv,fmt,template", REPORT_BYTES,
+        ids=[f"{a[1] if a[0] == 'verify' else a[0]}-{f}" for a, f, _ in REPORT_BYTES])
+    def test_report_bytes(self, argv, fmt, template, capsys):
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--format", fmt]) == 0
+        assert capsys.readouterr().out == template.format(**payload)
+
+
 class TestProcessLevel:
     def test_usage_error_exit_code(self):
         code, _, _ = run_cli("local", "--dim", "1")
