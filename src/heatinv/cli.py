@@ -7,6 +7,9 @@ Subcommands:
   regtrace  numeric alpha_j and trace-distribution beta_j
   verify    numerical verification suites (routes | fk | trace | taylor)
 
+Each command and suite takes only the options it reads; any other argument
+is a usage error.  A report's CSV is built from the rows of its JSON.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
 failure.  The decay rate epsilon is accepted only as an exact rational
 string such as "1/3", so the subtraction depth N = floor(n/epsilon) is
@@ -27,8 +30,8 @@ from . import __version__
 from .invariants import (alpha_density, alpha_density_tail_sum, alpha_regime,
                          heat_invariant_binomial, heat_invariant_operator_sum,
                          regularization_depth)
-from .numeric import (QuadratureConfig, QuadratureError, coefficient_table,
-                      evaluate_density, integrate_density)
+from .numeric import (CoefficientTable, QuadratureConfig, QuadratureError,
+                      coefficient_table, evaluate_density, integrate_density)
 from .oracles import (BridgeSampler, TraceGrid, discretized_schrodinger_1d,
                       fit_expansion, fk_diagonal, nc_taylor_matrix_check,
                       relative_heat_trace_1d,
@@ -80,18 +83,32 @@ def _check_order(order: int, dim: int):
             f"order {order} exceeds the supported range 1..{cap} for dimension {dim}")
 
 
-def _emit(args, payload: dict, csv: str, text: str):
+def _csv_field(column: str, value) -> str:
+    text = "" if value is None else str(value)
+    return f'"{text}"' if column == "density" or "," in text else text
+
+
+def _emit(args, payload: dict, rows: list[dict], columns: tuple[str, ...],
+          text: str):
+    """Write one report as the JSON payload, as the CSV of `rows` (which the
+    payload holds), or as `text`.  The CSV always quotes `density`, and any
+    other field that holds a comma."""
     if args.format == "json":
         out = json.dumps(payload, indent=2)
     elif args.format == "csv":
-        out = csv
+        out = "\n".join([",".join(columns)]
+                        + [",".join(_csv_field(c, row[c]) for c in columns)
+                           for row in rows])
     else:
         out = text
-    if args.output:
+    if not args.output:
+        print(out)
+        return
+    try:
         with open(args.output, "w") as fh:
             fh.write(out + "\n")
-    else:
-        print(out)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +127,11 @@ def cmd_local(args) -> int:
             "density": binomial_route.density.to_text(),
             "routes_agree": binomial_route.density == operator_route.density,
         })
-    csv = "\n".join(["j,density,routes_agree"]
-                    + [f'{r["j"]},"{r["density"]}",{r["routes_agree"]}' for r in rows])
     text = "\n".join(f'a_{r["j"]}: {r["density"]}'
                      + ("" if r["routes_agree"] else "   [ROUTE MISMATCH]")
                      for r in rows)
-    _emit(args, {"dim": args.dim, "rows": rows}, csv, text)
+    _emit(args, {"dim": args.dim, "rows": rows}, rows,
+          ("j", "density", "routes_agree"), text)
     return EXIT_OK if all(r["routes_agree"] for r in rows) else EXIT_VERIFY_FAIL
 
 
@@ -128,12 +144,10 @@ def cmd_alpha(args) -> int:
         inv = alpha_density(j, args.dim, eps)
         rows.append({"j": j, "regime": alpha_regime(j, args.dim, eps),
                      "density": inv.density.to_text()})
-    csv = "\n".join(["j,regime,density"]
-                    + [f'{r["j"]},{r["regime"]},"{r["density"]}"' for r in rows])
     text = "\n".join([f"N = {depth}"]
                      + [f'alpha_{r["j"]} [{r["regime"]}]: {r["density"]}' for r in rows])
     _emit(args, {"dim": args.dim, "epsilon": str(eps), "N": depth,
-                 "rows": rows}, csv, text)
+                 "rows": rows}, rows, ("j", "regime", "density"), text)
     return EXIT_OK
 
 
@@ -147,7 +161,8 @@ def _emit_table(args, invariants, potential) -> int:
     if args.box is not None:
         config.half_width = args.box
     table = coefficient_table(invariants, potential, args.dim, config)
-    _emit(args, table.to_json_dict(), table.to_csv(), table.to_text())
+    payload = table.to_json_dict()
+    _emit(args, payload, payload["rows"], CoefficientTable.COLUMNS, table.to_text())
     return EXIT_OK
 
 
@@ -175,16 +190,12 @@ def cmd_regtrace(args) -> int:
 
 def _report(args, checks: list[dict]) -> int:
     ok = all(c["pass"] for c in checks)
-    payload = {"suite": args.suite, "pass": ok, "checks": checks}
-    csv = "\n".join(
-        ["name,target,observed,tolerance,pass"]
-        + [f'{c["name"]},{c.get("target", "")},{c.get("observed", "")},'
-           f'{c.get("tolerance", "")},{c["pass"]}' for c in checks])
     text = "\n".join(
         f'[{"PASS" if c["pass"] else "FAIL"}] {c["name"]}: '
         f'observed={c.get("observed")} target={c.get("target")} '
         f'tol={c.get("tolerance")}' for c in checks)
-    _emit(args, payload, csv, text)
+    _emit(args, {"suite": args.suite, "pass": ok, "checks": checks}, checks,
+          ("name", "target", "observed", "tolerance", "pass"), text)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
@@ -237,8 +248,6 @@ def verify_fk(args) -> int:
 
 
 def verify_trace(args) -> int:
-    if args.dim != 1:
-        raise UsageError(f"verify trace is one-dimensional, got --dim {args.dim}")
     potential = parse_potential(args.potential, 1)
     ts = np.geomspace(0.02, 0.2, 12)
     traces = relative_heat_trace_1d(potential, ts, TraceGrid())
@@ -295,70 +304,72 @@ def build_parser() -> argparse.ArgumentParser:
         description="Heat invariants and regularized-trace coefficients of"
                     " -Laplacian + V, exactly and numerically.")
     parser.add_argument("--version", action="version", version=__version__)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("json", "csv", "text"),
+                        default="text")
+    report.add_argument("--output", help="write output to a file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default="text")
-        p.add_argument("--output", help="write output to a file instead of stdout")
-
-    p = sub.add_parser("local", help="symbolic heat-invariant densities")
+    p = sub.add_parser("local", parents=[report],
+                       help="symbolic heat-invariant densities")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--order", type=int, required=True, help=ORDER_HELP)
-    common(p)
     p.set_defaults(func=cmd_local)
 
-    p = sub.add_parser("alpha", help="regularized-trace densities")
+    p = sub.add_parser("alpha", parents=[report], help="regularized-trace densities")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--epsilon", required=True,
                    help='decay rate as an exact rational, e.g. "1/3"')
     p.add_argument("--order", type=int, required=True, help=ORDER_HELP)
-    common(p)
     p.set_defaults(func=cmd_alpha)
 
-    p = sub.add_parser("coeffs", help="numeric heat invariants and b_j")
+    p = sub.add_parser("coeffs", parents=[report],
+                       help="numeric heat invariants and b_j")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--potential", required=True, help=POTENTIAL_HELP)
     p.add_argument("--order", type=int, required=True, help=ORDER_HELP)
     p.add_argument("--box", type=float, help="quadrature box half-width")
-    common(p)
     p.set_defaults(func=cmd_coeffs)
 
-    p = sub.add_parser("regtrace", help="numeric alpha_j and beta_j")
+    p = sub.add_parser("regtrace", parents=[report], help="numeric alpha_j and beta_j")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--epsilon", required=True)
     p.add_argument("--potential", required=True, help=POTENTIAL_HELP)
     p.add_argument("--order", type=int, required=True, help=ORDER_HELP)
     p.add_argument("--box", type=float)
-    common(p)
     p.set_defaults(func=cmd_regtrace)
 
-    p = sub.add_parser("verify", help="numerical verification suites")
-    p.add_argument("suite", choices=("routes", "fk", "trace", "taylor"))
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--epsilon")
-    p.add_argument("--potential", default="exp(-x1^2)", help=POTENTIAL_HELP)
-    p.add_argument("--t", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--paths", type=int, default=100_000)
-    p.add_argument("--steps", type=int, default=256)
-    p.add_argument("--matrix-dim", type=int, default=6)
-    common(p)
-    p.set_defaults(func=None)
+    verify = sub.add_parser("verify", help="numerical verification suites")
+    suites = verify.add_subparsers(dest="suite", required=True)
+    options = {
+        "--dim": dict(type=int, default=1),
+        "--order": dict(type=int, default=3),
+        "--epsilon": dict(),
+        "--potential": dict(default="exp(-x1^2)", help=POTENTIAL_HELP),
+        "--t": dict(type=float, default=0.05),
+        "--seed": dict(type=int, default=0),
+        "--paths": dict(type=int, default=100_000),
+        "--steps": dict(type=int, default=256),
+        "--matrix-dim": dict(type=int, default=6),
+    }
+    for name, func, flags in (
+            ("routes", verify_routes, ("--dim", "--order", "--epsilon")),
+            ("fk", verify_fk, ("--dim", "--potential", "--t", "--seed",
+                               "--paths", "--steps")),
+            ("trace", verify_trace, ("--potential",)),
+            ("taylor", verify_taylor, ("--order", "--seed", "--matrix-dim"))):
+        p = suites.add_parser(name, parents=[report])
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        p.set_defaults(func=func)
     return parser
 
 
-_VERIFY = {"routes": verify_routes, "fk": verify_fk, "trace": verify_trace,
-           "taylor": verify_taylor}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        args.func = _VERIFY[args.suite]
+    args, unread = build_parser().parse_known_args(argv)
     try:
+        if unread:
+            raise UsageError(f"unrecognized arguments: {' '.join(unread)}")
         return args.func(args)
     except (QuadratureError, PotentialEvalError, ArithmeticError) as exc:
         # before ValueError, which PotentialEvalError subclasses

@@ -1,6 +1,7 @@
 """Numeric pipeline: evaluate symbolic densities for a concrete potential,
-integrate them over R^n, and convert integrated invariants into scattering
-phase / trace-distribution coefficients.
+integrate them over the truncated box [-L, L]^n (not over R^n), and convert
+integrated invariants into scattering phase / trace-distribution
+coefficients.
 
 All exact Gamma and (4 pi)^(-n/2) factors are combined in HalfIntScalar
 before any float conversion; floats only enter through quadrature and the
@@ -9,7 +10,6 @@ final multiplication.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -268,6 +268,8 @@ class CoefficientTable:
     rows: list[CoefficientRow] = field(default_factory=list)
     epsilon: Fraction | None = None
 
+    COLUMNS = ("j", "value", "b_or_beta", "err", "route", "density")
+
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
@@ -279,27 +281,16 @@ class CoefficientTable:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
     def to_text(self) -> str:
-        headers = ["j", "value", "b_or_beta", "err", "route", "density"]
         cells = [[str(r.j), f"{r.value:.9g}",
                   "absent" if r.b_or_beta is None else f"{r.b_or_beta:.9g}",
                   f"{r.err:.3g}", r.route, r.density_text]
                  for r in self.rows]
         widths = [max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
-                  for i, h in enumerate(headers)]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
+                  for i, h in enumerate(self.COLUMNS)]
+        lines = ["  ".join(h.ljust(w) for h, w in zip(self.COLUMNS, widths))]
         for c in cells:
             lines.append("  ".join(v.ljust(w) for v, w in zip(c, widths)))
-        return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        lines = ["j,value,b_or_beta,err,route,density"]
-        for r in self.rows:
-            b = "" if r.b_or_beta is None else repr(r.b_or_beta)
-            lines.append(f'{r.j},{r.value!r},{b},{r.err!r},{r.route},"{r.density_text}"')
         return "\n".join(lines)
 
 

@@ -14,6 +14,7 @@ Everything is deterministic given the configured seeds.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,13 +22,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import PotentialExpr, evaluate_array
-from .util import worker_count
 
 # ---------------------------------------------------------------------------
 # Feynman-Kac Monte Carlo
 # ---------------------------------------------------------------------------
 
 _CHUNK = 4096  # paths per block; fixed so results do not depend on memory
+
+
+def worker_count() -> int:
+    """Worker cap for parallel sections, from the HEATINV_THREADS environment
+    variable (default 1, i.e. serial).  Results never depend on this value;
+    work is partitioned by fixed-size chunk before any parallel dispatch."""
+    raw = os.environ.get("HEATINV_THREADS", "1")
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"HEATINV_THREADS must be an integer, got {raw!r}") from exc
+    return max(1, min(value, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -103,8 +115,8 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
     with the path integral by the trapezoid rule along each bridge.
     Returns (estimate, standard error).
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     n = sampler.dim
     if len(x) != n or potential.dim != n:
         raise ValueError("dimension mismatch between potential, point, sampler")

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: output formats, determinism, exit codes."""
 
+import csv
+import io
 import json
 import math
 import subprocess
@@ -7,7 +9,7 @@ import sys
 
 import pytest
 
-from heatinv.cli import MAX_ORDER, main
+from heatinv.cli import MAX_ORDER, build_parser, main
 from heatinv.oracles import BridgeSampler, fk_diagonal
 from heatinv.potentials import parse_potential
 
@@ -74,6 +76,26 @@ class TestCoeffs:
         data = json.loads(capsys.readouterr().out)
         assert data["rows"][0]["value"] == pytest.approx(-1.7724538509, abs=1e-6)
         assert data["rows"][1]["value"] == pytest.approx(0.6266570687, abs=1e-6)
+
+    def test_json_round_trip(self, capsys):
+        assert main(["coeffs", "--dim", "1", "--potential", "exp(-x1^2)",
+                     "--order", "2", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["dim"] == 1
+        assert data["epsilon"] is None
+        assert [r["j"] for r in data["rows"]] == [1, 2]
+        assert data["rows"][0]["density"] == "-V"
+
+    def test_csv_and_text(self, capsys):
+        argv = ["coeffs", "--dim", "1", "--potential", "exp(-x1^2)", "--order", "2"]
+        assert main([*argv, "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "j,value,b_or_beta,err,route,density"
+        assert len(lines) == 3
+        assert main([*argv, "--format", "text"]) == 0
+        text = capsys.readouterr().out
+        assert "density" in text.splitlines()[0]
+        assert "-V" in text
 
     def test_bad_potential_is_usage_error(self, capsys):
         assert main(["coeffs", "--dim", "1", "--potential", "x1 ^ (1/2)",
@@ -230,9 +252,9 @@ REPORT_BYTES = [
      "[PASS] alpha_routes_j3_n1_eps1/3: observed=equal target=equal tol=exact\n"),
     (("verify", "taylor", "--order", "1"), "csv",
      "name,target,observed,tolerance,pass\n"
-     "taylor_slope_N1_seed0,[1.8, 2.3],{checks[0][observed]},slope window,True\n"
-     "taylor_slope_N1_seed1,[1.8, 2.3],{checks[1][observed]},slope window,True\n"
-     "taylor_slope_N1_seed2,[1.8, 2.3],{checks[2][observed]},slope window,True\n"
+     "taylor_slope_N1_seed0,\"[1.8, 2.3]\",{checks[0][observed]},slope window,True\n"
+     "taylor_slope_N1_seed1,\"[1.8, 2.3]\",{checks[1][observed]},slope window,True\n"
+     "taylor_slope_N1_seed2,\"[1.8, 2.3]\",{checks[2][observed]},slope window,True\n"
      "taylor_family_equals_operator_family_m0,0.0,0.0,1e-12,True\n"
      "taylor_family_equals_operator_family_m1,0.0,0.0,1e-12,True\n"),
     (("verify", "taylor", "--order", "1"), "text",
@@ -260,6 +282,70 @@ class TestReportBytes:
         assert capsys.readouterr().out == template.format(**payload)
 
 
+# every command, with at least one density that holds commas and one empty
+# field (the absent beta_j of an even dimension)
+CSV_COMMANDS = [
+    ("local", "--dim", "2", "--order", "2"),
+    ("alpha", "--dim", "2", "--epsilon", "1/2", "--order", "3"),
+    ("coeffs", "--dim", "2", "--potential", "exp(-x1^2-x2^2)", "--order", "2",
+     "--box", "6"),
+    ("regtrace", "--dim", "2", "--epsilon", "1", "--potential",
+     "exp(-x1^2-x2^2)", "--order", "2", "--box", "6"),
+    ("verify", "routes", "--dim", "2", "--order", "3", "--epsilon", "1/2"),
+    ("verify", "fk", "--paths", "5000"),
+    ("verify", "trace"),
+    ("verify", "taylor", "--order", "1"),
+]
+
+
+class TestCsv:
+    @pytest.mark.parametrize("argv", CSV_COMMANDS, ids=" ".join)
+    def test_csv_parses_into_the_json_rows(self, argv, capsys):
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--format", "csv"]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert rows and all(len(row) == len(header) for row in rows)
+        expected = payload["checks" if argv[0] == "verify" else "rows"]
+        assert rows == [["" if r[c] is None else str(r[c]) for c in header]
+                        for r in expected]
+
+
+# the options each verify suite reads, with a value for each
+SUITE_OPTIONS = {
+    "routes": ("--dim", "--order", "--epsilon"),
+    "fk": ("--dim", "--potential", "--t", "--seed", "--paths", "--steps"),
+    "trace": ("--potential",),
+    "taylor": ("--order", "--seed", "--matrix-dim"),
+}
+OPTION_VALUES = {"--dim": "2", "--order": "2", "--epsilon": "1/2",
+                 "--potential": "x1", "--t": "9.5", "--seed": "4", "--paths": "3",
+                 "--steps": "8", "--matrix-dim": "4"}
+UNREAD = [("verify", suite, flag, value)
+          for suite, reads in SUITE_OPTIONS.items()
+          for flag, value in OPTION_VALUES.items() if flag not in reads]
+
+
+class TestOptions:
+    @pytest.mark.parametrize("suite", SUITE_OPTIONS)
+    def test_suite_reads_its_options(self, suite):
+        argv = [x for flag in SUITE_OPTIONS[suite] for x in (flag, OPTION_VALUES[flag])]
+        args, unread = build_parser().parse_known_args(["verify", suite, *argv])
+        assert unread == []
+        for flag in SUITE_OPTIONS[suite]:
+            assert str(getattr(args, flag[2:].replace("-", "_"))) == OPTION_VALUES[flag]
+
+    @pytest.mark.parametrize("argv", UNREAD + [
+        ("local", "--dim", "1", "--order", "1", "--foo"),
+        ("coeffs", "--dim", "1", "--potential", "x1", "--order", "1", "--epsilon", "1"),
+    ], ids=" ".join)
+    def test_unread_option_is_usage_error(self, argv, capsys):
+        assert main(list(argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+
+
 class TestProcessLevel:
     def test_usage_error_exit_code(self):
         code, _, _ = run_cli("local", "--dim", "1")
@@ -272,7 +358,8 @@ class TestProcessLevel:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize("flag,value", [("--paths", "0"), ("--paths", "-5"),
-                                            ("--steps", "0"), ("--dim", "9")])
+                                            ("--steps", "0"), ("--dim", "9"),
+                                            ("--t", "inf"), ("--t", "nan")])
     def test_bad_sampler_size_is_usage_error(self, flag, value):
         code, out, err = run_cli("verify", "fk", flag, value)
         assert (code, out) == (2, "")
@@ -283,6 +370,12 @@ class TestProcessLevel:
         code, out, err = run_cli("verify", "trace", "--dim", dim)
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+    def test_unwritable_output_is_usage_error(self, tmp_path):
+        code, out, err = run_cli("local", "--dim", "1", "--order", "1", "--output",
+                                 str(tmp_path / "missing" / "x.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write")
 
     def test_taylor_suite_imports_no_scipy(self):
         code = ("import sys; from heatinv.cli import main; "

@@ -198,22 +198,6 @@ class TestTables:
                             .read_text())
         jsonschema.validate(table.to_json_dict(), schema)
 
-    def test_json_round_trip(self, table):
-        data = json.loads(table.to_json())
-        assert data["dim"] == 1
-        assert data["epsilon"] is None
-        assert [r["j"] for r in data["rows"]] == [1, 2]
-        assert data["rows"][0]["density"] == "-V"
-
-    def test_csv_and_text(self, table):
-        csv = table.to_csv()
-        lines = csv.splitlines()
-        assert lines[0] == "j,value,b_or_beta,err,route,density"
-        assert len(lines) == 3
-        text = table.to_text()
-        assert "density" in text.splitlines()[0]
-        assert "-V" in text
-
     def test_absent_marker(self):
         invariants = [heat_invariant_binomial(1, 2)]
         v2 = parse_potential("exp(-x1^2 - x2^2)", 2)
