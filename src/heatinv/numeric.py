@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-import numpy as np
-
+from ._lazy import np
 from .diffpoly import DiffPoly
 from .halfint import HalfIntScalar, gamma_half_integer
 from .invariants import InvariantResult, monomial_decay_weight
@@ -78,30 +78,49 @@ def evaluate_density(density: DiffPoly, potential: PotentialExpr, point) -> floa
 
 # Gauss-Kronrod G10/K21 on [-1, 1] (QUADPACK qk21).  The 21 Kronrod nodes
 # contain the 10 Gauss nodes, so one set of values gives both estimates.
-_XGK = np.array([
+_XGK = (
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
     0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
     0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0])
-_WGK = np.array([
+    0.0)
+_WGK = (
     0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
     0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
     0.123491976262065851077208936940846, 0.134709217311473325928054001771707,
     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821])
-_WG = np.array([
+    0.149445554002916905664936468389821)
+_WG = (
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338])
+    0.295524224714752870173892994651338)
 
-GK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
-GK_KRONROD_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
-GK_GAUSS_WEIGHTS = np.zeros(21)
-GK_GAUSS_WEIGHTS[1:10:2] = _WG
-GK_GAUSS_WEIGHTS[19:10:-2] = _WG
+_GK_NAMES = ("GK_NODES", "GK_KRONROD_WEIGHTS", "GK_GAUSS_WEIGHTS")
+
+
+@lru_cache(maxsize=None)
+def _gk_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 21 nodes, Kronrod weights and Gauss weights (zero off the Gauss
+    nodes) in ascending node order, built on first use so that importing
+    this module loads no numpy."""
+    xgk, wgk = np.array(_XGK), np.array(_WGK)
+    nodes = np.concatenate([-xgk[:-1], xgk[::-1]])
+    kronrod = np.concatenate([wgk[:-1], wgk[::-1]])
+    gauss = np.zeros(21)
+    gauss[1:10:2] = _WG
+    gauss[19:10:-2] = _WG
+    return nodes, kronrod, gauss
+
+
+def __getattr__(name: str):
+    # GK_NODES, GK_KRONROD_WEIGHTS and GK_GAUSS_WEIGHTS for importers; global
+    # lookups inside this module bypass this hook, so its code calls _gk_rule()
+    if name in _GK_NAMES:
+        return _gk_rule()[_GK_NAMES.index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 MAX_ROUND_NODES = 1 << 18  # integrand nodes evaluated per round at most
 
@@ -117,16 +136,17 @@ def _apply_rules(f, centers: np.ndarray, halves: np.ndarray):
     """Kronrod estimate, |Kronrod - Gauss| error and the axis to bisect for
     each cell (center, half-widths), from one batched call of f."""
     cells, n = centers.shape
-    offsets = np.stack(np.meshgrid(*([GK_NODES] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    gk_nodes, gk_kronrod, gk_gauss = _gk_rule()
+    offsets = np.stack(np.meshgrid(*([gk_nodes] * n), indexing="ij"), axis=-1).reshape(-1, n)
     nodes = centers[:, None, :] + halves[:, None, :] * offsets[None, :, :]
     values = np.asarray(f([nodes[..., a].ravel() for a in range(n)]), dtype=float)
-    values = values.reshape((cells,) + (len(GK_NODES),) * n)
+    values = values.reshape((cells,) + (len(gk_nodes),) * n)
     volume = np.prod(halves, axis=1)
-    kronrod = volume * _contract(values, [GK_KRONROD_WEIGHTS] * n)
-    gauss = volume * _contract(values, [GK_GAUSS_WEIGHTS] * n)
+    kronrod = volume * _contract(values, [gk_kronrod] * n)
+    gauss = volume * _contract(values, [gk_gauss] * n)
     # the axis along which swapping Kronrod for Gauss moves the estimate most
     per_axis = [np.abs(kronrod - volume * _contract(
-        values, [GK_GAUSS_WEIGHTS if b == a else GK_KRONROD_WEIGHTS for b in range(n)]))
+        values, [gk_gauss if b == a else gk_kronrod for b in range(n)]))
         for a in range(n)]
     axis = np.argmax(np.stack(per_axis, axis=1), axis=1)
     return kronrod, np.abs(kronrod - gauss), axis
@@ -153,7 +173,7 @@ def _adaptive_gauss_kronrod(f, n: int, config: QuadratureConfig) -> tuple[float,
     centers = np.zeros((1, n))
     halves = np.full((1, n), float(config.half_width))
     est, err, axis = _apply_rules(f, centers, halves)
-    per_round = max(1, MAX_ROUND_NODES // (2 * len(GK_NODES) ** n))
+    per_round = max(1, MAX_ROUND_NODES // (2 * len(_gk_rule()[0]) ** n))
     while True:
         value, error = float(np.sum(est)), float(np.sum(err))
         tol = QUAD_TOL * max(1.0, abs(value))
@@ -234,7 +254,8 @@ def b_from_a(a_j: float, j: int, n: int) -> float | None:
     factor = spectral_prefactor(j, n)
     if factor is None:
         return None
-    return a_j * float(factor)
+    # a zero a_j gives 0.0, not the -0.0 of a negative factor
+    return a_j * float(factor) if a_j else 0.0
 
 
 def beta_from_alpha(alpha_j: float, j: int, n: int) -> float | None:

@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .potentials import PotentialExpr, evaluate_array
 
 # ---------------------------------------------------------------------------
@@ -154,8 +152,13 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
         weights -= offset
         return count, w0 + offset, float(np.square(weights, out=weights).sum())
 
+    # chunks() loads numpy in this thread, so that no worker is the first to
+    # touch the lazy module (see _lazy); the pool's module is imported only
+    # here, as no other command needs it
+    chunks = sampler.chunks()
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        stats = list(pool.map(block_stats, sampler.chunks()))
+        stats = list(pool.map(block_stats, chunks))
     # Chan, Golub & LeVeque (1983) pairwise update, in chunk order
     count, mean, m2 = stats[0]
     for c, m, q in stats[1:]:

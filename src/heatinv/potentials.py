@@ -34,8 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import np
 from .diffpoly import MultiIndex, multi_index_factorial
 
 DERIVATIVE_CAP = 12

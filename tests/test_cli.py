@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from heatinv.cli import MAX_ORDER, build_parser, main
+from heatinv.cli import MAX_ORDER, MAX_TAYLOR_ORDER, build_parser, main
 from heatinv.oracles import BridgeSampler, fk_diagonal
 from heatinv.potentials import parse_potential
 
@@ -157,6 +157,18 @@ class TestVerify:
         data = json.loads(capsys.readouterr().out)
         assert data["pass"] is True
 
+    def test_taylor_order_cap(self, capsys):
+        """Above MAX_TAYLOR_ORDER the remainder on the fitted t grid is below
+        round-off, so a correct formula would print [FAIL]; such an order is
+        a usage error, and the cap itself still passes."""
+        assert main(["verify", "taylor", "--order", str(MAX_TAYLOR_ORDER)]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+        for order in (MAX_TAYLOR_ORDER + 1, 7):
+            assert main(["verify", "taylor", "--order", str(order)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error:") and "round-off" in err
+
     def test_fk_suite_small(self, capsys):
         assert main(["verify", "fk", "--paths", "20000", "--seed", "7",
                      "--format", "json"]) == 0
@@ -225,7 +237,7 @@ REPORT_BYTES = [
     (("regtrace", "--dim", "1", "--epsilon", "1/3", "--potential",
       "powr(1+x1^2,-1,6)", "--order", "3", "--box", "2000"), "csv",
      'j,value,b_or_beta,err,route,density\n'
-     '1,0.0,-0.0,0.0,subtracted,"0"\n'
+     '1,0.0,0.0,0.0,subtracted,"0"\n'
      '2,0.0,0.0,0.0,subtracted,"0"\n'
      '3,{rows[2][value]},{rows[2][b_or_beta]},{rows[2][err]},subtracted,'
      '"-1/4*D[1]V^2 - 1/3*D[2]V*V + 3/20*D[4]V"\n'),
@@ -233,7 +245,7 @@ REPORT_BYTES = [
       "powr(1+x1^2,-1,6)", "--order", "3", "--box", "2000"), "text",
      "j  value          b_or_beta      err       route       density"
      "                                \n"
-     "1  0              -0             0         subtracted  0"
+     "1  0              0              0         subtracted  0"
      "                                      \n"
      "2  0              0              0         subtracted  0"
      "                                      \n"
@@ -392,6 +404,36 @@ class TestProcessLevel:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True)
         assert proc.stdout.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("argv,numpy_loaded", [
+        (("--version",), False),
+        (("local", "--dim", "2", "--order", "4"), False),
+        (("alpha", "--dim", "3", "--order", "4", "--epsilon", "1/2"), False),
+        (("verify", "routes", "--dim", "2", "--order", "4", "--epsilon", "1/2"), False),
+        (("coeffs", "--dim", "1", "--potential", "exp(-x1^2)", "--order", "2"), True),
+    ], ids=["version", "local", "alpha", "routes", "coeffs"])
+    def test_symbolic_commands_start_without_numpy(self, argv, numpy_loaded):
+        """The exact commands load no numpy submodule and no thread pool; a
+        numeric command shows that the probe sees numpy when it loads."""
+        code = ("import json, sys; from heatinv.cli import main\n"
+                "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+                "print(json.dumps(sorted(m for m in sys.modules if m.startswith("
+                "('numpy.', 'concurrent.futures')))))")
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True)
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert not [m for m in loaded if m.startswith("concurrent.futures")]
+        assert bool([m for m in loaded if m.startswith("numpy.")]) == numpy_loaded
+
+    def test_cli_import_loads_every_traced_module(self):
+        """perfbench's tracer wraps functions in these modules after only
+        `import heatinv.cli`."""
+        code = ("import sys, heatinv.cli; print([m for m in ('invariants',"
+                " 'potentials', 'numeric', 'oracles')"
+                " if 'heatinv.' + m not in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("argv", [
         ("coeffs", "--dim", "1", "--potential", "1/x1", "--order", "1"),

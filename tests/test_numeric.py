@@ -166,6 +166,13 @@ class TestSpectralPrefactor:
                 absent = b_from_a(1.0, j, n) is None
                 assert absent == (n % 2 == 0 and j >= n / 2)
 
+    def test_zero_value_gives_positive_zero(self):
+        # the n = 1, j = 1 factor is negative; a zero integral is 0.0, not -0.0
+        assert float(spectral_prefactor(1, 1)) < 0
+        for zero in (0.0, -0.0):
+            for convert in (b_from_a, beta_from_alpha):
+                assert math.copysign(1.0, convert(zero, 1, 1)) == 1.0
+
     def test_beta_absent_for_all_even_dims(self):
         for n in (2, 4, 6):
             for j in (1, 2, 3):
