@@ -229,11 +229,12 @@ def verify_fk(args) -> int:
     # a_1..a_4 are computed past the order cap at n = 8 (cap 3), which stays
     # cheap; only the dimension is checked
     _check_dim(args.dim)
+    if not 0 < args.t < math.inf:
+        raise UsageError(f"t must be positive and finite, got {args.t}")
     potential = parse_potential(args.potential, args.dim)
     sampler = BridgeSampler(seed=args.seed, steps=args.steps,
                             paths=args.paths, dim=args.dim)
     x = (0.0,) * args.dim
-    estimate, stderr = fk_diagonal(potential, x, args.t, sampler)
     a = [evaluate_density(heat_invariant_binomial(j, args.dim).density, potential, x)
          for j in (1, 2, 3, 4)]
     terms = 1.0
@@ -243,7 +244,17 @@ def verify_fk(args) -> int:
     target = prefactor * terms
     # the 3-term target leaves out a_4 t^4, a bias that can exceed 3 standard
     # errors once the paths are many, so the tolerance adds it
-    tolerance = 3 * stderr + abs(prefactor * a[3] * args.t ** 4)
+    omitted = abs(prefactor * a[3] * args.t ** 4)
+    # once that term is as large as the target, the check tests nothing (a
+    # negative kernel passes, within a tolerance wider than both values), so
+    # such a t is refused before any path is drawn
+    if omitted >= abs(target):
+        raise UsageError(
+            f"t = {args.t} is too large for the 3-term expansion: the omitted"
+            f" a_4 t^4 term ({omitted:.3g}) is not below the target"
+            f" ({abs(target):.3g})")
+    estimate, stderr = fk_diagonal(potential, x, args.t, sampler)
+    tolerance = 3 * stderr + omitted
     ok = abs(estimate - target) <= tolerance
     return _report(args, [{
         "name": "fk_vs_3term_expansion", "target": target,

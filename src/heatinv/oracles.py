@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 from ._lazy import np
@@ -26,6 +25,10 @@ from .potentials import PotentialExpr, evaluate_array
 # ---------------------------------------------------------------------------
 
 _CHUNK = 4096  # paths per block; fixed so results do not depend on memory
+# path points (paths x (steps+1) x dim) per tile of a chunk: about 1 MB per
+# float64 buffer, whatever the sampler's steps and dim; a tile is the next
+# stretch of its chunk's normal stream, so its size moves no result
+_TILE_POINTS = 1 << 17
 
 
 def worker_count() -> int:
@@ -76,16 +79,21 @@ class BridgeSampler:
         """The steps+1 uniform times s of a path, 0 and 1 included."""
         return np.linspace(0.0, 1.0, self.steps + 1)
 
-    def fill(self, chunk: tuple[np.random.SeedSequence, int],
-             path: np.ndarray, work: np.ndarray) -> None:
-        """Write one chunk's bridges into `path`, shape (count, steps+1, dim),
-        using `work`, a C-contiguous array of the same shape, as scratch."""
-        child, count = chunk
+    def fill(self, rng: np.random.Generator, path: np.ndarray,
+             work: np.ndarray) -> None:
+        """Write the next len(path) bridges of `rng`'s stream into `path`,
+        shape (count, steps+1, dim), using `work`, a C-contiguous array of
+        the same shape, as scratch.
+
+        Generator.standard_normal fills its output in order, so consecutive
+        calls on one chunk's generator draw the same paths as one call for
+        the whole chunk, however the chunk is cut."""
+        count = len(path)
         # the increments fill the front of `work` in C order, as rng.normal
         # would lay out a fresh (count, steps, dim) array: the stream is fixed
         incr = work.reshape(-1)[:count * self.steps * self.dim].reshape(
             count, self.steps, self.dim)
-        np.random.default_rng(child).standard_normal(out=incr)
+        rng.standard_normal(out=incr)
         incr *= math.sqrt(1.0 / self.steps)
         path[:, 0] = 0.0
         np.cumsum(incr, axis=1, out=path[:, 1:])
@@ -94,8 +102,9 @@ class BridgeSampler:
 
     def draw(self, chunk: tuple[np.random.SeedSequence, int]):
         """(s_grid, block) of one chunk; block has shape (count, steps+1, dim)."""
-        block = np.empty((chunk[1], self.steps + 1, self.dim))
-        self.fill(chunk, block, np.empty_like(block))
+        child, count = chunk
+        block = np.empty((count, self.steps + 1, self.dim))
+        self.fill(np.random.default_rng(child), block, np.empty_like(block))
         return self.grid(), block
 
     def blocks(self):
@@ -112,6 +121,10 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
 
     with the path integral by the trapezoid rule along each bridge.
     Returns (estimate, standard error).
+
+    Each chunk is drawn and evaluated in tiles of at most _TILE_POINTS path
+    points, so a worker holds two tile buffers and the chunk's weights, not
+    the chunk's paths.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -121,26 +134,27 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
     scale = math.sqrt(2.0 * t)
     prefactor = (4.0 * math.pi * t) ** (-n / 2)
     steps = sampler.steps
-    # each worker thread allocates its two block buffers on its first chunk
-    # and refills them for every later one; they go when this call returns
-    buffers = threading.local()
+    tile = max(1, _TILE_POINTS // ((steps + 1) * n))
 
     def block_stats(chunk):
-        count = chunk[1]
-        if not hasattr(buffers, "path"):
-            shape = (min(_CHUNK, sampler.paths), steps + 1, n)
-            buffers.path, buffers.work = np.empty(shape), np.empty(shape)
-        path, work = buffers.path[:count], buffers.work[:count]
-        sampler.fill(chunk, path, work)
-        # one contiguous (count, steps+1) plane per axis, which evaluate_array
-        # reads without a copy
-        coords = work.reshape(n, count, steps + 1)
-        np.multiply(path.transpose(2, 0, 1), scale, out=coords)
-        coords += np.reshape(x, (n, 1, 1))
-        values = evaluate_array(potential, list(coords))
-        # trapezoid rule on the uniform grid of `steps` intervals
-        weights = values.sum(axis=1)
-        weights -= (values[:, 0] + values[:, -1]) / 2
+        child, count = chunk
+        rng = np.random.default_rng(child)
+        shape = (min(tile, count), steps + 1, n)
+        path_buf, work_buf = np.empty(shape), np.empty(shape)
+        weights = np.empty(count)
+        for start in range(0, count, tile):
+            sums = weights[start:start + tile]
+            path, work = path_buf[:len(sums)], work_buf[:len(sums)]
+            sampler.fill(rng, path, work)
+            # one contiguous (paths, steps+1) plane per axis, which
+            # evaluate_array reads without a copy
+            coords = work.reshape(n, len(sums), steps + 1)
+            np.multiply(path.transpose(2, 0, 1), scale, out=coords)
+            coords += np.reshape(x, (n, 1, 1))
+            values = evaluate_array(potential, list(coords))
+            # trapezoid rule on the uniform grid of `steps` intervals
+            np.sum(values, axis=1, out=sums)
+            sums -= (values[:, 0] + values[:, -1]) / 2
         weights /= steps
         weights *= -t
         np.exp(weights, out=weights)

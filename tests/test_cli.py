@@ -368,6 +368,12 @@ class TestProcessLevel:
                                  "0^(-1) + x1", "--order", "1")
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+        # for exp(-x1^2) the omitted a_4 t^4 is as large as the 3-term
+        # expansion from t near 1 on, so the check would test nothing
+        for t in ("1", "2", "1e6"):
+            code, out, err = run_cli("verify", "fk", "--paths", "2000", "--t", t)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and "too large" in err
 
     @pytest.mark.parametrize("flag,value", [("--paths", "0"), ("--paths", "-5"),
                                             ("--steps", "0"), ("--dim", "9"),

@@ -2,10 +2,12 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from heatinv import oracles
 from heatinv.oracles import (BridgeSampler, TraceGrid, _contour_nodes, _expm,
                              discretized_schrodinger_1d, fit_expansion,
                              fk_diagonal, matrix_operator_family,
@@ -87,9 +89,9 @@ class TestFeynmanKac:
         (parse_potential("exp(-x1^2-x2^2)", 2), (0.3, -0.2)),
     ])
     def test_matches_fresh_array_reference(self, potential, x):
-        """The in-place pipeline against rng.normal + cumsum + pin +
-        np.trapezoid on fresh arrays; 9000 paths leave an 808-path last
-        chunk in the reused buffers."""
+        """The tiled in-place pipeline against rng.normal + cumsum + pin +
+        np.trapezoid on fresh whole-chunk arrays; 9000 paths leave an
+        808-path last chunk."""
         t = 0.05
         sampler = BridgeSampler(seed=4, steps=100, paths=9000, dim=len(x))
         weights = []
@@ -110,6 +112,40 @@ class TestFeynmanKac:
         assert est == pytest.approx(prefactor * weights.mean(), rel=1e-13, abs=0)
         assert se == pytest.approx(prefactor * weights.std() / math.sqrt(len(weights)),
                                    rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("tile_points", [
+        1,                  # one path per tile
+        33 * 1000,          # 1000 paths at n=1, 500 at n=2: neither divides 4096
+        1 << 30,            # one tile holds a whole chunk
+    ])
+    def test_tile_size_does_not_change_result(self, tile_points, monkeypatch):
+        cases = [(GAUSSIAN, (0.1,)),
+                 (parse_potential("exp(-x1^2-x2^2)*(1+x1)", 2), (0.1, -0.2))]
+        # 9000 paths leave an 808-path last chunk; 32 steps give 33 points
+        samplers = [BridgeSampler(seed=6, steps=32, paths=9000, dim=len(x))
+                    for _, x in cases]
+        default = [fk_diagonal(p, x, 0.05, s) for (p, x), s in zip(cases, samplers)]
+        monkeypatch.setattr(oracles, "_TILE_POINTS", tile_points)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HEATINV_THREADS", threads)
+            assert [fk_diagonal(p, x, 0.05, s)
+                    for (p, x), s in zip(cases, samplers)] == default
+
+    def test_memory_does_not_grow_with_steps(self):
+        """The traced peak is two tiles and the potential's temporaries on
+        one tile, whatever the path length; whole 4096-path chunks would
+        take 256 MB at steps=2048."""
+        peaks = {}
+        for steps in (64, 2048):
+            sampler = BridgeSampler(seed=1, steps=steps, paths=4096)
+            tracemalloc.start()
+            try:
+                fk_diagonal(GAUSSIAN, (0.0,), 0.05, sampler)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2048] < 8 * 2 ** 20
+        assert peaks[2048] <= 1.5 * peaks[64]
 
     def test_back_to_back_calls_agree(self):
         sampler = BridgeSampler(seed=2, steps=32, paths=9000)
