@@ -369,7 +369,7 @@ class TestProcessLevel:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
         # for exp(-x1^2) the omitted a_4 t^4 is as large as the 3-term
-        # expansion from t near 1 on, so the check would test nothing
+        # target from t near 0.84 on, so the check would test nothing
         for t in ("1", "2", "1e6"):
             code, out, err = run_cli("verify", "fk", "--paths", "2000", "--t", t)
             assert (code, out) == (2, "")

@@ -131,10 +131,11 @@ class TestFeynmanKac:
             assert [fk_diagonal(p, x, 0.05, s)
                     for (p, x), s in zip(cases, samplers)] == default
 
-    def test_memory_does_not_grow_with_steps(self):
+    def test_memory_does_not_grow_with_steps(self, monkeypatch):
         """The traced peak is two tiles and the potential's temporaries on
-        one tile, whatever the path length; whole 4096-path chunks would
-        take 256 MB at steps=2048."""
+        one tile, whatever the path length; two buffers of a whole 4096-path
+        chunk at steps=2048 would be 128 MB."""
+        monkeypatch.setenv("HEATINV_THREADS", "1")
         peaks = {}
         for steps in (64, 2048):
             sampler = BridgeSampler(seed=1, steps=steps, paths=4096)
