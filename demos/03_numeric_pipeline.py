@@ -1,11 +1,13 @@
 """From symbolic densities to numbers for a concrete potential.
 
 The symbolic densities are exact; turning them into expansion coefficients
-for a specific V means differentiating V symbolically, evaluating the
-density pointwise, and integrating over R^n.  The integrated invariants
-then produce the scattering-phase coefficients b_j through exact Gamma
-factors (kept as rational multiples of powers of sqrt(pi) until the last
-moment)."""
+for a specific V means taking every D^nu V a density needs from one
+truncated Taylor pass over V's expression at the quadrature nodes,
+evaluating the density there, and integrating it over the box [-L, L]^n
+(L = 12 by default, 2000 for the slowly decaying potential below).  The
+integrated invariants then produce the scattering-phase coefficients b_j
+through exact Gamma factors (kept as rational multiples of powers of
+sqrt(pi) until the last moment)."""
 
 import math
 from fractions import Fraction

@@ -97,9 +97,6 @@ _WG = (
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338)
 
-_GK_NAMES = ("GK_NODES", "GK_KRONROD_WEIGHTS", "GK_GAUSS_WEIGHTS")
-
-
 @lru_cache(maxsize=None)
 def _gk_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 21 nodes, Kronrod weights and Gauss weights (zero off the Gauss
@@ -112,14 +109,6 @@ def _gk_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gauss[1:10:2] = _WG
     gauss[19:10:-2] = _WG
     return nodes, kronrod, gauss
-
-
-def __getattr__(name: str):
-    # GK_NODES, GK_KRONROD_WEIGHTS and GK_GAUSS_WEIGHTS for importers; global
-    # lookups inside this module bypass this hook, so its code calls _gk_rule()
-    if name in _GK_NAMES:
-        return _gk_rule()[_GK_NAMES.index(name)]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 MAX_ROUND_NODES = 1 << 18  # integrand nodes evaluated per round at most

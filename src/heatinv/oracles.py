@@ -120,7 +120,8 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
         (4 pi t)^(-n/2) E[ exp(-t * int_0^1 V(x + sqrt(2 t) b(s)) ds) ],
 
     with the path integral by the trapezoid rule along each bridge.
-    Returns (estimate, standard error).
+    Returns (estimate, standard error).  A weight that overflows makes the
+    mean or its second moment non-finite, which raises FloatingPointError.
 
     Each chunk is drawn and evaluated in tiles of at most _TILE_POINTS path
     points, so a worker holds two tile buffers and the chunk's weights, not
@@ -142,29 +143,33 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
         shape = (min(tile, count), steps + 1, n)
         path_buf, work_buf = np.empty(shape), np.empty(shape)
         weights = np.empty(count)
-        for start in range(0, count, tile):
-            sums = weights[start:start + tile]
-            path, work = path_buf[:len(sums)], work_buf[:len(sums)]
-            sampler.fill(rng, path, work)
-            # one contiguous (paths, steps+1) plane per axis, which
-            # evaluate_array reads without a copy
-            coords = work.reshape(n, len(sums), steps + 1)
-            np.multiply(path.transpose(2, 0, 1), scale, out=coords)
-            coords += np.reshape(x, (n, 1, 1))
-            values = evaluate_array(potential, list(coords))
-            # trapezoid rule on the uniform grid of `steps` intervals
-            np.sum(values, axis=1, out=sums)
-            sums -= (values[:, 0] + values[:, -1]) / 2
-        weights /= steps
-        weights *= -t
-        np.exp(weights, out=weights)
-        # two-pass block moments about the first weight, so equal weights
-        # give a mean equal to each of them and M2 exactly 0
-        w0 = weights[0]
-        weights -= w0
-        offset = weights.mean()
-        weights -= offset
-        return count, w0 + offset, float(np.square(weights, out=weights).sum())
+        # an overflow in the weights shows as a non-finite mean or M2, which
+        # the caller checks once the chunks are merged
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, count, tile):
+                sums = weights[start:start + tile]
+                path, work = path_buf[:len(sums)], work_buf[:len(sums)]
+                sampler.fill(rng, path, work)
+                # one contiguous (paths, steps+1) plane per axis, which
+                # evaluate_array reads without a copy
+                coords = work.reshape(n, len(sums), steps + 1)
+                np.multiply(path.transpose(2, 0, 1), scale, out=coords)
+                coords += np.reshape(x, (n, 1, 1))
+                values = evaluate_array(potential, list(coords))
+                # trapezoid rule on the uniform grid of `steps` intervals
+                np.sum(values, axis=1, out=sums)
+                sums -= (values[:, 0] + values[:, -1]) / 2
+            weights /= steps
+            weights *= -t
+            np.exp(weights, out=weights)
+            # two-pass block moments about the first weight, so equal weights
+            # give a mean equal to each of them and M2 exactly 0
+            w0 = weights[0]
+            weights -= w0
+            offset = weights.mean()
+            weights -= offset
+            return (count, float(w0 + offset),
+                    float(np.square(weights, out=weights).sum()))
 
     # chunks() loads numpy in this thread, so that no worker is the first to
     # touch the lazy module (see _lazy); the pool's module is imported only
@@ -181,6 +186,9 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
         mean += delta * c / total
         m2 += q + delta * delta * count * c / total
         count = total
+    if not (math.isfinite(mean) and math.isfinite(m2)):
+        raise FloatingPointError(
+            f"Feynman-Kac weights overflow: mean {mean}, second moment {m2}")
     stderr = math.sqrt(m2 / count / count)
     return prefactor * mean, prefactor * stderr
 
@@ -292,9 +300,7 @@ def relative_heat_trace_1d(potential: PotentialExpr, t,
 
 @dataclass
 class FitReport:
-    ts: np.ndarray
     coefficients: np.ndarray          # c_1 .. c_J
-    covariance: np.ndarray | None     # None when residual dof is zero
     condition_number: float
     residual_norm: float
 
@@ -321,18 +327,11 @@ def fit_expansion(samples: list[tuple[float, float]], n: int, J: int) -> FitRepo
     g = values / (4.0 * math.pi * ts) ** (-n / 2)
     design = np.vander(ts, J + 1, increasing=True)[:, 1:]  # columns t^1..t^J
     cond = float(np.linalg.cond(design))
-    coeffs, residuals, rank, _ = np.linalg.lstsq(design, g, rcond=None)
+    coeffs, _, rank, _ = np.linalg.lstsq(design, g, rcond=None)
     if rank < J:
         raise ValueError(f"rank-deficient fit: rank {rank} < {J}")
-    resid = g - design @ coeffs
-    dof = len(ts) - J
-    covariance = None
-    if dof > 0:
-        sigma2 = float(resid @ resid) / dof
-        covariance = sigma2 * np.linalg.inv(design.T @ design)
-    return FitReport(ts=ts, coefficients=coeffs, covariance=covariance,
-                     condition_number=cond,
-                     residual_norm=float(np.linalg.norm(resid)))
+    return FitReport(coefficients=coeffs, condition_number=cond,
+                     residual_norm=float(np.linalg.norm(g - design @ coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +382,10 @@ def taylor_remainder(a: np.ndarray, b: np.ndarray, t: float, N: int) -> float:
 
 @dataclass
 class SlopeReport:
-    order: int
     slope: float
-    ts: np.ndarray
-    remainders: np.ndarray
-    seed: int
 
 
-def nc_taylor_matrix_check(dim: int, N: int, seed: int,
-                           ts: np.ndarray | None = None) -> SlopeReport:
+def nc_taylor_matrix_check(dim: int, N: int, seed: int) -> SlopeReport:
     """Random symmetric A, B; fit the log-log slope of the Taylor remainder
     over a geometric t grid.  The slope should be close to N + 1."""
     if dim < 2:
@@ -403,12 +397,9 @@ def nc_taylor_matrix_check(dim: int, N: int, seed: int,
     b = rng.uniform(-1.0, 1.0, size=(dim, dim))
     a = (a + a.T) / 2
     b = (b + b.T) / 2
-    if ts is None:
-        ts = np.geomspace(1e-3, 1e-2, 8)
+    ts = np.geomspace(1e-3, 1e-2, 8)
     remainders = np.array([taylor_remainder(a, b, t, N) for t in ts])
-    slope = float(np.polyfit(np.log(ts), np.log(remainders), 1)[0])
-    return SlopeReport(order=N, slope=slope, ts=ts, remainders=remainders,
-                       seed=seed)
+    return SlopeReport(slope=float(np.polyfit(np.log(ts), np.log(remainders), 1)[0]))
 
 
 def matrix_operator_family(h0: np.ndarray, h: np.ndarray, m: int) -> np.ndarray:

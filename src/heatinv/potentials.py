@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from ._lazy import np
 from .diffpoly import MultiIndex, multi_index_factorial
@@ -478,20 +477,27 @@ def differentiate(e: PotentialExpr, nu: MultiIndex) -> PotentialExpr:
 # Plain values are the case S = {0}: one row, and no recurrence steps.
 
 
-class _Step(NamedTuple):
-    """One multi-index alpha != 0 of a Taylor recurrence, taken along the
-    first axis i with alpha_i > 0."""
-
-    k: int                # position of alpha
-    order: float          # alpha_i
-    lower: np.ndarray     # positions of the g with 0 < g <= alpha
-    rest: np.ndarray      # positions of alpha - g
-    lower_order: np.ndarray  # g_i
+def _dot(out: np.ndarray, factors) -> np.ndarray:
+    """out = the sum of x * y over the (x, y) row pairs of `factors`: the
+    first product is written into out and the rest are added in order."""
+    factors = iter(factors)
+    x, y = next(factors)
+    np.multiply(x, y, out=out)
+    for x, y in factors:
+        out += x * y
+    return out
 
 
 class _TaylorPlan:
-    """Index tables for truncated Taylor arithmetic on the downward closure S
-    of a set of multi-indices, ordered by total order."""
+    """Truncated Taylor arithmetic on the downward closure S of a set of
+    multi-indices, ordered by total order.
+
+    One table drives every operation.  Its row k, for alpha = indices[k],
+    holds alpha_i along the first axis i with alpha_i > 0 (0 at alpha = 0)
+    and one term (g_i, g, alpha - g) per g <= alpha, as row positions, g = 0
+    first.  All of them give the Cauchy product
+    (u v)_alpha = sum_(g <= alpha) u_g v_(alpha - g); all but the first give
+    the recurrence sums over 0 < g <= alpha above."""
 
     def __init__(self, nus: tuple[MultiIndex, ...]):
         closure = set()
@@ -503,46 +509,32 @@ class _TaylorPlan:
         # row of d x_i / d x_i = 1 in the series of x_i, if S holds e_i
         self.unit_rows = [pos.get(tuple(int(i == j) for j in range(dim)))
                           for i in range(dim)]
-        # products: (u v)_alpha = sum_(beta <= alpha) u_beta v_(alpha - beta),
-        # one (beta, alpha - beta) row pair per beta, beta = 0 first
-        self.pairs: list[list[tuple[int, int]]] = []
-        self.steps: list[_Step] = []
+        self.table: list[tuple[float, list[tuple[float, int, int]]]] = []
         for alpha in self.indices:
-            below = list(itertools.product(*(range(k + 1) for k in alpha)))
-            pairs = [(pos[b], pos[tuple(a - c for a, c in zip(alpha, b))]) for b in below]
-            self.pairs.append(pairs)
-            if any(alpha):
-                axis = next(i for i, a in enumerate(alpha) if a)
-                self.steps.append(_Step(
-                    pos[alpha], float(alpha[axis]),
-                    np.array([b for b, _ in pairs[1:]]),
-                    np.array([r for _, r in pairs[1:]]),
-                    np.array([float(b[axis]) for b in below[1:]])))
+            axis = next((i for i, a in enumerate(alpha) if a), 0)
+            self.table.append((float(alpha[axis]), [
+                (float(g[axis]), pos[g], pos[tuple(a - b for a, b in zip(alpha, g))])
+                for g in itertools.product(*(range(k + 1) for k in alpha))]))
 
     def constant(self, value: float, size: int) -> np.ndarray:
         out = np.zeros((len(self.indices), size))
         out[0] = value
         return out
 
-    def pair_sum(self, u: np.ndarray, v: np.ndarray, k: int, out: np.ndarray):
-        """out = (u v) at position k, summed over its row pairs in order."""
-        (b, c), *rest = self.pairs[k]
-        np.multiply(u[b], v[c], out=out)
-        for b, c in rest:
-            out += u[b] * v[c]
-
     def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         w = np.empty_like(u)
-        for k in range(len(self.indices)):
-            self.pair_sum(u, v, k, w[k])
+        for k, (_, terms) in enumerate(self.table):
+            _dot(w[k], ((u[g], v[c]) for _, g, c in terms))
         return w
 
     def div(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         # v w = u: w_alpha = (u_alpha - sum_(0 < g <= alpha) v_g w_(alpha - g)) / v_0
         w = np.empty_like(u)
         np.divide(u[0], v[0], out=w[0])
-        for st in self.steps:
-            w[st.k] = (u[st.k] - np.sum(v[st.lower] * w[st.rest], axis=0)) / v[0]
+        for k, (_, terms) in enumerate(self.table[1:], 1):
+            _dot(w[k], ((v[g], w[c]) for _, g, c in terms[1:]))
+            np.subtract(u[k], w[k], out=w[k])
+            w[k] /= v[0]
         return w
 
     def power(self, u: np.ndarray, k: int) -> np.ndarray:
@@ -562,18 +554,17 @@ class _TaylorPlan:
         # w = u^r from its value w0: u d_i w = r w d_i u
         w = np.empty_like(u)
         w[0] = w0
-        for st in self.steps:
-            coeff = ((r + 1.0) * st.lower_order - st.order)[:, None]
-            w[st.k] = np.sum(coeff * u[st.lower] * w[st.rest], axis=0) / (st.order * u[0])
+        for k, (order, terms) in enumerate(self.table[1:], 1):
+            _dot(w[k], ((((r + 1.0) * gi - order) * u[g], w[c]) for gi, g, c in terms[1:]))
+            w[k] /= order * u[0]
         return w
 
     def exp(self, u: np.ndarray) -> np.ndarray:
         # d_i w = w d_i u
         w = np.empty_like(u)
         np.exp(u[0], out=w[0])
-        for st in self.steps:
-            du = (st.lower_order / st.order)[:, None] * u[st.lower]
-            w[st.k] = np.sum(du * w[st.rest], axis=0)
+        for k, (order, terms) in enumerate(self.table[1:], 1):
+            _dot(w[k], ((gi / order * u[g], w[c]) for gi, g, c in terms[1:]))
         return w
 
     def sin_cos(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -581,10 +572,10 @@ class _TaylorPlan:
         s, c = np.empty_like(u), np.empty_like(u)
         np.sin(u[0], out=s[0])
         np.cos(u[0], out=c[0])
-        for st in self.steps:
-            du = (st.lower_order / st.order)[:, None] * u[st.lower]
-            s[st.k] = np.sum(du * c[st.rest], axis=0)
-            c[st.k] = -np.sum(du * s[st.rest], axis=0)
+        for k, (order, terms) in enumerate(self.table[1:], 1):
+            du = [(gi / order * u[g], rest) for gi, g, rest in terms[1:]]
+            _dot(s[k], ((d, c[rest]) for d, rest in du))
+            np.negative(_dot(c[k], ((d, s[rest]) for d, rest in du)), out=c[k])
         return s, c
 
     def tanh(self, u: np.ndarray) -> np.ndarray:
@@ -592,11 +583,9 @@ class _TaylorPlan:
         w, q = np.empty_like(u), np.empty_like(u)
         np.tanh(u[0], out=w[0])
         q[0] = 1.0 - w[0] ** 2
-        for st in self.steps:
-            du = (st.lower_order / st.order)[:, None] * u[st.lower]
-            w[st.k] = np.sum(du * q[st.rest], axis=0)
-            self.pair_sum(w, w, st.k, q[st.k])
-            np.negative(q[st.k], out=q[st.k])
+        for k, (order, terms) in enumerate(self.table[1:], 1):
+            _dot(w[k], ((gi / order * u[g], q[c]) for gi, g, c in terms[1:]))
+            np.negative(_dot(q[k], ((w[g], w[c]) for _, g, c in terms)), out=q[k])
         return w
 
 

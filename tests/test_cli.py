@@ -444,6 +444,7 @@ class TestProcessLevel:
     @pytest.mark.parametrize("argv", [
         ("coeffs", "--dim", "1", "--potential", "1/x1", "--order", "1"),
         ("verify", "fk", "--potential", "powr(x1,1,2)", "--paths", "5000"),
+        ("verify", "fk", "--potential", "1/(x1-0.3)", "--paths", "20000"),
     ])
     def test_numeric_failure_exit_code(self, argv):
         code, out, err = run_cli(*argv)

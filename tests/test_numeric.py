@@ -11,11 +11,10 @@ from heatinv.diffpoly import DiffPoly
 from heatinv.halfint import HalfIntScalar
 from heatinv import numeric
 from heatinv.invariants import alpha_density, heat_invariant_binomial
-from heatinv.numeric import (GK_GAUSS_WEIGHTS, GK_KRONROD_WEIGHTS, GK_NODES,
-                             QuadratureConfig, QuadratureError, b_from_a,
-                             beta_from_alpha, box_tail_1d, coefficient_table,
-                             evaluate_density, integrate_density,
-                             spectral_prefactor)
+from heatinv.numeric import (QuadratureConfig, QuadratureError, _gk_rule,
+                             b_from_a, beta_from_alpha, box_tail_1d,
+                             coefficient_table, evaluate_density,
+                             integrate_density, spectral_prefactor)
 from heatinv.potentials import parse_potential
 
 GAUSSIAN = parse_potential("exp(-x1^2)", 1)
@@ -100,17 +99,19 @@ class TestIntegration:
 class TestGaussKronrod:
     def test_rules_exact_to_their_degree(self):
         # K21 integrates polynomials of degree 31 exactly, G10 of degree 19
-        for degree, weights in ((31, GK_KRONROD_WEIGHTS), (19, GK_GAUSS_WEIGHTS)):
+        nodes, kronrod, gauss = _gk_rule()
+        for degree, weights in ((31, kronrod), (19, gauss)):
             for k in range(degree + 1):
                 exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-                assert abs(weights @ GK_NODES ** k - exact) <= 1e-15
-        assert abs(GK_KRONROD_WEIGHTS @ GK_NODES ** 32 - 2.0 / 33) > 1e-13
+                assert abs(weights @ nodes ** k - exact) <= 1e-15
+        assert abs(kronrod @ nodes ** 32 - 2.0 / 33) > 1e-13
 
     def test_gauss_nodes_are_legendre_roots(self):
+        gk_nodes, _, gauss = _gk_rule()
         nodes, weights = np.polynomial.legendre.leggauss(10)
-        used = GK_GAUSS_WEIGHTS > 0
-        assert np.allclose(GK_NODES[used], nodes, rtol=0, atol=1e-15)
-        assert np.allclose(GK_GAUSS_WEIGHTS[used], weights, rtol=0, atol=1e-15)
+        used = gauss > 0
+        assert np.allclose(gk_nodes[used], nodes, rtol=0, atol=1e-15)
+        assert np.allclose(gauss[used], weights, rtol=0, atol=1e-15)
 
 
 class TestRegularizedTail:

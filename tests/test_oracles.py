@@ -153,6 +153,14 @@ class TestFeynmanKac:
         assert fk_diagonal(GAUSSIAN, (0.1,), 0.05, sampler) == \
             fk_diagonal(GAUSSIAN, (0.1,), 0.05, sampler)
 
+    def test_overflowing_weight_raises(self):
+        """Bridges pass close to the pole, so some weight overflows: the
+        estimate is refused rather than returned non-finite, and no numpy
+        warning escapes."""
+        pole = parse_potential("1/(x1-0.3)", 1)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            fk_diagonal(pole, (0.0,), 0.05, BridgeSampler(steps=64, paths=9000))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             fk_diagonal(GAUSSIAN, (0.0,), -1.0, BridgeSampler())

@@ -1,5 +1,6 @@
 """Potential expression language: parsing, differentiation, evaluation."""
 
+import hashlib
 import itertools
 import math
 
@@ -279,3 +280,23 @@ class TestTaylorMode:
                 taylor_derivatives(parse_potential("powr(x1, 1, 2)", 1), [(0,)], coords)
         with pytest.raises(PotentialEvalError):
             taylor_derivatives(parse_potential("exp(x1^2)", 1), [(0,)], [np.array([40.0])])
+
+
+class TestTaylorBits:
+    """sha256 of every taylor_derivatives array, |nu| <= 4 at n = 2, as the
+    Taylor pass computed them before its index tables were merged into one
+    row-pair table.  The potential holds every grammar construct, so any
+    change to the order of a product or a sum in any operation fails here."""
+
+    SRC = ("(2+x1^2)^(-2)*sqrt(3+cos(x1*x2)) - pi*powr(1+x2^2,-1,3)*tanh(x1)/(2+sin(x2))"
+           " + exp(-x1*x2)/3")
+    DIGEST = "df62c8fd1879cfda917c7c515ee3189968dd2d556e1f4497e9df42b3a1d3a290"
+
+    def test_bits(self):
+        gx, gy = np.meshgrid(np.linspace(-1.3, 1.1, 7), np.linspace(-0.9, 1.4, 5))
+        nus = [nu for nu in itertools.product(range(5), repeat=2) if sum(nu) <= 4]
+        got = taylor_derivatives(parse_potential(self.SRC, 2), nus, [gx, gy])
+        h = hashlib.sha256()
+        for nu in sorted(got):
+            h.update(np.ascontiguousarray(got[nu]).tobytes())
+        assert h.hexdigest() == self.DIGEST
