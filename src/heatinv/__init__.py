@@ -2,7 +2,7 @@
 Schrodinger operators -Laplacian + V, with a numeric evaluation pipeline
 and independent Monte-Carlo / spectral verification oracles."""
 
-from .diffpoly import DiffPoly, DimensionMismatch
+from .diffpoly import DiffPoly
 from .halfint import HalfIntScalar, gamma_half_integer, half_integer_binomial
 from .invariants import (InvariantResult, alpha_density,
                          alpha_density_tail_sum, alpha_regime,
@@ -26,7 +26,7 @@ from .potentials import (DerivativeCapError, PotentialEvalError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiffPoly", "DimensionMismatch",
+    "DiffPoly",
     "HalfIntScalar", "gamma_half_integer", "half_integer_binomial",
     "InvariantResult", "alpha_density", "alpha_density_tail_sum",
     "alpha_regime", "heat_invariant_binomial", "heat_invariant_operator_sum",

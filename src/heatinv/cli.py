@@ -47,6 +47,10 @@ MAX_ORDER = {1: 10, 2: 8, 3: 7, 4: 6, 5: 5, 6: 4, 7: 4, 8: 3}
 # t^(N+1) remainder of any higher order is below float64 round-off
 MAX_TAYLOR_ORDER = 4
 
+# `verify fk` tests something only while its window (3 standard errors plus
+# the omitted a_4 t^4 term) is below this fraction of |target|
+FK_MAX_WINDOW = 0.1
+
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
@@ -243,19 +247,18 @@ def verify_fk(args) -> int:
     prefactor = (4 * math.pi * args.t) ** (-args.dim / 2)
     target = prefactor * terms
     # the 3-term target leaves out a_4 t^4, a bias that can exceed 3 standard
-    # errors once the paths are many, so the tolerance adds it
+    # errors once the paths are many, so the tolerance adds it; a t where
+    # that term alone fills the window is refused before any path is drawn
     omitted = abs(prefactor * a[3] * args.t ** 4)
-    # once that term is as large as the target, the check tests nothing (a
-    # negative kernel passes, within a tolerance wider than both values), so
-    # such a t is refused before any path is drawn
-    if omitted >= abs(target):
+    window = FK_MAX_WINDOW * abs(target)
+    if omitted >= window:
         raise UsageError(
             f"t = {args.t} is too large for the 3-term expansion: the omitted"
-            f" a_4 t^4 term ({omitted:.3g}) is not below the target"
-            f" ({abs(target):.3g})")
+            f" a_4 t^4 term ({omitted:.3g}) is not below {FK_MAX_WINDOW:g}"
+            f" of the target ({abs(target):.3g})")
     estimate, stderr = fk_diagonal(potential, x, args.t, sampler)
     tolerance = 3 * stderr + omitted
-    ok = abs(estimate - target) <= tolerance
+    ok = tolerance < window and abs(estimate - target) <= tolerance
     return _report(args, [{
         "name": "fk_vs_3term_expansion", "target": target,
         "observed": estimate, "tolerance": tolerance, "pass": bool(ok)}])

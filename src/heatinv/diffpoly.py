@@ -9,16 +9,18 @@ as a tuple sorted in descending order; e.g. in one dimension
     V^3       ->  ((0,), (0,), (0,))
 
 The coefficients are stored as integer numerators over one shared positive
-denominator, and every ring operation runs on Python ints.  The form is kept
-reduced (the gcd of the denominator and all numerators is 1, zero
-numerators are never stored, and zero has denominator 1), so equality of
-the stored (denominator, numerators) pair is structural equality of
-polynomials.  `terms` reads the coefficients as Fractions.
+denominator, and `combination`, the one sum and product, runs on Python
+ints.  The form is kept reduced (the gcd of the denominator and all
+numerators is 1, zero numerators are never stored, and zero has
+denominator 1), so equality of the stored (denominator, numerators) pair is
+structural equality of polynomials.  `terms` reads the coefficients as
+Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import factorial, gcd, lcm
 from types import MappingProxyType
 
@@ -57,10 +59,6 @@ def _format_factor(nu: MultiIndex, power: int) -> str:
     else:
         base = f"D[{','.join(str(e) for e in nu)}]V"
     return base if power == 1 else f"{base}^{power}"
-
-
-class DimensionMismatch(ValueError):
-    pass
 
 
 class DiffPoly:
@@ -140,52 +138,7 @@ class DiffPoly:
     def constant(cls, dim: int, value) -> "DiffPoly":
         return cls(dim, {(): Fraction(value)})
 
-    @classmethod
-    def jet_variable(cls, dim: int, nu: MultiIndex, coeff=1) -> "DiffPoly":
-        """The single jet variable D^nu V, optionally scaled."""
-        nu = tuple(nu)
-        if len(nu) != dim:
-            raise DimensionMismatch(f"multi-index {nu} has wrong length for dim {dim}")
-        return cls(dim, {(nu,): Fraction(coeff)})
-
-    # -- ring operations ---------------------------------------------------
-
-    def _check(self, other: "DiffPoly"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "DiffPoly") -> "DiffPoly":
-        self._check(other)
-        return DiffPoly.combination(self.dim, ((self, 1), (other, 1)))
-
-    def __neg__(self) -> "DiffPoly":
-        return self.scale(-1)
-
-    def __sub__(self, other: "DiffPoly") -> "DiffPoly":
-        self._check(other)
-        return DiffPoly.combination(self.dim, ((self, 1), (other, -1)))
-
-    def __mul__(self, other) -> "DiffPoly":
-        if not isinstance(other, DiffPoly):
-            return self.scale(other)
-        self._check(other)
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._num.items():
-            for m2, c2 in other._num.items():
-                key = tuple(sorted(m1 + m2, reverse=True))
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return DiffPoly._from_ints(self.dim, out, self._den * other._den)
-
-    __rmul__ = __mul__
-
-    def scale(self, q) -> "DiffPoly":
-        if not isinstance(q, (int, Fraction)):
-            q = Fraction(q)
-        return DiffPoly.combination(self.dim, ((self, q),))
+    # -- axis relabeling ---------------------------------------------------
 
     def permute_axes(self, perm: tuple[int, ...]) -> "DiffPoly":
         """Relabel coordinate axes: entry i of each multi-index moves to
@@ -208,18 +161,12 @@ class DiffPoly:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def __bool__(self) -> bool:
         return bool(self._num)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiffPoly) and self.dim == other.dim
                 and self._den == other._den and self._num == other._num)
-
-    def __hash__(self):
-        return hash((self.dim, self._den, frozenset(self._num.items())))
 
     def jet_variables(self) -> set[MultiIndex]:
         """All distinct D^nu V appearing in the polynomial."""
@@ -237,15 +184,7 @@ class DiffPoly:
             return "0"
         parts = []
         for mono, c in sorted(self.terms.items()):
-            factors = []
-            i = 0
-            while i < len(mono):
-                j = i
-                while j < len(mono) and mono[j] == mono[i]:
-                    j += 1
-                factors.append(_format_factor(mono[i], j - i))
-                i = j
-            body = "*".join(factors)
+            body = "*".join(_format_factor(nu, len(list(run))) for nu, run in groupby(mono))
             mag = abs(c)
             if body:
                 coeff_txt = "" if mag == 1 else f"{mag}*"

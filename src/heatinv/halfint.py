@@ -19,24 +19,10 @@ class HalfIntScalar:
     coeff: Fraction
     sqrt_pi_power: int = 0
 
-    def __mul__(self, other: "HalfIntScalar | Fraction | int") -> "HalfIntScalar":
-        if isinstance(other, HalfIntScalar):
-            return HalfIntScalar(self.coeff * other.coeff,
-                                 self.sqrt_pi_power + other.sqrt_pi_power)
-        return HalfIntScalar(self.coeff * Fraction(other), self.sqrt_pi_power)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "HalfIntScalar | Fraction | int") -> "HalfIntScalar":
-        if isinstance(other, HalfIntScalar):
-            if other.coeff == 0:
-                raise ZeroDivisionError("division by zero HalfIntScalar")
-            return HalfIntScalar(self.coeff / other.coeff,
-                                 self.sqrt_pi_power - other.sqrt_pi_power)
-        return HalfIntScalar(self.coeff / Fraction(other), self.sqrt_pi_power)
-
-    def __neg__(self) -> "HalfIntScalar":
-        return HalfIntScalar(-self.coeff, self.sqrt_pi_power)
+    def __truediv__(self, other: "HalfIntScalar") -> "HalfIntScalar":
+        # Fraction division raises ZeroDivisionError for a zero other
+        return HalfIntScalar(self.coeff / other.coeff,
+                             self.sqrt_pi_power - other.sqrt_pi_power)
 
     def __float__(self) -> float:
         return float(self.coeff) * math.pi ** (self.sqrt_pi_power / 2)

@@ -21,6 +21,11 @@ DiffPoly.combination.  Each route only lists its terms as
 z-monomials, and _operator_terms the X_m e^(-tH0) diagonal, with
 (-Lap)^k z^alpha in closed form.  _combine merges equal keys as rationals
 and sums the diagonals once through DiffPoly.combination.
+
+The operator routes weight each z^(2mu) by d^(2mu) e^(-tH0)(x,x) / (2mu)!,
+the free heat kernel's derivative on the diagonal over (2mu)!, which in
+closed form is (4 pi t)^(-n/2) t^(-|mu|) (-1)^|mu| / (4^|mu| mu!); odd
+derivatives vanish.
 """
 
 from __future__ import annotations
@@ -31,28 +36,9 @@ from functools import lru_cache
 from itertools import chain
 from math import comb, factorial
 
-from .diffpoly import (DiffPoly, MultiIndex, multi_index_factorial,
-                       multi_indices, multi_indices_upto)
+from .diffpoly import (DiffPoly, multi_index_factorial, multi_indices,
+                       multi_indices_upto)
 from .halfint import half_integer_binomial
-
-# ---------------------------------------------------------------------------
-# Gaussian diagonal moments
-# ---------------------------------------------------------------------------
-
-
-def gaussian_diag_derivative(mu: MultiIndex) -> Fraction:
-    """Even-order derivative of the free heat kernel on the diagonal.
-
-    For the doubled multi-index 2*mu, the derivative d^(2mu) e^(-tH0)(x,x)
-    equals (4 pi t)^(-n/2) times  (-1)^|mu| (2mu)! / (4^|mu| mu!)  times
-    t^(-|mu|); returns the rational factor.  Odd derivatives vanish, so the
-    caller always supplies the halved index mu.
-    """
-    order = sum(mu)
-    two_mu = tuple(2 * e for e in mu)
-    return Fraction((-1) ** order * multi_index_factorial(two_mu),
-                    4 ** order * multi_index_factorial(mu))
-
 
 # ---------------------------------------------------------------------------
 # The memoized diagonal of H^p z^alpha, and (-Lap)^k z^alpha in closed form
@@ -149,11 +135,12 @@ def _binomial_terms(j: int, n: int, upper: int):
 def _xm_terms(m: int, n: int, order: int):
     """((p, beta), coefficient) items of the t^(-order) coefficient of the
     X_m e^(-tH0) diagonal, without the (4 pi t)^(-n/2), where
-    X_m = sum_k (-1)^k C(m,k) H^k H0^(m-k): the Gaussian moments of order
-    |mu| = order weighting the diagonals of H^k (-Lap)^(m-k) z^(2mu)/(2mu)!."""
+    X_m = sum_k (-1)^k C(m,k) H^k H0^(m-k): the Gaussian weights of order
+    |mu| = order (see the module docstring) times the diagonals of
+    H^k (-Lap)^(m-k) z^(2mu)."""
     for mu in multi_indices(n, order):
         two_mu = tuple(2 * e for e in mu)
-        weight = gaussian_diag_derivative(mu) / multi_index_factorial(two_mu)
+        weight = Fraction((-1) ** order, 4 ** order * multi_index_factorial(mu))
         for k in range(m + 1):
             w = weight * (-1) ** k * comb(m, k)
             for beta, c in _laplacian_power_monomial(two_mu, m - k):

@@ -203,7 +203,7 @@ def integrate_density(density: DiffPoly, potential: PotentialExpr, n: int,
     if not 0 < config.half_width < np.inf:
         raise ValueError(
             f"box half-width must be positive and finite, got {config.half_width}")
-    if density.is_zero():
+    if not density:
         return 0.0, 0.0
     return _adaptive_gauss_kronrod(
         lambda coords: _density_values(density, potential, coords), n, config)
@@ -314,7 +314,7 @@ def coefficient_table(invariants: list[InvariantResult],
     table = CoefficientTable(dim=n, epsilon=epsilon)
     for inv in invariants:
         value, err = integrate_density(inv.density, potential, n, config)
-        if n == 1 and inv.epsilon is not None and not inv.density.is_zero():
+        if n == 1 and inv.epsilon is not None and inv.density:
             err += box_tail_1d(inv.density, potential, inv.epsilon, config.half_width)
         if inv.epsilon is None:
             extra = b_from_a(value, inv.j, n)

@@ -144,6 +144,10 @@ class PotentialExpr:
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
 
+# `^` folds a constant c^k only while |k| times the bit length of c's
+# numerator or denominator (a bound on those of c^k) is within this budget
+CONST_POWER_BITS = 4096
+
 
 def _add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
@@ -284,7 +288,13 @@ class _Parser:
                 " for rational powers", at)
         if base == ZERO and exponent.value < 0:  # base as folded: (1-1) is 0
             raise PotentialSyntaxError("zero base under a negative exponent", start)
-        return _pow(base, int(exponent.value))
+        k = int(exponent.value)
+        c = base.value if isinstance(base, Const) else 0
+        if abs(c) not in (0, 1) and abs(k) * max(
+                c.numerator.bit_length(), c.denominator.bit_length()) > CONST_POWER_BITS:
+            raise PotentialSyntaxError(
+                f"constant power past the {CONST_POWER_BITS}-bit folding budget", at - 1)
+        return _pow(base, k)
 
     def number(self) -> Expr:
         start = self.pos

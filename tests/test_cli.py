@@ -364,16 +364,27 @@ class TestProcessLevel:
         assert code == 2
         code, _, _ = run_cli("nonsense")
         assert code == 2
-        code, out, err = run_cli("coeffs", "--dim", "1", "--potential",
-                                 "0^(-1) + x1", "--order", "1")
-        assert (code, out) == (2, "")
-        assert err.startswith("error:")
-        # for exp(-x1^2) the omitted a_4 t^4 is as large as the 3-term
-        # target from t near 0.84 on, so the check would test nothing
-        for t in ("1", "2", "1e6"):
+        # 2^(2^27) would be folded into a 134M-bit integer before any check
+        for potential in ("0^(-1) + x1", "x1 + 2^2^27"):
+            code, out, err = run_cli("coeffs", "--dim", "1", "--potential",
+                                     potential, "--order", "1")
+            assert (code, out) == (2, "")
+            assert err.startswith("error:")
+        # for exp(-x1^2) the omitted a_4 t^4 reaches a tenth of the 3-term
+        # target from t near 0.55 on, so the check would test nothing
+        for t in ("0.8", "1", "2", "1e6"):
             code, out, err = run_cli("verify", "fk", "--paths", "2000", "--t", t)
             assert (code, out) == (2, "")
             assert err.startswith("error:") and "too large" in err
+
+    def test_fk_window_past_a_tenth_of_the_target_fails(self):
+        # near the pole the weights are heavy-tailed but finite: at 2000
+        # paths the estimate is 7.5e4 against a target of 1.56, and its
+        # 3 standard errors are wider than both
+        code, out, _ = run_cli("verify", "fk", "--paths", "2000",
+                               "--potential", "1/(x1-0.3)")
+        assert code == 1
+        assert out.startswith("[FAIL] fk_vs_3term_expansion")
 
     @pytest.mark.parametrize("flag,value", [("--paths", "0"), ("--paths", "-5"),
                                             ("--steps", "0"), ("--dim", "9"),

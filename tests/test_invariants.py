@@ -11,7 +11,6 @@ import pytest
 from heatinv.diffpoly import DiffPoly
 from heatinv.invariants import (_combine, _xm_terms, alpha_density,
                                 alpha_density_tail_sum, alpha_regime,
-                                gaussian_diag_derivative,
                                 heat_invariant_binomial,
                                 heat_invariant_operator_sum,
                                 monomial_decay_weight, regularization_depth)
@@ -19,28 +18,30 @@ from heatinv.invariants import (_combine, _xm_terms, alpha_density,
 
 class TestGaussianFactors:
     def test_values(self):
-        assert gaussian_diag_derivative((0,)) == 1
-        assert gaussian_diag_derivative((1,)) == Fraction(-1, 2)
-        assert gaussian_diag_derivative((2,)) == Fraction(3, 4)
-        assert gaussian_diag_derivative((1, 1)) == Fraction(1, 4)
+        """X_0 is the identity, so its items are the Gaussian weights alone:
+        d^(2mu) e^(-tH0)(x,x) / (2mu)!, i.e. 1, -1/2 / 2!, 3/4 / 4! and
+        1/4 / (2! 2!) for mu = 0, 1, 2 and (1, 1)."""
+        assert list(_xm_terms(0, 1, 0)) == [((0, (0,)), 1)]
+        assert list(_xm_terms(0, 1, 1)) == [((0, (2,)), Fraction(-1, 4))]
+        assert list(_xm_terms(0, 1, 2)) == [((0, (4,)), Fraction(1, 32))]
+        assert dict(_xm_terms(0, 2, 2))[(0, (2, 2))] == Fraction(1, 16)
 
 
 class TestKnownDensities:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_a1_is_minus_V(self, n):
         density = heat_invariant_binomial(1, n).density
-        assert density == -DiffPoly.jet_variable(n, (0,) * n)
+        assert density == DiffPoly(n, {((0,) * n,): -1})
         assert density.to_text() == "-V"
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_a2(self, n):
-        v = DiffPoly.jet_variable(n, (0,) * n)
-        lap = DiffPoly.zero(n)
+        """a_2 = V^2/2 - Lap V/6."""
+        expected = {((0,) * n, (0,) * n): Fraction(1, 2)}
         for i in range(n):
             nu = tuple(2 if k == i else 0 for k in range(n))
-            lap = lap + DiffPoly.jet_variable(n, nu)
-        expected = (v * v).scale(Fraction(1, 2)) - lap.scale(Fraction(1, 6))
-        assert heat_invariant_binomial(2, n).density == expected
+            expected[(nu,)] = Fraction(-1, 6)
+        assert heat_invariant_binomial(2, n).density == DiffPoly(n, expected)
 
     def test_a3_one_dimensional(self):
         text = heat_invariant_binomial(3, 1).density.to_text()
@@ -60,7 +61,7 @@ class TestOperatorFamilyDiagonals:
         assert _combine(2, _xm_terms(0, 2, 0)) == DiffPoly.constant(2, 1)
 
     def test_x1_diagonal_is_minus_V(self):
-        assert _combine(1, _xm_terms(1, 1, 0)) == -DiffPoly.jet_variable(1, (0,))
+        assert _combine(1, _xm_terms(1, 1, 0)) == DiffPoly(1, {((0,),): -1})
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("m", range(1, 7))
@@ -68,7 +69,7 @@ class TestOperatorFamilyDiagonals:
         """The operator routes read the X_m diagonal only at Gaussian-moment
         orders m-j <= (m-1)/2; the next two orders are zero."""
         for order in range((m + 1) // 2, (m + 1) // 2 + 2):
-            assert _combine(n, _xm_terms(m, n, order)).is_zero()
+            assert not _combine(n, _xm_terms(m, n, order))
 
 
 class TestRegularizedDensities:
@@ -91,8 +92,8 @@ class TestRegularizedDensities:
 
     def test_low_orders_vanish(self):
         eps = Fraction(1, 3)
-        assert alpha_density(1, 1, eps).density.is_zero()
-        assert alpha_density(2, 1, eps).density.is_zero()
+        assert not alpha_density(1, 1, eps).density
+        assert not alpha_density(2, 1, eps).density
 
     def test_known_middle_density(self):
         text = alpha_density(3, 1, Fraction(1, 3)).density.to_text()

@@ -110,8 +110,8 @@ class TestTransport:
     def test_first_order_is_minus_the_averaged_potential(self, n, J):
         """u_1(x, x+z) = -int_0^1 V(x+sz) ds, so its z^alpha coefficient
         is -D^alpha V / (alpha! (|alpha|+1)), derivatives of every order."""
-        expected = {alpha: DiffPoly.jet_variable(n, alpha, Fraction(
-                        -1, prod(map(factorial, alpha)) * (sum(alpha) + 1)))
+        expected = {alpha: DiffPoly(n, {(alpha,): Fraction(
+                        -1, prod(map(factorial, alpha)) * (sum(alpha) + 1))})
                     for alpha in multi_indices_upto(n, 2 * (J - 1))}
         assert transport_jets(J, n)[1] == expected
 

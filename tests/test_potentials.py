@@ -54,6 +54,22 @@ class TestParsing:
                 parse_potential(text, 1)
             assert exc.value.offset == 0
 
+    def test_constant_power_bit_budget(self):
+        """c^k folds while |k| times the bit length of c's numerator or
+        denominator stays within CONST_POWER_BITS; bases 0, 1 and -1 are
+        exempt, whatever k."""
+        assert parse_potential("2^2048", 1).root.value == 2 ** 2048
+        assert parse_potential("(1/2)^(-2048)", 1).root.value == 2 ** 2048
+        for text in ("0^(2^40)", "1^(2^40)", "(-1)^(2^40)", "(-1)^(-(2^40)+1)"):
+            value = parse_potential(text, 1).root.value
+            assert abs(value) <= 1
+        for text, offset in (("2^2049", 1), ("x1 + 2^2^27", 6), ("2^2^40", 1),
+                             ("(1/2)^(-2049)", 5), ("1.5 ^ 2049", 4)):
+            with pytest.raises(PotentialSyntaxError) as exc:
+                parse_potential(text, 1)
+            assert exc.value.offset == offset
+            assert "bit" in str(exc.value)
+
     def test_non_integer_exponent_rejected(self):
         with pytest.raises(PotentialSyntaxError) as exc:
             parse_potential("x1 ^ (1/2)", 1)
