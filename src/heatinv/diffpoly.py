@@ -20,8 +20,9 @@ Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
+from itertools import combinations_with_replacement, groupby, product
 from math import factorial, gcd, lcm
+from operator import sub
 from types import MappingProxyType
 
 MultiIndex = tuple[int, ...]
@@ -36,21 +37,22 @@ def multi_index_factorial(nu: MultiIndex) -> int:
 
 
 def multi_indices(dim: int, order: int) -> list[MultiIndex]:
-    """All multi-indices of length dim with total order exactly `order`."""
-    if dim == 1:
-        return [(order,)]
-    out = []
-    for first in range(order + 1):
-        for rest in multi_indices(dim - 1, order - first):
-            out.append((first,) + rest)
-    return out
+    """All multi-indices of length dim with total order exactly `order`, in
+    lexicographic order: stars and bars, whose cuts 0 <= c_1 <= ... <= order
+    give the entries c_1, c_2 - c_1, ..., order - c_(dim-1)."""
+    return [tuple(map(sub, cuts + (order,), (0,) + cuts))
+            for cuts in combinations_with_replacement(range(order + 1), dim - 1)]
+
+
+def multi_indices_below(alpha: MultiIndex):
+    """The box g <= alpha as an iterator, in itertools.product order."""
+    return product(*(range(k + 1) for k in alpha))
 
 
 def multi_indices_upto(dim: int, order: int) -> list[MultiIndex]:
-    out: list[MultiIndex] = []
-    for d in range(order + 1):
-        out.extend(multi_indices(dim, d))
-    return out
+    """All multi-indices of length dim with total order at most `order`,
+    by total order and then lexicographically."""
+    return [nu for d in range(order + 1) for nu in multi_indices(dim, d)]
 
 
 def _format_factor(nu: MultiIndex, power: int) -> str:

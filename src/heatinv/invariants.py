@@ -37,7 +37,7 @@ from itertools import chain
 from math import comb, factorial
 
 from .diffpoly import (DiffPoly, multi_index_factorial, multi_indices,
-                       multi_indices_upto)
+                       multi_indices_below, multi_indices_upto)
 from .halfint import half_integer_binomial
 
 # ---------------------------------------------------------------------------
@@ -95,8 +95,8 @@ def _laplacian_power_monomial(alpha: tuple[int, ...], times: int):
     expansion of (-sum_i d_i^2)^times, where d_i^(2 k_i) z_i^e gives
     e!/(e - 2 k_i)! z_i^(e - 2 k_i)."""
     sign = (-1) ** times
-    for ks in multi_indices(len(alpha), times):
-        if any(2 * k > e for k, e in zip(ks, alpha)):
+    for ks in multi_indices_below(tuple(e // 2 for e in alpha)):
+        if sum(ks) != times:
             continue
         coeff = sign * factorial(times)
         for k, e in zip(ks, alpha):

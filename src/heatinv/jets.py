@@ -17,9 +17,8 @@ outside.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
-from .diffpoly import DiffPoly, multi_index_factorial, multi_indices_upto
+from .diffpoly import DiffPoly, multi_index_factorial, multi_indices_below, multi_indices_upto
 
 ZIndex = tuple[int, ...]
 
@@ -48,7 +47,7 @@ def transport_jets(J: int, n: int) -> list[dict[ZIndex, DiffPoly]]:
                 c = prev.get(b[:i] + (e + 2,) + b[i + 1:])
                 if c is not None:
                     items.append((c, Fraction((e + 2) * (e + 1), scale)))
-            for nu in product(*(range(e + 1) for e in b)):
+            for nu in multi_indices_below(b):
                 c = prev.get(tuple(x - y for x, y in zip(b, nu)))
                 if c is not None:
                     items.append((c, Fraction(-1, multi_index_factorial(nu) * scale), nu))

@@ -111,7 +111,10 @@ def _gk_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, kronrod, gauss
 
 
-MAX_ROUND_NODES = 1 << 18  # integrand nodes evaluated per round at most
+# integrand nodes evaluated per round at most, save that a bisection round
+# evaluates at least one cell pair of 2 * 21^n nodes (388,962 at n = 4);
+# integrate_density refuses an n whose one cell of 21^n nodes passes it
+MAX_ROUND_NODES = 1 << 18
 
 
 def _contract(values: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
@@ -196,13 +199,18 @@ def integrate_density(density: DiffPoly, potential: PotentialExpr, n: int,
     """Adaptive quadrature of the density over the truncated box [-L, L]^n.
 
     Returns (value, error estimate).  Raises ValueError unless L is positive
-    and finite, and QuadratureError (carrying the partial result) if the
-    adaptive scheme does not converge.
+    and finite and one cell's 21^n nodes fit in MAX_ROUND_NODES (n <= 4),
+    and QuadratureError (carrying the partial result) if the adaptive scheme
+    does not converge.
     """
     config = config or QuadratureConfig()
     if not 0 < config.half_width < np.inf:
         raise ValueError(
             f"box half-width must be positive and finite, got {config.half_width}")
+    if 21 ** n > MAX_ROUND_NODES:
+        raise ValueError(
+            f"quadrature in dimension {n} needs 21^{n} = {21 ** n} nodes per cell,"
+            f" past the budget of {MAX_ROUND_NODES} nodes per round")
     if not density:
         return 0.0, 0.0
     return _adaptive_gauss_kronrod(

@@ -27,14 +27,13 @@ as in exp(-1/x1^2) at x1 = 0.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from ._lazy import np
-from .diffpoly import MultiIndex, multi_index_factorial
+from .diffpoly import MultiIndex, multi_index_factorial, multi_indices_below
 
 DERIVATIVE_CAP = 12
 
@@ -148,6 +147,11 @@ ONE = Const(Fraction(1))
 # numerator or denominator (a bound on those of c^k) is within this budget
 CONST_POWER_BITS = 4096
 
+# the parser nests at most this many levels deep (every "(", function
+# argument, unary minus and exponent opens one) and returns trees at most
+# this high, so no walk of a parsed tree nears Python's recursion limit
+NESTING_BUDGET = 100
+
 
 def _add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
@@ -216,13 +220,29 @@ def _pow(a: Expr, k: int) -> Expr:
 
 
 class _Parser:
+    """Recursive descent.  Each rule returns its tree with a bound on the
+    tree's height, one above its highest operand's (leaves are 1)."""
+
     def __init__(self, src: str, dim: int):
         self.src = src
         self.dim = dim
         self.pos = 0
+        self.depth = 0  # unary() calls in progress: every recursion passes one
 
     def error(self, message: str):
         raise PotentialSyntaxError(message, self.pos)
+
+    def nested_too_deep(self, at: int):
+        raise PotentialSyntaxError(
+            f"expression nested past the budget of {NESTING_BUDGET} levels", at)
+
+    def node(self, build, at: int, *parts: tuple[Expr, int]) -> tuple[Expr, int]:
+        """build applied to the parts' trees, refused at offset `at` when its
+        height would pass the nesting budget."""
+        height = 1 + max(h for _, h in parts)
+        if height > NESTING_BUDGET:
+            self.nested_too_deep(at)
+        return build(*(e for e, _ in parts)), height
 
     def skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -243,45 +263,49 @@ class _Parser:
             self.error(f"expected {ch!r}")
 
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr()
         self.skip_ws()
         if self.pos != len(self.src):
             self.error("unexpected trailing input")
         return e
 
-    def expr(self) -> Expr:
+    def expr(self) -> tuple[Expr, int]:
         e = self.term()
         while True:
             if self.accept("+"):
-                e = _add(e, self.term())
+                e = self.node(_add, self.pos - 1, e, self.term())
             elif self.accept("-"):
-                e = _sub(e, self.term())
+                e = self.node(_sub, self.pos - 1, e, self.term())
             else:
                 return e
 
-    def term(self) -> Expr:
+    def term(self) -> tuple[Expr, int]:
         e = self.unary()
         while True:
             if self.accept("*"):
-                e = _mul(e, self.unary())
+                e = self.node(_mul, self.pos - 1, e, self.unary())
             elif self.accept("/"):
-                e = _div(e, self.unary())
+                e = self.node(_div, self.pos - 1, e, self.unary())
             else:
                 return e
 
-    def unary(self) -> Expr:
-        if self.accept("-"):
-            return _neg(self.unary())
-        return self.power()
+    def unary(self) -> tuple[Expr, int]:
+        self.skip_ws()
+        self.depth += 1
+        if self.depth > NESTING_BUDGET:
+            self.nested_too_deep(self.pos)
+        e = self.node(_neg, self.pos - 1, self.unary()) if self.accept("-") else self.power()
+        self.depth -= 1
+        return e
 
-    def power(self) -> Expr:
+    def power(self) -> tuple[Expr, int]:
         self.skip_ws()
         start = self.pos
-        base = self.atom()
+        base, height = self.atom()
         if not self.accept("^"):
-            return base
+            return base, height
         at = self.pos
-        exponent = self.unary()  # parenthesized or signed exponents allowed
+        exponent, _ = self.unary()  # parenthesized or signed exponents allowed
         if not isinstance(exponent, Const) or exponent.value.denominator != 1:
             raise PotentialSyntaxError(
                 "exponent of '^' must be an integer; use powr(base, p, q)"
@@ -294,7 +318,7 @@ class _Parser:
                 c.numerator.bit_length(), c.denominator.bit_length()) > CONST_POWER_BITS:
             raise PotentialSyntaxError(
                 f"constant power past the {CONST_POWER_BITS}-bit folding budget", at - 1)
-        return _pow(base, k)
+        return self.node(lambda b: _pow(b, k), at - 1, (base, height))
 
     def number(self) -> Expr:
         start = self.pos
@@ -315,7 +339,7 @@ class _Parser:
             self.pos += 1
         return self.src[start:self.pos]
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
@@ -323,18 +347,18 @@ class _Parser:
             self.expect(")")
             return e
         if ch.isdigit() or ch == ".":
-            return self.number()
+            return self.number(), 1
         if ch.isalpha() or ch == "_":
             at = self.pos
             name = self.identifier()
             if name == "pi":
-                return Pi()
+                return Pi(), 1
             if name.startswith("x") and name[1:].isdigit():
                 index = int(name[1:])
                 if not 1 <= index <= self.dim:
                     self.pos = at
                     self.error(f"variable {name} out of range for dimension {self.dim}")
-                return Var(index - 1)
+                return Var(index - 1), 1
             if name == "powr":
                 self.expect("(")
                 base = self.expr()
@@ -346,19 +370,19 @@ class _Parser:
                 if q <= 0:
                     self.pos = at
                     self.error("powr denominator must be a positive integer")
-                return Powr(base, p, q)
+                return self.node(lambda b: Powr(b, p, q), at, base)
             if name in FUNCTIONS:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return Call(name, arg)
+                return self.node(lambda a: Call(name, a), at, arg)
             self.pos = at
             self.error(f"unknown identifier {name!r}")
         self.error("expected a number, variable, function, or '('")
 
     def int_literal(self) -> int:
         at = self.pos
-        e = self.expr()
+        e, _ = self.expr()
         if not isinstance(e, Const) or e.value.denominator != 1:
             self.pos = at
             self.error("expected an integer literal")
@@ -512,7 +536,7 @@ class _TaylorPlan:
     def __init__(self, nus: tuple[MultiIndex, ...]):
         closure = set()
         for nu in nus:
-            closure.update(itertools.product(*(range(k + 1) for k in nu)))
+            closure.update(multi_indices_below(nu))
         self.indices = sorted(closure, key=lambda a: (sum(a), a))
         self.pos = pos = {a: k for k, a in enumerate(self.indices)}
         dim = len(self.indices[0])
@@ -524,7 +548,7 @@ class _TaylorPlan:
             axis = next((i for i, a in enumerate(alpha) if a), 0)
             self.table.append((float(alpha[axis]), [
                 (float(g[axis]), pos[g], pos[tuple(a - b for a, b in zip(alpha, g))])
-                for g in itertools.product(*(range(k + 1) for k in alpha))]))
+                for g in multi_indices_below(alpha)]))
 
     def constant(self, value: float, size: int) -> np.ndarray:
         out = np.zeros((len(self.indices), size))

@@ -14,9 +14,9 @@ from heatinv.oracles import BridgeSampler, fk_diagonal
 from heatinv.potentials import parse_potential
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     proc = subprocess.run([sys.executable, "-m", "heatinv.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -376,6 +376,28 @@ class TestProcessLevel:
             code, out, err = run_cli("verify", "fk", "--paths", "2000", "--t", t)
             assert (code, out) == (2, "")
             assert err.startswith("error:") and "too large" in err
+
+    @pytest.mark.parametrize("potential", [
+        "(" * 200 + "x1" + ")" * 200, "exp(" * 200 + "x1" + ")" * 200,
+        "-" * 1000 + "x1", "+".join(["x1"] * 1000),
+    ], ids=["parens", "exp", "minus", "sum"])
+    def test_nesting_past_the_budget_is_usage_error(self, potential):
+        # each of these used to end in a RecursionError traceback (exit 1)
+        code, out, err = run_cli("coeffs", "--dim", "1", "--order", "1",
+                                 f"--potential={potential}", timeout=60)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "nested past the budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("coeffs",), ("regtrace", "--epsilon", "1"),
+    ], ids=["coeffs", "regtrace"])
+    def test_quadrature_past_four_dimensions_is_usage_error(self, argv):
+        # one G10/K21 cell in n = 5 has 21^5 nodes: refused before any is
+        # evaluated instead of running for minutes or running out of memory
+        code, out, err = run_cli(*argv, "--dim", "5", "--order", "1", "--potential",
+                                 "exp(-x1^2-x2^2-x3^2-x4^2-x5^2)", timeout=60)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "21^5" in err
 
     def test_fk_window_past_a_tenth_of_the_target_fails(self):
         # near the pole the weights are heavy-tailed but finite: at 2000

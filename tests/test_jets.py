@@ -2,19 +2,38 @@
 (-Lap)^k z^alpha that the invariants use."""
 
 from fractions import Fraction
+from itertools import product
 from math import factorial, prod
 
 import pytest
 
-from heatinv.diffpoly import DiffPoly, multi_indices, multi_indices_upto
+from heatinv.diffpoly import (DiffPoly, multi_indices, multi_indices_below,
+                              multi_indices_upto)
 from heatinv.invariants import h_power_diagonal, heat_invariant_binomial
 from heatinv.jets import transport_jets
+
+
+def _multi_indices_recursive(dim, order):
+    """The recursive definition: every first entry, then the rest."""
+    if dim == 1:
+        return [(order,)]
+    return [(first,) + rest for first in range(order + 1)
+            for rest in _multi_indices_recursive(dim - 1, order - first)]
 
 
 class TestJetBasics:
     def test_multi_indices(self):
         assert multi_indices(2, 2) == [(0, 2), (1, 1), (2, 0)]
         assert len(multi_indices_upto(3, 2)) == 10
+
+    def test_multi_indices_match_the_recursive_definition(self):
+        for dim in range(1, 9):
+            for order in range(12):
+                assert multi_indices(dim, order) == _multi_indices_recursive(dim, order)
+
+    @pytest.mark.parametrize("alpha", [(0,), (3,), (2, 0), (1, 3), (0, 2, 1), (2, 1, 3, 1)])
+    def test_multi_indices_below_is_the_product_box(self, alpha):
+        assert list(multi_indices_below(alpha)) == list(product(*(range(k + 1) for k in alpha)))
 
 
 def _minus_laplacian(f: dict) -> dict:
@@ -39,6 +58,24 @@ class TestLaplacianPowerClosedForm:
         for _ in range(times):
             f = _minus_laplacian(f)
         assert dict(_laplacian_power_monomial(alpha, times)) == f
+
+    def test_matches_the_compose_and_discard_definition(self):
+        """Walking only k <= alpha / 2 gives the terms of the expansion over
+        every k with |k| = times whose 2k fits under alpha."""
+        from heatinv.invariants import _laplacian_power_monomial
+        for n in (1, 2, 3):
+            for half in multi_indices_upto(n, 6):
+                alpha = tuple(2 * e for e in half)
+                for times in range(12):
+                    want = {}
+                    for ks in multi_indices(n, times):
+                        if all(2 * k <= e for k, e in zip(ks, alpha)):
+                            coeff = (-1) ** times * factorial(times)
+                            for k, e in zip(ks, alpha):
+                                coeff = coeff * factorial(e) // (
+                                    factorial(k) * factorial(e - 2 * k))
+                            want[tuple(e - 2 * k for k, e in zip(ks, alpha))] = coeff
+                    assert dict(_laplacian_power_monomial(alpha, times)) == want
 
 
 class TestOperatorAction:

@@ -87,6 +87,18 @@ class TestIntegration:
         assert (integrate_density(density, GAUSSIAN, 1)
                 == integrate_density(reordered, GAUSSIAN, 1))
 
+    def test_one_cell_past_the_round_budget_is_refused(self, monkeypatch):
+        """n = 5 needs 21^5 nodes in its first cell, past MAX_ROUND_NODES: a
+        ValueError naming both, before the integrand is called, also for a
+        zero density."""
+        def integrand(*_):
+            raise AssertionError("integrand evaluated")
+        monkeypatch.setattr(numeric, "_density_values", integrand)
+        v = parse_potential("exp(-x1^2-x2^2-x3^2-x4^2-x5^2)", 5)
+        for density in (heat_invariant_binomial(1, 5).density, DiffPoly.zero(5)):
+            with pytest.raises(ValueError, match=r"21\^5 = 4084101 .* 262144"):
+                integrate_density(density, v, 5)
+
     def test_non_convergence_carries_partial_result(self, monkeypatch):
         monkeypatch.setattr(numeric, "QUAD_LIMIT", 2)
         density = heat_invariant_binomial(3, 1).density

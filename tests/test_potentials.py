@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from heatinv.potentials import (DERIVATIVE_CAP, DerivativeCapError,
-                                PotentialEvalError, PotentialSyntaxError,
-                                differentiate, evaluate, evaluate_array,
-                                parse_potential, taylor_derivatives)
+from heatinv.potentials import (DERIVATIVE_CAP, NESTING_BUDGET,
+                                DerivativeCapError, PotentialEvalError,
+                                PotentialSyntaxError, differentiate, evaluate,
+                                evaluate_array, parse_potential,
+                                taylor_derivatives)
 
 
 class TestParsing:
@@ -69,6 +70,43 @@ class TestParsing:
                 parse_potential(text, 1)
             assert exc.value.offset == offset
             assert "bit" in str(exc.value)
+
+    # (text at the nesting budget, text one level past it, offset of the
+    # refusal, the slope c of an at-budget text that is c * x1): a left-deep
+    # sum as high as the budget, and parentheses, function calls and unary
+    # minus signs as deep as it
+    B = NESTING_BUDGET
+    NESTED = [
+        ("+".join(["x1"] * B), "+".join(["x1"] * (B + 1)), 3 * B - 1, B),
+        ("(" * (B - 1) + "x1" + ")" * (B - 1), "(" * B + "x1" + ")" * B, B, 1),
+        ("sin(" * (B - 1) + "x1" + ")" * (B - 1), "sin(" * B + "x1" + ")" * B, 4 * B, None),
+        ("-" * (B - 1) + "x1", "-" * B + "x1", B, (-1) ** (B - 1)),
+    ]
+    NESTED_IDS = ["sum", "parens", "sin", "minus"]
+
+    @pytest.mark.parametrize("_,past,offset,__", NESTED, ids=NESTED_IDS)
+    def test_nesting_past_the_budget_is_refused(self, _, past, offset, __):
+        with pytest.raises(PotentialSyntaxError) as exc:
+            parse_potential(past, 1)
+        assert exc.value.offset == offset < len(past)
+        assert f"budget of {NESTING_BUDGET} levels" in str(exc.value)
+
+    @pytest.mark.parametrize("text,_,__,slope", NESTED, ids=NESTED_IDS)
+    def test_nesting_at_the_budget_evaluates_to_order_two(self, text, _, __, slope):
+        """Parsing, printing and a Taylor pass to order 2 stay below the
+        recursion limit at the budget; the values follow the chain rule."""
+        x = np.linspace(-1.3, 1.1, 7)
+        e = parse_potential(text, 1)
+        assert parse_potential(e.to_text(), 1).to_text() == e.to_text()
+        got = taylor_derivatives(e, [(0,), (1,), (2,)], [x])
+        if slope is None:  # sin applied B - 1 times
+            f, d1, d2 = x, np.ones_like(x), np.zeros_like(x)
+            for _ in range(NESTING_BUDGET - 1):
+                f, d1, d2 = np.sin(f), np.cos(f) * d1, np.cos(f) * d2 - np.sin(f) * d1 ** 2
+        else:
+            f, d1, d2 = slope * x, np.full_like(x, slope), np.zeros_like(x)
+        for k, want in enumerate((f, d1, d2)):
+            np.testing.assert_allclose(got[(k,)], want, rtol=1e-12, atol=1e-12)
 
     def test_non_integer_exponent_rejected(self):
         with pytest.raises(PotentialSyntaxError) as exc:
