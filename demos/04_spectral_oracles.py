@@ -22,7 +22,7 @@ t = 0.05
 
 print("Feynman-Kac Monte Carlo vs the 3-term symbolic expansion")
 print("--------------------------------------------------------")
-sampler = BridgeSampler(seed=7, steps=256, paths=100_000)
+sampler = BridgeSampler(seed=7, paths=100_000)
 estimate, stderr = fk_diagonal(potential, (0.0,), t, sampler)
 series = 1.0
 for j in (1, 2, 3):

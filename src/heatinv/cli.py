@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--t": dict(type=float, default=0.05),
         "--seed": dict(type=int, default=0),
         "--paths": dict(type=int, default=100_000),
-        "--steps": dict(type=int, default=256),
+        "--steps": dict(type=int, default=BridgeSampler.steps),
         "--matrix-dim": dict(type=int, default=6),
     }
     for name, func, flags in (
