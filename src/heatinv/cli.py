@@ -47,6 +47,10 @@ MAX_ORDER = {1: 10, 2: 8, 3: 7, 4: 6, 5: 5, 6: 4, 7: 4, 8: 3}
 # t^(N+1) remainder of any higher order is below float64 round-off
 MAX_TAYLOR_ORDER = 4
 
+# `verify taylor` checks matrices of this size: its random symmetric
+# matrices and its discretized Schrodinger pair
+TAYLOR_MATRIX_DIM = 6
+
 # `verify fk` tests something only while its window (3 standard errors plus
 # the omitted a_4 t^4 term) is below this fraction of |target|
 FK_MAX_WINDOW = 0.1
@@ -267,11 +271,14 @@ def verify_fk(args) -> int:
 def verify_trace(args) -> int:
     potential = parse_potential(args.potential, 1)
     ts = np.geomspace(0.02, 0.2, 12)
-    traces = relative_heat_trace_1d(potential, ts, TraceGrid())
+    grid = TraceGrid()
+    traces = relative_heat_trace_1d(potential, ts, grid)
     samples = list(zip(ts.tolist(), traces.tolist()))
     report = fit_expansion(samples, 1, 4)
-    a1, _ = integrate_density(heat_invariant_binomial(1, 1).density, potential, 1)
-    a2, _ = integrate_density(heat_invariant_binomial(2, 1).density, potential, 1)
+    # the targets integrate over the box the trace is taken on
+    config = QuadratureConfig(half_width=grid.half_width)
+    a1, _ = integrate_density(heat_invariant_binomial(1, 1).density, potential, 1, config)
+    a2, _ = integrate_density(heat_invariant_binomial(2, 1).density, potential, 1, config)
     checks = []
     for j, target, tol in ((1, a1, 0.02), (2, a2, 0.10)):
         observed = report.coefficient(j)
@@ -289,13 +296,13 @@ def verify_taylor(args) -> int:
             " remainder is below float64 round-off on the fitted t grid")
     checks = []
     for seed in (args.seed, args.seed + 1, args.seed + 2):
-        report = nc_taylor_matrix_check(args.matrix_dim, args.order, seed)
+        report = nc_taylor_matrix_check(TAYLOR_MATRIX_DIM, args.order, seed)
         lo, hi = args.order + 0.8, args.order + 1.3
         ok = lo <= report.slope <= hi
         checks.append({"name": f"taylor_slope_N{args.order}_seed{seed}",
                        "target": f"[{lo}, {hi}]", "observed": report.slope,
                        "tolerance": "slope window", "pass": bool(ok)})
-    grid = np.linspace(-3.0, 3.0, args.matrix_dim)
+    grid = np.linspace(-3.0, 3.0, TAYLOR_MATRIX_DIM)
     h0_mat, h_mat = discretized_schrodinger_1d(np.exp(-grid ** 2), 1.0)
     for m in range(args.order + 1):
         deviation = taylor_family_matches_operator_family(h0_mat, h_mat, m)
@@ -354,10 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regtrace", parents=[report], help="numeric alpha_j and beta_j")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--epsilon", required=True)
+    p.add_argument("--epsilon", required=True,
+                   help='decay rate as an exact rational, e.g. "1/3"')
     p.add_argument("--potential", required=True, help=POTENTIAL_HELP)
     p.add_argument("--order", type=int, required=True, help=ORDER_HELP)
-    p.add_argument("--box", type=float)
+    p.add_argument("--box", type=float, help="quadrature box half-width")
     p.set_defaults(func=cmd_regtrace)
 
     verify = sub.add_parser("verify", help="numerical verification suites")
@@ -371,14 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, default=0),
         "--paths": dict(type=int, default=100_000),
         "--steps": dict(type=int, default=BridgeSampler.steps),
-        "--matrix-dim": dict(type=int, default=6),
     }
     for name, func, flags in (
             ("routes", verify_routes, ("--dim", "--order", "--epsilon")),
             ("fk", verify_fk, ("--dim", "--potential", "--t", "--seed",
                                "--paths", "--steps")),
             ("trace", verify_trace, ("--potential",)),
-            ("taylor", verify_taylor, ("--order", "--seed", "--matrix-dim"))):
+            ("taylor", verify_taylor, ("--order", "--seed"))):
         p = suites.add_parser(name, parents=[report])
         for flag in flags:
             p.add_argument(flag, **options[flag])

@@ -146,7 +146,7 @@ def _apply_rules(f, centers: np.ndarray, halves: np.ndarray):
 
 def _subintervals_per_axis(centers: np.ndarray, halves: np.ndarray) -> int:
     """Largest number of subintervals the cell endpoints cut any axis into."""
-    return max(len(np.unique(np.concatenate([c - h, c + h]))) - 1
+    return max(np.count_nonzero(np.diff(np.sort(np.concatenate([c - h, c + h]))))
                for c, h in zip(centers.T, halves.T))
 
 

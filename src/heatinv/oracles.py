@@ -342,7 +342,7 @@ def fit_expansion(samples: list[tuple[float, float]], n: int, J: int) -> FitRepo
     if len(samples) < J + 2:
         raise ValueError(f"need at least {J + 2} samples for J={J}, got {len(samples)}")
     ts = np.array([s[0] for s in samples], dtype=float)
-    if len(np.unique(ts)) != len(ts):
+    if not np.all(np.diff(np.sort(ts))):
         raise ValueError("t values must be distinct")
     values = np.array([s[1] for s in samples], dtype=float)
     g = values / (4.0 * math.pi * ts) ** (-n / 2)

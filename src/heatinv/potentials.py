@@ -14,11 +14,13 @@ powr(base, p, q) for the rational power base^(p/q) with base > 0 at
 evaluation time.  `^` takes integer exponents only; rational powers must go
 through powr, which keeps symbolic differentiation total.
 
-ASTs are immutable.  Every number comes from one walk of the AST on numpy
-arrays: a truncated multivariate Taylor pass (`taylor_derivatives` gives
-D^nu V); values are its order-0 case (`evaluate_array`, and `evaluate` on one
-point).  `differentiate` builds the exact symbolic D^nu V tree, with light
-constant folding; it serves as the independent reference for Taylor mode.
+ASTs are immutable.  A difference a - b is stored as a + (-b), which IEEE 754
+evaluates to the same float.  Every number comes from one walk of the AST on
+numpy arrays: a truncated multivariate Taylor pass (`taylor_derivatives`
+gives D^nu V); values are its order-0 case (`evaluate_array`, and `evaluate`
+on one point).  `differentiate` builds the exact symbolic D^nu V tree, with
+light constant folding; it serves as the independent reference for Taylor
+mode.
 One error rule holds for every evaluation: a non-positive powr base gives NaN,
 and a non-finite final value raises PotentialEvalError.  Nothing else raises
 it, so a finite value is accepted even where an intermediate one is infinite,
@@ -86,12 +88,6 @@ class Add(Expr):
 
 
 @dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
 class Mul(Expr):
     left: Expr
     right: Expr
@@ -134,9 +130,6 @@ class PotentialExpr:
     root: Expr
     dim: int
 
-    def to_text(self) -> str:
-        return _print(self.root)
-
 
 # smart constructors with constant folding -----------------------------------
 
@@ -149,7 +142,9 @@ CONST_POWER_BITS = 4096
 
 # the parser nests at most this many levels deep (every "(", function
 # argument, unary minus and exponent opens one) and returns trees at most
-# this high, so no walk of a parsed tree nears Python's recursion limit
+# this high as written.  A subtraction counts one level, but its
+# subtrahend's stored Neg can add one more per subtraction, so a stored tree
+# stays below 2 * NESTING_BUDGET levels, far from Python's recursion limit
 NESTING_BUDGET = 100
 
 
@@ -164,13 +159,7 @@ def _add(a: Expr, b: Expr) -> Expr:
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if b == ZERO:
-        return a
-    if a == ZERO:
-        return _neg(b)
-    return Sub(a, b)
+    return _add(a, _neg(b))
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
@@ -220,8 +209,9 @@ def _pow(a: Expr, k: int) -> Expr:
 
 
 class _Parser:
-    """Recursive descent.  Each rule returns its tree with a bound on the
-    tree's height, one above its highest operand's (leaves are 1)."""
+    """Recursive descent.  Each rule returns its tree with its height as
+    written, one above its highest operand's (leaves are 1); `a - b` counts
+    one level, though it is stored as Add(a, Neg(b))."""
 
     def __init__(self, src: str, dim: int):
         self.src = src
@@ -399,43 +389,6 @@ def parse_potential(src: str, n: int) -> PotentialExpr:
 
 
 # ---------------------------------------------------------------------------
-# Printing
-# ---------------------------------------------------------------------------
-
-
-def _print(e: Expr) -> str:
-    # Fully parenthesized below the top level; deterministic, reparseable.
-    if isinstance(e, Const):
-        v = e.value
-        if v.denominator == 1:
-            return str(v.numerator) if v >= 0 else f"(-{-v.numerator})"
-        return f"({v.numerator}/{v.denominator})" if v >= 0 else f"(-{-v.numerator}/{v.denominator})"
-    if isinstance(e, Pi):
-        return "pi"
-    if isinstance(e, Var):
-        return f"x{e.index + 1}"
-    if isinstance(e, Add):
-        return f"({_print(e.left)} + {_print(e.right)})"
-    if isinstance(e, Sub):
-        return f"({_print(e.left)} - {_print(e.right)})"
-    if isinstance(e, Mul):
-        return f"({_print(e.left)} * {_print(e.right)})"
-    if isinstance(e, Div):
-        return f"({_print(e.left)} / {_print(e.right)})"
-    if isinstance(e, Neg):
-        return f"(-{_print(e.arg)})"
-    if isinstance(e, Pow):
-        k = e.exponent
-        exp_txt = str(k) if k >= 0 else f"({k})"
-        return f"{_print(e.base)}^{exp_txt}"
-    if isinstance(e, Powr):
-        return f"powr({_print(e.base)}, {e.num}, {e.den})"
-    if isinstance(e, Call):
-        return f"{e.name}({_print(e.arg)})"
-    raise TypeError(f"unknown node {e!r}")
-
-
-# ---------------------------------------------------------------------------
 # Differentiation
 # ---------------------------------------------------------------------------
 
@@ -447,8 +400,6 @@ def _d(e: Expr, axis: int) -> Expr:
         return ONE if e.index == axis else ZERO
     if isinstance(e, Add):
         return _add(_d(e.left, axis), _d(e.right, axis))
-    if isinstance(e, Sub):
-        return _sub(_d(e.left, axis), _d(e.right, axis))
     if isinstance(e, Mul):
         return _add(_mul(_d(e.left, axis), e.right), _mul(e.left, _d(e.right, axis)))
     if isinstance(e, Div):
@@ -642,8 +593,6 @@ def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray]) -> np.ndarray:
         return out
     if isinstance(e, Add):
         return _taylor(e.left, plan, coords) + _taylor(e.right, plan, coords)
-    if isinstance(e, Sub):
-        return _taylor(e.left, plan, coords) - _taylor(e.right, plan, coords)
     if isinstance(e, Mul):
         return plan.mul(_taylor(e.left, plan, coords), _taylor(e.right, plan, coords))
     if isinstance(e, Div):

@@ -151,9 +151,16 @@ class TestVerify:
         assert f"density_routes_j{cap}_n{dim}" in names
         assert f"alpha_routes_j{cap}_n{dim}_eps{eps}" in names
 
-    def test_taylor_suite(self, capsys):
-        assert main(["verify", "taylor", "--matrix-dim", "6", "--order", "1",
+    def test_trace_targets_integrate_over_the_trace_box(self, capsys):
+        """int a_1 = -2 atan(L) for 1/(1+x1^2) leaves [-12, 12] 3.4% short
+        of its value over the trace's [-30, 30], past the 2% tolerance."""
+        assert main(["verify", "trace", "--potential", "1/(1+x1^2)",
                      "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["checks"][0]["target"] == pytest.approx(-2 * math.atan(30.0))
+
+    def test_taylor_suite(self, capsys):
+        assert main(["verify", "taylor", "--order", "1", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["pass"] is True
 
@@ -325,12 +332,13 @@ class TestCsv:
                         for r in expected]
 
 
-# the options each verify suite reads, with a value for each
+# the options each verify suite reads, with a value for each (and for
+# --matrix-dim, which none reads)
 SUITE_OPTIONS = {
     "routes": ("--dim", "--order", "--epsilon"),
     "fk": ("--dim", "--potential", "--t", "--seed", "--paths", "--steps"),
     "trace": ("--potential",),
-    "taylor": ("--order", "--seed", "--matrix-dim"),
+    "taylor": ("--order", "--seed"),
 }
 OPTION_VALUES = {"--dim": "2", "--order": "2", "--epsilon": "1/2",
                  "--potential": "x1", "--t": "9.5", "--seed": "4", "--paths": "3",
@@ -351,6 +359,7 @@ class TestOptions:
 
     @pytest.mark.parametrize("argv", UNREAD + [
         ("local", "--dim", "1", "--order", "1", "--foo"),
+        ("verify", "taylor", "--matrix-dim", "6"),
         ("coeffs", "--dim", "1", "--potential", "x1", "--order", "1", "--epsilon", "1"),
     ], ids=" ".join)
     def test_unread_option_is_usage_error(self, argv, capsys):
@@ -433,7 +442,7 @@ class TestProcessLevel:
 
     def test_taylor_suite_imports_no_scipy(self):
         code = ("import sys; from heatinv.cli import main; "
-                "main(['verify', 'taylor', '--matrix-dim', '6', '--order', '1']); "
+                "main(['verify', 'taylor', '--order', '1']); "
                 "print('scipy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True)
@@ -466,6 +475,16 @@ class TestProcessLevel:
         loaded = json.loads(proc.stdout.splitlines()[-1])
         assert not [m for m in loaded if m.startswith("concurrent.futures")]
         assert bool([m for m in loaded if m.startswith("numpy.")]) == numpy_loaded
+
+    def test_numeric_commands_load_no_numpy_ma(self):
+        """numpy.ma costs 13-17 ms of import; np.unique would load it."""
+        code = ("import sys; from heatinv.cli import main; "
+                "main(['coeffs', '--dim', '1', '--potential', 'exp(-x1^2)', '--order', '2']); "
+                "main(['verify', 'trace']); "
+                "print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_cli_import_loads_every_traced_module(self):
         """perfbench's tracer wraps functions in these modules after only

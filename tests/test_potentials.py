@@ -1,17 +1,25 @@
 """Potential expression language: parsing, differentiation, evaluation."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from heatinv.potentials import (DERIVATIVE_CAP, NESTING_BUDGET,
-                                DerivativeCapError, PotentialEvalError,
+                                DerivativeCapError, Expr, PotentialEvalError,
                                 PotentialSyntaxError, differentiate, evaluate,
                                 evaluate_array, parse_potential,
                                 taylor_derivatives)
+
+
+def _height(expr) -> int:
+    """Stored height of a potential AST (leaves are 1)."""
+    return 1 + max((_height(v) for f in dataclasses.fields(expr)
+                    if isinstance(v := getattr(expr, f.name), Expr)), default=0)
 
 
 class TestParsing:
@@ -32,12 +40,21 @@ class TestParsing:
         assert evaluate(e, (1.0,)) == pytest.approx(2.0 ** (-1 / 6))
 
     def test_round_trip(self):
-        src = "powr(1 + x1^2, -1, 6) + (1/3) * tanh(x1) - sqrt(2)"
-        e = parse_potential(src, 1)
-        again = parse_potential(e.to_text(), 1)
-        assert again.to_text() == e.to_text()
+        """A fully parenthesized spelling parses to the same tree."""
+        e = parse_potential("powr(1 + x1^2, -1, 6) + (1/3) * tanh(x1) - sqrt(2)", 1)
+        again = parse_potential(
+            "((powr((1 + (x1^2)), (-1), 6) + ((1/3) * tanh(x1))) - sqrt(2))", 1)
+        assert again == e
         for x in (-1.5, 0.0, 0.7):
-            assert evaluate(again, (x,)) == pytest.approx(evaluate(e, (x,)))
+            assert evaluate(again, (x,)) == evaluate(e, (x,))
+
+    def test_difference_is_stored_as_a_sum(self):
+        """a - b is Add(a, Neg(b)), folded like any sum and negation."""
+        assert parse_potential("x1 - x2", 2) == parse_potential("x1 + (-x2)", 2)
+        assert parse_potential("x1 - -x2", 2) == parse_potential("x1 + x2", 2)
+        assert parse_potential("x1 - 0", 1) == parse_potential("x1", 1)
+        assert parse_potential("0 - x1", 1) == parse_potential("-x1", 1)
+        assert parse_potential("3 - 5/2", 1).root.value == Fraction(1, 2)
 
     def test_syntax_errors_carry_offset(self):
         with pytest.raises(PotentialSyntaxError) as exc:
@@ -73,16 +90,18 @@ class TestParsing:
 
     # (text at the nesting budget, text one level past it, offset of the
     # refusal, the slope c of an at-budget text that is c * x1): a left-deep
-    # sum as high as the budget, and parentheses, function calls and unary
-    # minus signs as deep as it
+    # sum and difference as high as the budget, and parentheses, function
+    # calls, unary minus signs and right-nested differences as deep as it
     B = NESTING_BUDGET
     NESTED = [
         ("+".join(["x1"] * B), "+".join(["x1"] * (B + 1)), 3 * B - 1, B),
         ("(" * (B - 1) + "x1" + ")" * (B - 1), "(" * B + "x1" + ")" * B, B, 1),
         ("sin(" * (B - 1) + "x1" + ")" * (B - 1), "sin(" * B + "x1" + ")" * B, 4 * B, None),
         ("-" * (B - 1) + "x1", "-" * B + "x1", B, (-1) ** (B - 1)),
+        ("-".join(["x1"] * B), "-".join(["x1"] * (B + 1)), 3 * B - 1, 2 - B),
+        ("x1-(" * (B - 1) + "x1" + ")" * (B - 1), "x1-(" * B + "x1" + ")" * B, 4 * B, 0),
     ]
-    NESTED_IDS = ["sum", "parens", "sin", "minus"]
+    NESTED_IDS = ["sum", "parens", "sin", "minus", "difference", "nested difference"]
 
     @pytest.mark.parametrize("_,past,offset,__", NESTED, ids=NESTED_IDS)
     def test_nesting_past_the_budget_is_refused(self, _, past, offset, __):
@@ -93,11 +112,13 @@ class TestParsing:
 
     @pytest.mark.parametrize("text,_,__,slope", NESTED, ids=NESTED_IDS)
     def test_nesting_at_the_budget_evaluates_to_order_two(self, text, _, __, slope):
-        """Parsing, printing and a Taylor pass to order 2 stay below the
-        recursion limit at the budget; the values follow the chain rule."""
+        """Parsing and a Taylor pass to order 2 stay below the recursion
+        limit at the budget, where a stored tree, with the Neg of every
+        subtrahend, is below twice the budget high; the values follow the
+        chain rule."""
         x = np.linspace(-1.3, 1.1, 7)
         e = parse_potential(text, 1)
-        assert parse_potential(e.to_text(), 1).to_text() == e.to_text()
+        assert _height(e.root) < 2 * NESTING_BUDGET
         got = taylor_derivatives(e, [(0,), (1,), (2,)], [x])
         if slope is None:  # sin applied B - 1 times
             f, d1, d2 = x, np.ones_like(x), np.zeros_like(x)
