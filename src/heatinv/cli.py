@@ -245,15 +245,28 @@ def verify_fk(args) -> int:
     x = (0.0,) * args.dim
     a = [evaluate_density(heat_invariant_binomial(j, args.dim).density, potential, x)
          for j in (1, 2, 3, 4)]
-    terms = 1.0
-    for j in (1, 2, 3):
-        terms += a[j - 1] * args.t ** j
-    prefactor = (4 * math.pi * args.t) ** (-args.dim / 2)
-    target = prefactor * terms
     # the 3-term target leaves out a_4 t^4, a bias that can exceed 3 standard
     # errors once the paths are many, so the tolerance adds it; a t where
-    # that term alone fills the window is refused before any path is drawn
-    omitted = abs(prefactor * a[3] * args.t ** 4)
+    # that term alone fills the window is refused before any path is drawn.
+    # Far from 1, a power of t raises OverflowError and a product overflows
+    # to inf: such a t is refused too
+    try:
+        terms = 1.0
+        for j in (1, 2, 3):
+            terms += a[j - 1] * args.t ** j
+        prefactor = (4 * math.pi * args.t) ** (-args.dim / 2)
+        target = prefactor * terms
+        omitted = abs(prefactor * a[3] * args.t ** 4)
+    except OverflowError:
+        target = omitted = math.inf
+    if not (math.isfinite(target) and math.isfinite(omitted)):
+        if args.t > 1:
+            raise UsageError(
+                f"t = {args.t} is too large for the 3-term expansion: its"
+                " terms overflow float64")
+        raise UsageError(
+            f"t = {args.t} is too small: the kernel prefactor"
+            f" (4 pi t)^(-n/2) at n = {args.dim} overflows float64")
     window = FK_MAX_WINDOW * abs(target)
     if omitted >= window:
         raise UsageError(

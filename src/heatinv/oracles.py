@@ -25,10 +25,12 @@ from .potentials import PotentialExpr, evaluate_array
 # ---------------------------------------------------------------------------
 
 _CHUNK = 4096  # paths per block; fixed so results do not depend on memory
-# path points (paths x (steps+1) x dim) per tile of a chunk: about 1 MB per
-# float64 buffer, whatever the sampler's steps and dim; a tile is the next
-# stretch of its chunk's normal stream, so its size moves no result
-_TILE_POINTS = 1 << 17
+# path points (paths x (steps+1) x dim) per tile of a chunk: 256 KB per
+# float64 buffer, so a worker's buffers stay within a core's L2 cache; a
+# chunk is cut into the fewest tiles of this size, split evenly, and a path
+# longer than this is a tile of its own.  A tile is the next stretch of its
+# chunk's normal stream, so its size moves no result
+_TILE_POINTS = 1 << 15
 
 
 def worker_count() -> int:
@@ -135,9 +137,11 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
     these weights.  A weight that overflows makes the mean or its second
     moment non-finite, which raises FloatingPointError.
 
-    Each chunk is drawn and evaluated in tiles of at most _TILE_POINTS path
-    points, so a worker holds two tile buffers and the chunk's fine and
-    coarse weights, not the chunk's paths.
+    Each chunk is drawn and evaluated in the fewest tiles of at most
+    _TILE_POINTS path points, of equal size but for a smaller last one, so a
+    worker holds two tile buffers and the chunk's fine and coarse weights,
+    not the chunk's paths.  A path of more than _TILE_POINTS points is a tile
+    of its own.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -147,12 +151,14 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
     scale = math.sqrt(2.0 * t)
     prefactor = (4.0 * math.pi * t) ** (-n / 2)
     steps = sampler.steps
-    tile = max(1, _TILE_POINTS // ((steps + 1) * n))
+    most = max(1, _TILE_POINTS // ((steps + 1) * n))  # paths a tile may hold
 
     def block_stats(chunk):
         child, count = chunk
         rng = np.random.default_rng(child)
-        shape = (min(tile, count), steps + 1, n)
+        tiles = -(-count // most)
+        tile = -(-count // tiles)
+        shape = (tile, steps + 1, n)
         path_buf, work_buf = np.empty(shape), np.empty(shape)
         weights, coarse = np.empty(count), np.empty(count)
         # an overflow in the weights shows as a non-finite mean or M2, which

@@ -383,10 +383,16 @@ class TestProcessLevel:
             assert err.startswith("error:")
         # for exp(-x1^2) the omitted a_4 t^4 reaches a tenth of the 3-term
         # target from t near 0.55 on, so the check would test nothing
-        for t in ("0.8", "1", "2", "1e6"):
+        # 1e300 ** 2 raises OverflowError, which used to end in exit 3
+        for t in ("0.8", "1", "2", "1e6", "1e300"):
             code, out, err = run_cli("verify", "fk", "--paths", "2000", "--t", t)
             assert (code, out) == (2, "")
             assert err.startswith("error:") and "too large" in err
+        # (4 pi t)^(-n/2) overflows float64 at n = 8
+        code, out, err = run_cli("verify", "fk", "--paths", "100", "--t",
+                                 "1e-300", "--dim", "8")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "t = 1e-300" in err
 
     @pytest.mark.parametrize("potential", [
         "(" * 200 + "x1" + ")" * 200, "exp(" * 200 + "x1" + ")" * 200,

@@ -168,10 +168,29 @@ class TestFeynmanKac:
             assert [fk_diagonal(p, x, 0.05, s)
                     for (p, x), s in zip(cases, samplers)] == default
 
+    def test_chunk_is_cut_into_the_fewest_even_tiles(self, monkeypatch):
+        """At 32 steps a 4096-path chunk is 5 tiles of 820 or 816 paths,
+        not one full tile and a nearly empty one."""
+        sizes = []
+        fill = BridgeSampler.fill
+
+        def record(self, rng, path, work):
+            sizes.append(len(path))
+            fill(self, rng, path, work)
+
+        monkeypatch.setattr(BridgeSampler, "fill", record)
+        monkeypatch.setenv("HEATINV_THREADS", "1")
+        fk_diagonal(GAUSSIAN, (0.0,), 0.05, BridgeSampler(steps=32, paths=4096))
+        tiles = len(sizes)
+        assert sum(sizes) == 4096
+        assert tiles == math.ceil(4096 * 33 / oracles._TILE_POINTS)
+        assert max(sizes) * 33 <= oracles._TILE_POINTS
+        assert max(sizes) - min(sizes) <= tiles - 1
+
     def test_memory_does_not_grow_with_steps(self, monkeypatch):
         """The traced peak is two tiles and the potential's temporaries on
-        one tile, whatever the path length; two buffers of a whole 4096-path
-        chunk at steps=2048 would be 128 MB."""
+        one tile, whatever the length of a path that fits one tile; two
+        buffers of a whole 4096-path chunk at steps=2048 would be 128 MB."""
         monkeypatch.setenv("HEATINV_THREADS", "1")
         peaks = {}
         for steps in (64, 2048):
@@ -182,7 +201,7 @@ class TestFeynmanKac:
                 peaks[steps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[2048] < 8 * 2 ** 20
+        assert peaks[2048] < 2 * 2 ** 20
         assert peaks[2048] <= 1.5 * peaks[64]
 
     def test_back_to_back_calls_agree(self):
