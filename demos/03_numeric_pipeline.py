@@ -13,14 +13,14 @@ import math
 from fractions import Fraction
 
 from heatinv import (alpha_density, coefficient_table, heat_invariant_binomial,
-                     parse_potential, QuadratureConfig)
+                     parse_potential, QuadratureConfig, table_text)
 
 print("Gaussian potential V(x) = exp(-x^2) in one dimension")
 print("----------------------------------------------------")
 potential = parse_potential("exp(-x1^2)", 1)
 invariants = [heat_invariant_binomial(j, 1) for j in (1, 2, 3)]
 table = coefficient_table(invariants, potential, 1)
-print(table.to_text())
+print(table_text(table))
 print()
 print(f"Check: integral of a_1 = -sqrt(pi) = {-math.sqrt(math.pi):.9f}")
 print(f"       integral of a_2 = sqrt(pi/2)/2 = {0.5 * math.sqrt(math.pi / 2):.9f}")
@@ -32,7 +32,7 @@ slow = parse_potential("powr(1 + x1^2, -1, 6)", 1)
 eps = Fraction(1, 3)
 alphas = [alpha_density(j, 1, eps) for j in (1, 2, 3)]
 table = coefficient_table(alphas, slow, 1, QuadratureConfig(half_width=2000.0))
-print(table.to_text())
+print(table_text(table))
 print()
 print("alpha_1 and alpha_2 vanish identically; alpha_3 integrates to a")
 print("finite value even though V itself is not integrable.")

@@ -9,10 +9,9 @@ from .invariants import (InvariantResult, alpha_density,
                          heat_invariant_binomial, heat_invariant_operator_sum,
                          regularization_depth)
 from .jets import transport_jets
-from .numeric import (CoefficientRow, CoefficientTable, QuadratureConfig,
-                      QuadratureError, b_from_a, beta_from_alpha,
-                      coefficient_table, evaluate_density, integrate_density,
-                      spectral_prefactor)
+from .numeric import (QuadratureConfig, QuadratureError, b_from_a,
+                      beta_from_alpha, coefficient_table, evaluate_density,
+                      integrate_density, spectral_prefactor, table_text)
 from .oracles import (BridgeSampler, FitReport, SlopeReport, TraceGrid,
                       discretized_schrodinger_1d, fit_expansion, fk_diagonal,
                       matrix_operator_family, nc_taylor_matrix_check,
@@ -32,9 +31,9 @@ __all__ = [
     "alpha_regime", "heat_invariant_binomial", "heat_invariant_operator_sum",
     "regularization_depth",
     "transport_jets",
-    "CoefficientRow", "CoefficientTable", "QuadratureConfig",
-    "QuadratureError", "b_from_a", "beta_from_alpha", "coefficient_table",
-    "evaluate_density", "integrate_density", "spectral_prefactor",
+    "QuadratureConfig", "QuadratureError", "b_from_a", "beta_from_alpha",
+    "coefficient_table", "evaluate_density", "integrate_density",
+    "spectral_prefactor", "table_text",
     "BridgeSampler", "FitReport", "SlopeReport", "TraceGrid",
     "discretized_schrodinger_1d", "fit_expansion", "fk_diagonal",
     "matrix_operator_family", "nc_taylor_matrix_check",

@@ -29,8 +29,9 @@ from ._lazy import np
 from .invariants import (alpha_density, alpha_density_tail_sum, alpha_regime,
                          heat_invariant_binomial, heat_invariant_operator_sum,
                          regularization_depth)
-from .numeric import (CoefficientTable, QuadratureConfig, QuadratureError,
-                      coefficient_table, evaluate_density, integrate_density)
+from .numeric import (TABLE_COLUMNS, QuadratureConfig, QuadratureError,
+                      check_quadrature, coefficient_table, evaluate_density,
+                      integrate_density, table_text)
 from .oracles import (BridgeSampler, TraceGrid, discretized_schrodinger_1d,
                       fit_expansion, fk_diagonal, nc_taylor_matrix_check,
                       relative_heat_trace_1d,
@@ -167,31 +168,30 @@ def cmd_alpha(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _emit_table(args, invariants, potential) -> int:
+def _emit_table(args, density) -> int:
+    """Print the coefficient table of rows j = 1..order, `density(j)` giving
+    row j's invariant.  The quadrature is checked before any density is
+    built."""
+    potential = parse_potential(args.potential, args.dim)
     config = QuadratureConfig()
     if args.box is not None:
         config.half_width = args.box
+    check_quadrature(args.dim, config)
+    invariants = [density(j) for j in range(1, args.order + 1)]
     table = coefficient_table(invariants, potential, args.dim, config)
-    payload = table.to_json_dict()
-    _emit(args, payload, payload["rows"], CoefficientTable.COLUMNS, table.to_text())
+    _emit(args, table, table["rows"], TABLE_COLUMNS, table_text(table))
     return EXIT_OK
 
 
 def cmd_coeffs(args) -> int:
     _check_order(args.order, args.dim)
-    potential = parse_potential(args.potential, args.dim)
-    invariants = [heat_invariant_binomial(j, args.dim)
-                  for j in range(1, args.order + 1)]
-    return _emit_table(args, invariants, potential)
+    return _emit_table(args, lambda j: heat_invariant_binomial(j, args.dim))
 
 
 def cmd_regtrace(args) -> int:
     _check_order(args.order, args.dim)
     eps = _parse_epsilon(args.epsilon)
-    potential = parse_potential(args.potential, args.dim)
-    invariants = [alpha_density(j, args.dim, eps)
-                  for j in range(1, args.order + 1)]
-    return _emit_table(args, invariants, potential)
+    return _emit_table(args, lambda j: alpha_density(j, args.dim, eps))
 
 
 # ---------------------------------------------------------------------------

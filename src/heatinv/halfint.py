@@ -57,8 +57,8 @@ def half_integer_binomial(j: int, k: int, n: int) -> Fraction:
 def gamma_half_integer(two_z: int) -> HalfIntScalar | None:
     """Exact Gamma(two_z / 2) for any integer two_z.
 
-    Odd two_z: value is q * sqrt(pi) obtained from Gamma(1/2) = sqrt(pi) and
-    the recursion Gamma(z+1) = z * Gamma(z), run in either direction.
+    Odd two_z = 2m + 1: Gamma(m + 1/2) = (2m)! / (4^m m!) sqrt(pi) for
+    m >= 0, and Gamma(1/2 - m) = (-4)^m m! / (2m)! sqrt(pi) for m > 0.
     Even two_z > 0: the factorial (two_z/2 - 1)!.
     Even two_z <= 0: None, a pole of Gamma.  A pole is a legitimate value
     (it signals an absent expansion coefficient in even dimension), not an
@@ -69,14 +69,6 @@ def gamma_half_integer(two_z: int) -> HalfIntScalar | None:
         if z <= 0:
             return None
         return HalfIntScalar(Fraction(math.factorial(z - 1)), 0)
-    # two_z = 2m + 1: walk from Gamma(1/2).
-    coeff = Fraction(1)
-    if two_z >= 1:
-        # Gamma(m + 1/2) = (2m-1)/2 * (2m-3)/2 * ... * 1/2 * Gamma(1/2)
-        for odd in range(1, two_z, 2):
-            coeff *= Fraction(odd, 2)
-    else:
-        # Gamma(1/2 - m) = Gamma(1/2) / ((-1/2)(-3/2)...(1/2 - m))
-        for odd in range(-1, two_z - 1, -2):
-            coeff /= Fraction(odd, 2)
-    return HalfIntScalar(coeff, 1)
+    m = abs(two_z - 1) // 2
+    ratio = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
+    return HalfIntScalar(ratio if two_z > 0 else (-1) ** m / ratio, 1)

@@ -10,7 +10,8 @@ final multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -194,23 +195,28 @@ def _adaptive_gauss_kronrod(f, n: int, config: QuadratureConfig) -> tuple[float,
         est, err, axis = (np.concatenate([old[keep], new]) for old, new in zip((est, err, axis), child))
 
 
-def integrate_density(density: DiffPoly, potential: PotentialExpr, n: int,
-                      config: QuadratureConfig | None = None) -> tuple[float, float]:
-    """Adaptive quadrature of the density over the truncated box [-L, L]^n.
-
-    Returns (value, error estimate).  Raises ValueError unless L is positive
-    and finite and one cell's 21^n nodes fit in MAX_ROUND_NODES (n <= 4),
-    and QuadratureError (carrying the partial result) if the adaptive scheme
-    does not converge.
-    """
-    config = config or QuadratureConfig()
-    if not 0 < config.half_width < np.inf:
+def check_quadrature(n: int, config: QuadratureConfig):
+    """Raise ValueError unless the box half-width L is positive and finite
+    and one cell's 21^n nodes fit in MAX_ROUND_NODES (n <= 4)."""
+    if not 0 < config.half_width < math.inf:
         raise ValueError(
             f"box half-width must be positive and finite, got {config.half_width}")
     if 21 ** n > MAX_ROUND_NODES:
         raise ValueError(
             f"quadrature in dimension {n} needs 21^{n} = {21 ** n} nodes per cell,"
             f" past the budget of {MAX_ROUND_NODES} nodes per round")
+
+
+def integrate_density(density: DiffPoly, potential: PotentialExpr, n: int,
+                      config: QuadratureConfig | None = None) -> tuple[float, float]:
+    """Adaptive quadrature of the density over the truncated box [-L, L]^n.
+
+    Returns (value, error estimate).  Raises ValueError where
+    check_quadrature does, and QuadratureError (carrying the partial result)
+    if the adaptive scheme does not converge.
+    """
+    config = config or QuadratureConfig()
+    check_quadrature(n, config)
     if not density:
         return 0.0, 0.0
     return _adaptive_gauss_kronrod(
@@ -270,56 +276,18 @@ def beta_from_alpha(alpha_j: float, j: int, n: int) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CoefficientRow:
-    j: int
-    density_text: str
-    value: float
-    b_or_beta: float | None
-    route: str
-    err: float
-
-
-@dataclass
-class CoefficientTable:
-    dim: int
-    rows: list[CoefficientRow] = field(default_factory=list)
-    epsilon: Fraction | None = None
-
-    COLUMNS = ("j", "value", "b_or_beta", "err", "route", "density")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "epsilon": str(self.epsilon) if self.epsilon is not None else None,
-            "rows": [
-                {"j": r.j, "density": r.density_text, "value": r.value,
-                 "b_or_beta": r.b_or_beta, "route": r.route, "err": r.err}
-                for r in self.rows
-            ],
-        }
-
-    def to_text(self) -> str:
-        cells = [[str(r.j), f"{r.value:.9g}",
-                  "absent" if r.b_or_beta is None else f"{r.b_or_beta:.9g}",
-                  f"{r.err:.3g}", r.route, r.density_text]
-                 for r in self.rows]
-        widths = [max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
-                  for i, h in enumerate(self.COLUMNS)]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(self.COLUMNS, widths))]
-        for c in cells:
-            lines.append("  ".join(v.ljust(w) for v, w in zip(c, widths)))
-        return "\n".join(lines)
+TABLE_COLUMNS = ("j", "value", "b_or_beta", "err", "route", "density")
 
 
 def coefficient_table(invariants: list[InvariantResult],
                       potential: PotentialExpr, n: int,
-                      config: QuadratureConfig | None = None) -> CoefficientTable:
+                      config: QuadratureConfig | None = None) -> dict:
     """Integrate a list of densities and derive each row's b_j, or beta_j for
-    a regularized density (one with an epsilon)."""
+    a regularized density (one with an epsilon).  Returns the JSON document
+    that schemas/coefficient_table.schema.json describes."""
     config = config or QuadratureConfig()
     epsilon = invariants[0].epsilon if invariants else None
-    table = CoefficientTable(dim=n, epsilon=epsilon)
+    rows = []
     for inv in invariants:
         value, err = integrate_density(inv.density, potential, n, config)
         if n == 1 and inv.epsilon is not None and inv.density:
@@ -328,7 +296,19 @@ def coefficient_table(invariants: list[InvariantResult],
             extra = b_from_a(value, inv.j, n)
         else:
             extra = beta_from_alpha(value, inv.j, n)
-        table.rows.append(CoefficientRow(
-            j=inv.j, density_text=inv.density.to_text(), value=value,
-            b_or_beta=extra, route=inv.route, err=err))
-    return table
+        rows.append({"j": inv.j, "density": inv.density.to_text(), "value": value,
+                     "b_or_beta": extra, "route": inv.route, "err": err})
+    return {"dim": n, "epsilon": None if epsilon is None else str(epsilon),
+            "rows": rows}
+
+
+def table_text(table: dict) -> str:
+    """A coefficient table as aligned text columns, TABLE_COLUMNS in order."""
+    cells = [[str(r["j"]), f'{r["value"]:.9g}',
+              "absent" if r["b_or_beta"] is None else f'{r["b_or_beta"]:.9g}',
+              f'{r["err"]:.3g}', r["route"], r["density"]]
+             for r in table["rows"]]
+    widths = [max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
+              for i, h in enumerate(TABLE_COLUMNS)]
+    return "\n".join("  ".join(v.ljust(w) for v, w in zip(line, widths))
+                     for line in [TABLE_COLUMNS, *cells])

@@ -68,6 +68,8 @@ class BridgeSampler:
         for name in ("steps", "paths", "dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.steps % 2:
             raise ValueError(
                 f"steps must be even (the coarse path takes every other point),"
@@ -419,6 +421,8 @@ def nc_taylor_matrix_check(dim: int, N: int, seed: int) -> SlopeReport:
         raise ValueError(f"matrix size must be >= 2, got {dim}")
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, size=(dim, dim))
     b = rng.uniform(-1.0, 1.0, size=(dim, dim))

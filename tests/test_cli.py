@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from heatinv import cli
 from heatinv.cli import MAX_ORDER, MAX_TAYLOR_ORDER, build_parser, main
 from heatinv.oracles import BridgeSampler, fk_diagonal
 from heatinv.potentials import parse_potential
@@ -367,6 +368,30 @@ class TestOptions:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "fk", "--seed", "-1"), ("verify", "taylor", "--seed", "-5"),
+    ], ids=" ".join)
+    def test_negative_seed_is_named_usage_error(self, argv, capsys):
+        assert main(list(argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "seed" in err
+
+    @pytest.mark.parametrize("argv,builder", [
+        (("coeffs",), "heat_invariant_binomial"),
+        (("regtrace", "--epsilon", "1/2"), "alpha_density"),
+    ], ids=["coeffs", "regtrace"])
+    def test_quadrature_dimension_refused_before_any_density(
+            self, argv, builder, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a density was built")
+        monkeypatch.setattr(cli, builder, refuse)
+        assert main([*argv, "--dim", "5", "--potential", "exp(-x1^2)",
+                     "--order", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "21^5 = 4084101 nodes per cell" in err
 
 
 class TestProcessLevel:

@@ -14,7 +14,8 @@ from heatinv.invariants import alpha_density, heat_invariant_binomial
 from heatinv.numeric import (QuadratureConfig, QuadratureError, _gk_rule,
                              b_from_a, beta_from_alpha, box_tail_1d,
                              coefficient_table, evaluate_density,
-                             integrate_density, spectral_prefactor)
+                             integrate_density, spectral_prefactor,
+                             table_text)
 from heatinv.potentials import parse_potential
 
 GAUSSIAN = parse_potential("exp(-x1^2)", 1)
@@ -139,19 +140,20 @@ class TestRegularizedTail:
         box = 2000.0
         table = coefficient_table(invariants, self.POWR, 1,
                                   QuadratureConfig(half_width=box))
-        for inv, row in zip(invariants, table.rows):
+        for inv, row in zip(invariants, table["rows"]):
             expr = sum(sympy.Rational(c.numerator, c.denominator)
                        * sympy.Mul(*(sympy.diff(v, x, nu[0]) for nu in mono))
                        for mono, c in inv.density.terms.items())
             f = sympy.lambdify(x, expr, "mpmath")
             whole = float(mpmath.quad(f, [-mpmath.inf, -box, -1, 0, 1, box, mpmath.inf]))
-            assert abs(row.value - whole) <= row.err
+            assert abs(row["value"] - whole) <= row["err"]
             # the tail term is what covers the miss, not the quadrature error
-            assert row.err < 3 * abs(row.value - whole) + 1e-6
+            assert row["err"] < 3 * abs(row["value"] - whole) + 1e-6
 
     def test_zero_density_keeps_zero_error(self):
         table = coefficient_table([alpha_density(1, 1, self.EPS)], self.POWR, 1)
-        assert (table.rows[0].value, table.rows[0].err) == (0.0, 0.0)
+        row = table["rows"][0]
+        assert (row["value"], row["err"]) == (0.0, 0.0)
 
     def test_tail_estimate_scales_with_box(self):
         density = alpha_density(4, 1, self.EPS).density
@@ -216,13 +218,18 @@ class TestTables:
         schema = json.loads(resources.files("heatinv.schemas")
                             .joinpath("coefficient_table.schema.json")
                             .read_text())
-        jsonschema.validate(table.to_json_dict(), schema)
+        jsonschema.validate(table, schema)
+        # a regularized table: epsilon "1/3", zero-regime rows
+        regularized = coefficient_table(
+            [alpha_density(j, 1, Fraction(1, 3)) for j in range(1, 5)], GAUSSIAN, 1)
+        assert regularized["epsilon"] == "1/3"
+        assert regularized["rows"][0]["density"] == "0"
+        jsonschema.validate(regularized, schema)
 
     def test_absent_marker(self):
         invariants = [heat_invariant_binomial(1, 2)]
         v2 = parse_potential("exp(-x1^2 - x2^2)", 2)
         table = coefficient_table(invariants, v2, 2,
                                   config=QuadratureConfig(half_width=6.0))
-        assert table.rows[0].b_or_beta is None
-        assert "absent" in table.to_text()
-        assert table.to_json_dict()["rows"][0]["b_or_beta"] is None
+        assert table["rows"][0]["b_or_beta"] is None
+        assert "absent" in table_text(table)

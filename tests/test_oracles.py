@@ -53,8 +53,9 @@ class TestBridgeSampler:
             assert np.array_equal(s, s2)
             assert np.array_equal(block, block2)
 
-    @pytest.mark.parametrize("field", ["steps", "paths", "dim"])
-    @pytest.mark.parametrize("value", [0, -5])
+    @pytest.mark.parametrize("value,field", [
+        (value, field) for field in ("steps", "paths", "dim") for value in (0, -5)
+    ] + [(-5, "seed")])
     def test_rejects_sizes_below_one(self, field, value):
         with pytest.raises(ValueError, match=field):
             BridgeSampler(**{field: value})
