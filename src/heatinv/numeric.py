@@ -41,30 +41,23 @@ QUAD_TOL = 1e-9  # absolute and relative error target of every integral
 
 QUAD_LIMIT = 200  # subintervals per axis at most
 
-EVAL_CHUNK = 2048  # nodes per Taylor pass, so memory does not grow with a round
+EVAL_CHUNK = 2048  # integrand nodes per call, so its temporaries do not grow with a round
 
 
 def _density_values(density: DiffPoly, potential: PotentialExpr,
                     coords: list[np.ndarray]) -> np.ndarray:
-    """A DiffPoly density for a concrete potential on node arrays, taking
-    every D^nu V it needs from one Taylor-mode pass per chunk of nodes.  The
-    terms are summed in sorted monomial order, so equal densities give equal
-    floats whatever order their terms were built in."""
-    terms = sorted(density.terms.items())
-    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
-    flat = [np.broadcast_to(np.asarray(c, dtype=float), shape).ravel() for c in coords]
-    nus = density.jet_variables()
-    total = np.zeros(int(np.prod(shape)))
-    for lo in range(0, total.size, EVAL_CHUNK):
-        chunk = [c[lo:lo + EVAL_CHUNK] for c in flat]
-        derivs = taylor_derivatives(potential, nus, chunk)
-        out = total[lo:lo + EVAL_CHUNK]  # a view: the sums land in total
-        for mono, coeff in terms:
-            prod = np.full(out.shape, float(coeff))
-            for nu in mono:
-                prod *= derivs[nu]
-            out += prod
-    return total.reshape(shape)
+    """A DiffPoly density for a concrete potential on equal-length 1-D node
+    arrays, one per axis, taking every D^nu V it needs from one Taylor-mode
+    pass.  The terms are summed in sorted monomial order, so equal densities
+    give equal floats whatever order their terms were built in."""
+    derivs = taylor_derivatives(potential, density.jet_variables(), coords)
+    total = np.zeros(len(coords[0]))
+    for mono, coeff in sorted(density.terms.items()):
+        prod = np.full(total.shape, float(coeff))
+        for nu in mono:
+            prod *= derivs[nu]
+        total += prod
+    return total
 
 
 def evaluate_density(density: DiffPoly, potential: PotentialExpr, point) -> float:
@@ -112,10 +105,15 @@ def _gk_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, kronrod, gauss
 
 
-# integrand nodes evaluated per round at most, save that a bisection round
-# evaluates at least one cell pair of 2 * 21^n nodes (388,962 at n = 4);
-# integrate_density refuses an n whose one cell of 21^n nodes passes it
+# new cells' nodes per round at most, save that a bisection round adds at
+# least one cell pair of 2 * 21^n nodes (388,962 at n = 4); a round holds
+# one value per node, and integrate_density refuses an n whose one cell of
+# 21^n nodes passes it
 MAX_ROUND_NODES = 1 << 18
+
+# integrand nodes per integral at most, first cell included; a round that
+# would pass it raises QuadratureError instead, which bounds an integral's time
+MAX_INTEGRAL_NODES = 1 << 27
 
 
 def _contract(values: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
@@ -125,14 +123,29 @@ def _contract(values: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
     return values
 
 
+@lru_cache(maxsize=None)
+def _node_offsets(n: int) -> np.ndarray:
+    """Row a holds the Kronrod node on axis a of each of a cell's 21^n nodes,
+    axis 0 varying slowest: n * 21^n floats, 6.2 MB at n = 4."""
+    return np.stack(np.meshgrid(*([_gk_rule()[0]] * n), indexing="ij")).reshape(n, -1)
+
+
 def _apply_rules(f, centers: np.ndarray, halves: np.ndarray):
     """Kronrod estimate, |Kronrod - Gauss| error and the axis to bisect for
-    each cell (center, half-widths), from one batched call of f."""
+    each cell (center, half-widths).
+
+    f sees the cells' nodes in order, in slices of at most EVAL_CHUNK built
+    from their flat indices: index i is node i % 21^n of cell i // 21^n.
+    Only the round's values are kept, not its coordinates."""
     cells, n = centers.shape
     gk_nodes, gk_kronrod, gk_gauss = _gk_rule()
-    offsets = np.stack(np.meshgrid(*([gk_nodes] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    nodes = centers[:, None, :] + halves[:, None, :] * offsets[None, :, :]
-    values = np.asarray(f([nodes[..., a].ravel() for a in range(n)]), dtype=float)
+    offsets = _node_offsets(n)
+    cell_nodes = offsets.shape[1]
+    values = np.empty(cells * cell_nodes)
+    for lo in range(0, len(values), EVAL_CHUNK):
+        cell, node = np.divmod(np.arange(lo, min(lo + EVAL_CHUNK, len(values))), cell_nodes)
+        values[lo:lo + EVAL_CHUNK] = f(
+            [centers[cell, a] + halves[cell, a] * offsets[a, node] for a in range(n)])
     values = values.reshape((cells,) + (len(gk_nodes),) * n)
     volume = np.prod(halves, axis=1)
     kronrod = volume * _contract(values, [gk_kronrod] * n)
@@ -157,16 +170,19 @@ def _adaptive_gauss_kronrod(f, n: int, config: QuadratureConfig) -> tuple[float,
 
     Each round bisects the fewest largest-error cells that hold all but half
     a tolerance of the total error, each along the axis where its Gauss and
-    Kronrod estimates differ most, and evaluates all new nodes in one call
-    of f.  Returns (value, error), the error being the sum of the
-    cells' |Kronrod - Gauss|.  Raises QuadratureError, carrying the value and
-    error reached, when a bisection would cut an axis into more than
-    QUAD_LIMIT subintervals.
+    Kronrod estimates differ most, and evaluates the new cells' nodes in
+    calls of f on at most EVAL_CHUNK nodes.  Returns (value, error), the
+    error being the sum of the cells' |Kronrod - Gauss|.  Raises
+    QuadratureError, carrying the value and error reached, when a bisection
+    would cut an axis into more than QUAD_LIMIT subintervals or take the
+    integral past MAX_INTEGRAL_NODES nodes.
     """
     centers = np.zeros((1, n))
     halves = np.full((1, n), float(config.half_width))
     est, err, axis = _apply_rules(f, centers, halves)
-    per_round = max(1, MAX_ROUND_NODES // (2 * len(_gk_rule()[0]) ** n))
+    cell_nodes = len(_gk_rule()[0]) ** n
+    spent = cell_nodes
+    per_round = max(1, MAX_ROUND_NODES // (2 * cell_nodes))
     while True:
         value, error = float(np.sum(est)), float(np.sum(err))
         tol = QUAD_TOL * max(1.0, abs(value))
@@ -190,6 +206,11 @@ def _adaptive_gauss_kronrod(f, n: int, config: QuadratureConfig) -> tuple[float,
             raise QuadratureError(
                 f"quadrature did not converge: error {error:.3g} above tolerance"
                 f" {tol:.3g} with {QUAD_LIMIT} subintervals per axis", value, error)
+        spent += len(child_centers) * cell_nodes
+        if spent > MAX_INTEGRAL_NODES:
+            raise QuadratureError(
+                f"quadrature did not converge: error {error:.3g} above tolerance"
+                f" {tol:.3g} within {MAX_INTEGRAL_NODES} nodes", value, error)
         child = _apply_rules(f, child_centers, child_halves)
         centers, halves = new_centers, new_halves
         est, err, axis = (np.concatenate([old[keep], new]) for old, new in zip((est, err, axis), child))

@@ -11,8 +11,8 @@ from heatinv.diffpoly import DiffPoly
 from heatinv.halfint import HalfIntScalar
 from heatinv import numeric
 from heatinv.invariants import alpha_density, heat_invariant_binomial
-from heatinv.numeric import (QuadratureConfig, QuadratureError, _gk_rule,
-                             b_from_a, beta_from_alpha, box_tail_1d,
+from heatinv.numeric import (EVAL_CHUNK, QUAD_TOL, QuadratureConfig,
+                             QuadratureError, _gk_rule, b_from_a, beta_from_alpha, box_tail_1d,
                              coefficient_table, evaluate_density,
                              integrate_density, spectral_prefactor,
                              table_text)
@@ -107,6 +107,97 @@ class TestIntegration:
             integrate_density(density, GAUSSIAN, 1)
         assert math.isfinite(exc.value.value) and math.isfinite(exc.value.error)
         assert exc.value.error > 0
+
+
+def _gaussian(n):
+    return parse_potential("exp(-" + "-".join(f"x{i}^2" for i in range(1, n + 1)) + ")", n)
+
+
+def _record_calls(monkeypatch):
+    """Node counts of every call of the integrand, in order."""
+    sizes = []
+    density_values = numeric._density_values
+
+    def record(density, potential, coords):
+        sizes.append(len(coords[0]))
+        return density_values(density, potential, coords)
+
+    monkeypatch.setattr(numeric, "_density_values", record)
+    return sizes
+
+
+class TestRoundSlices:
+    def test_integrand_never_sees_more_than_a_chunk(self, monkeypatch):
+        """A round of up to 2^18 nodes reaches the integrand in slices of at
+        most EVAL_CHUNK nodes, and every cell is evaluated whole."""
+        sizes = _record_calls(monkeypatch)
+        integrate_density(heat_invariant_binomial(1, 3).density, _gaussian(3), 3,
+                          QuadratureConfig(half_width=6.0))
+        assert max(sizes) == EVAL_CHUNK
+        assert sum(sizes) % 21 ** 3 == 0 and sum(sizes) > 2 * 2 ** 18
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_slices_match_a_whole_round(self, monkeypatch, n):
+        """The slices' coordinates are the materialized c + h*o nodes of the
+        whole round, in order, and the integral is bitwise the one built
+        from a single call of the integrand on every node of each round."""
+        density, v = heat_invariant_binomial(2, n).density, _gaussian(n)
+        config = QuadratureConfig(half_width=6.0)
+        sliced = integrate_density(density, v, n, config)
+        apply_rules = numeric._apply_rules
+        gk_nodes = _gk_rule()[0]
+        offsets = np.stack(np.meshgrid(*([gk_nodes] * n), indexing="ij"),
+                           axis=-1).reshape(-1, n)
+
+        def whole_round(f, centers, halves):
+            nodes = (centers[:, None, :] + halves[:, None, :] * offsets).reshape(-1, n)
+            values = numeric._density_values(density, v, list(nodes.T))
+            served = 0
+
+            def replay(coords):
+                nonlocal served
+                lo, served = served, served + len(coords[0])
+                for a in range(n):
+                    assert np.array_equal(coords[a], nodes[lo:served, a])
+                return values[lo:served]
+
+            result = apply_rules(replay, centers, halves)
+            assert served == len(values)
+            return result
+
+        monkeypatch.setattr(numeric, "_apply_rules", whole_round)
+        assert integrate_density(density, v, n, config) == sliced
+
+
+class TestNodeBudget:
+    DENSITY = heat_invariant_binomial(1, 2).density
+    V2 = _gaussian(2)
+
+    def test_budget_of_the_nodes_needed_admits_the_integral(self, monkeypatch):
+        """A budget of exactly the nodes an integral spends gives the same
+        result; one node fewer refuses it before the last round."""
+        sizes = _record_calls(monkeypatch)
+        full = integrate_density(self.DENSITY, self.V2, 2)
+        needed = sum(sizes)
+        monkeypatch.setattr(numeric, "MAX_INTEGRAL_NODES", needed)
+        assert integrate_density(self.DENSITY, self.V2, 2) == full
+        monkeypatch.setattr(numeric, "MAX_INTEGRAL_NODES", needed - 1)
+        with pytest.raises(QuadratureError, match=f"within {needed - 1} nodes"):
+            integrate_density(self.DENSITY, self.V2, 2)
+
+    def test_refusal_carries_the_partial_value_and_error(self, monkeypatch):
+        """Past the budget the integral stops with the value and error its
+        cells hold so far: an error above tolerance that still covers the
+        distance to the true value, -pi, after at most the budget's nodes."""
+        budget = 10 * 21 ** 2
+        monkeypatch.setattr(numeric, "MAX_INTEGRAL_NODES", budget)
+        sizes = _record_calls(monkeypatch)
+        with pytest.raises(QuadratureError) as exc:
+            integrate_density(self.DENSITY, self.V2, 2)
+        value, error = exc.value.value, exc.value.error
+        assert 0 < sum(sizes) <= budget
+        assert error > QUAD_TOL * max(1.0, abs(value))
+        assert abs(value + math.pi) <= error
 
 
 class TestGaussKronrod:
