@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from heatinv import cli
+from heatinv import cli, numeric
 from heatinv.cli import MAX_ORDER, MAX_TAYLOR_ORDER, build_parser, main
 from heatinv.oracles import BridgeSampler, fk_diagonal
 from heatinv.potentials import parse_potential
@@ -120,6 +120,17 @@ class TestCoeffs:
             out, err = capsys.readouterr()
             assert out == ""
             assert "box half-width" in err
+
+    def test_node_budget_is_a_numeric_failure(self, monkeypatch, capsys):
+        """An integral that would pass MAX_INTEGRAL_NODES exits 3, naming the
+        budget, and prints no partial table."""
+        monkeypatch.setattr(numeric, "MAX_INTEGRAL_NODES", 4 * 21 ** 2)
+        assert main(["coeffs", "--dim", "2", "--potential", "exp(-x1^2-x2^2)",
+                     "--order", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numeric failure:")
+        assert f"within {4 * 21 ** 2} nodes" in captured.err
+        assert captured.out == ""
 
 
 class TestRegtrace:
@@ -537,18 +548,6 @@ class TestProcessLevel:
         assert code == 3
         assert err.startswith("numeric failure:")
         assert out == ""
-
-    def test_node_budget_is_a_numeric_failure(self, monkeypatch, capsys):
-        """An integral that would pass MAX_INTEGRAL_NODES exits 3, naming the
-        budget, and prints no partial table."""
-        from heatinv import numeric
-        monkeypatch.setattr(numeric, "MAX_INTEGRAL_NODES", 4 * 21 ** 2)
-        assert main(["coeffs", "--dim", "2", "--potential", "exp(-x1^2-x2^2)",
-                     "--order", "1"]) == 3
-        captured = capsys.readouterr()
-        assert captured.err.startswith("numeric failure:")
-        assert f"within {4 * 21 ** 2} nodes" in captured.err
-        assert captured.out == ""
 
     def test_byte_identical_determinism(self):
         args = ("verify", "fk", "--paths", "12000", "--seed", "3",
