@@ -173,9 +173,8 @@ def _emit_table(args, density) -> int:
     row j's invariant.  The quadrature is checked before any density is
     built."""
     potential = parse_potential(args.potential, args.dim)
-    config = QuadratureConfig()
-    if args.box is not None:
-        config.half_width = args.box
+    config = (QuadratureConfig() if args.box is None
+              else QuadratureConfig(half_width=args.box))
     check_quadrature(args.dim, config)
     invariants = [density(j) for j in range(1, args.order + 1)]
     table = coefficient_table(invariants, potential, args.dim, config)

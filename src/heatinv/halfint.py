@@ -1,36 +1,15 @@
-"""Exact scalars of the form q * pi^(p/2) and half-integer Gamma/binomial helpers.
+"""Exact half-integer Gamma values and binomials.
 
 All combinatorial factors (factorials, binomials with half-integer entries,
-Gamma values at half-integers) are kept exact; floats appear only when the
-caller explicitly converts at the very end of a pipeline.
+Gamma values at half-integers) are kept exact.  A number q * pi^(k/2) is
+carried as the pair (q, k) of a Fraction q and an int k; floats appear only
+when the caller converts such a pair at the very end of a pipeline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-
-
-@dataclass(frozen=True)
-class HalfIntScalar:
-    """Exact number coeff * pi^(sqrt_pi_power / 2)."""
-
-    coeff: Fraction
-    sqrt_pi_power: int = 0
-
-    def __truediv__(self, other: "HalfIntScalar") -> "HalfIntScalar":
-        # Fraction division raises ZeroDivisionError for a zero other
-        return HalfIntScalar(self.coeff / other.coeff,
-                             self.sqrt_pi_power - other.sqrt_pi_power)
-
-    def __float__(self) -> float:
-        return float(self.coeff) * math.pi ** (self.sqrt_pi_power / 2)
-
-    def __repr__(self):
-        if self.sqrt_pi_power == 0:
-            return f"{self.coeff}"
-        return f"{self.coeff}*pi^({self.sqrt_pi_power}/2)"
 
 
 def half_integer_binomial(j: int, k: int, n: int) -> Fraction:
@@ -54,8 +33,9 @@ def half_integer_binomial(j: int, k: int, n: int) -> Fraction:
     return prod / math.factorial(j - 1 - k)
 
 
-def gamma_half_integer(two_z: int) -> HalfIntScalar | None:
-    """Exact Gamma(two_z / 2) for any integer two_z.
+def gamma_half_integer(two_z: int) -> tuple[Fraction, int] | None:
+    """Exact Gamma(two_z / 2) = q * pi^(k/2) as the pair (q, k), for any
+    integer two_z.
 
     Odd two_z = 2m + 1: Gamma(m + 1/2) = (2m)! / (4^m m!) sqrt(pi) for
     m >= 0, and Gamma(1/2 - m) = (-4)^m m! / (2m)! sqrt(pi) for m > 0.
@@ -68,7 +48,7 @@ def gamma_half_integer(two_z: int) -> HalfIntScalar | None:
         z = two_z // 2
         if z <= 0:
             return None
-        return HalfIntScalar(Fraction(math.factorial(z - 1)), 0)
+        return Fraction(math.factorial(z - 1)), 0
     m = abs(two_z - 1) // 2
     ratio = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
-    return HalfIntScalar(ratio if two_z > 0 else (-1) ** m / ratio, 1)
+    return (ratio if two_z > 0 else (-1) ** m / ratio), 1

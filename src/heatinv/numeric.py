@@ -3,9 +3,9 @@ integrate them over the truncated box [-L, L]^n (not over R^n), and convert
 integrated invariants into scattering phase / trace-distribution
 coefficients.
 
-All exact Gamma and (4 pi)^(-n/2) factors are combined in HalfIntScalar
-before any float conversion; floats only enter through quadrature and the
-final multiplication.
+All exact Gamma and (4 pi)^(-n/2) factors are combined as one exact pair
+(q, k), standing for q * pi^(k/2), before any float conversion; floats only
+enter through quadrature and the final multiplication.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from ._lazy import np
 from .diffpoly import DiffPoly
-from .halfint import HalfIntScalar, gamma_half_integer
+from .halfint import gamma_half_integer
 from .invariants import InvariantResult, monomial_decay_weight
 from .potentials import PotentialExpr, taylor_derivatives
 
@@ -32,7 +32,7 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureConfig:
     half_width: float = 12.0     # integration box [-L, L]^n
 
@@ -217,11 +217,16 @@ def _adaptive_gauss_kronrod(f, n: int, config: QuadratureConfig) -> tuple[float,
 
 
 def check_quadrature(n: int, config: QuadratureConfig):
-    """Raise ValueError unless the box half-width L is positive and finite
-    and one cell's 21^n nodes fit in MAX_ROUND_NODES (n <= 4)."""
+    """Raise ValueError unless the box half-width L is positive and finite,
+    the first cell's volume L^n is a finite float, and one cell's 21^n nodes
+    fit in MAX_ROUND_NODES (n <= 4)."""
     if not 0 < config.half_width < math.inf:
         raise ValueError(
             f"box half-width must be positive and finite, got {config.half_width}")
+    if math.prod([float(config.half_width)] * n) == math.inf:
+        raise ValueError(
+            f"box half-width {config.half_width} is too large in dimension {n}:"
+            f" the cell volume L^{n} overflows a float")
     if 21 ** n > MAX_ROUND_NODES:
         raise ValueError(
             f"quadrature in dimension {n} needs 21^{n} = {21 ** n} nodes per cell,"
@@ -258,13 +263,14 @@ def box_tail_1d(density: DiffPoly, potential: PotentialExpr, epsilon: Fraction,
     return 2.0 * float(np.sum(np.abs(ends))) * half_width / float(w - 1)
 
 
-def spectral_prefactor(j: int, n: int) -> HalfIntScalar | None:
-    """Exact (4 pi)^(-n/2) / Gamma(n/2 - j); None when Gamma is at a pole."""
+def spectral_prefactor(j: int, n: int) -> tuple[Fraction, int] | None:
+    """Exact (4 pi)^(-n/2) / Gamma(n/2 - j) = q * pi^(k/2) as the pair
+    (q, k); None when Gamma is at a pole."""
     g = gamma_half_integer(n - 2 * j)
     if g is None:
         return None
-    four_pi = HalfIntScalar(Fraction(1, 2 ** n), -n)  # (4 pi)^(-n/2)
-    return four_pi / g
+    q, k = g
+    return Fraction(1, 2 ** n) / q, -n - k
 
 
 def b_from_a(a_j: float, j: int, n: int) -> float | None:
@@ -278,8 +284,9 @@ def b_from_a(a_j: float, j: int, n: int) -> float | None:
     factor = spectral_prefactor(j, n)
     if factor is None:
         return None
+    q, k = factor
     # a zero a_j gives 0.0, not the -0.0 of a negative factor
-    return a_j * float(factor) if a_j else 0.0
+    return a_j * (float(q) * math.pi ** (k / 2)) if a_j else 0.0
 
 
 def beta_from_alpha(alpha_j: float, j: int, n: int) -> float | None:

@@ -121,6 +121,20 @@ class TestCoeffs:
             assert out == ""
             assert "box half-width" in err
 
+    @pytest.mark.parametrize("dim, box", [(2, "1e200"), (2, "1e160"), (3, "1e110")])
+    def test_box_whose_cell_volume_overflows_is_usage_error(self, dim, box, capsys):
+        """A --box whose first cell's volume L^n overflows a float exits 2
+        with a named error and no numpy warning, before any density is
+        built."""
+        potential = "exp(-" + "-".join(f"x{i}^2" for i in range(1, dim + 1)) + ")"
+        for argv in (["coeffs"], ["regtrace", "--epsilon", "1/3"]):
+            assert main([*argv, "--dim", str(dim), "--potential", potential,
+                         "--order", "1", "--box", box]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (f"error: box half-width {float(box)} is too large in"
+                           f" dimension {dim}: the cell volume L^{dim} overflows a float\n")
+
     def test_node_budget_is_a_numeric_failure(self, monkeypatch, capsys):
         """An integral that would pass MAX_INTEGRAL_NODES exits 3, naming the
         budget, and prints no partial table."""

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from heatinv.diffpoly import DiffPoly
-from heatinv.halfint import HalfIntScalar
 from heatinv import numeric
 from heatinv.invariants import alpha_density, heat_invariant_binomial
 from heatinv.numeric import (EVAL_CHUNK, QUAD_TOL, QuadratureConfig,
@@ -99,6 +98,24 @@ class TestIntegration:
         for density in (heat_invariant_binomial(1, 5).density, DiffPoly.zero(5)):
             with pytest.raises(ValueError, match=r"21\^5 = 4084101 .* 262144"):
                 integrate_density(density, v, 5)
+
+    def test_box_whose_cell_volume_overflows_is_refused(self, monkeypatch):
+        """L^n past the largest float is a ValueError before the integrand is
+        called; the same L in fewer dimensions, whose L^n is finite, runs."""
+        def integrand(*_):
+            raise AssertionError("integrand evaluated")
+        monkeypatch.setattr(numeric, "_density_values", integrand)
+        for n, half_width in ((1, 1e308), (2, 1e154), (3, 1e102), (4, 1e77)):
+            numeric.check_quadrature(n, QuadratureConfig(half_width=half_width))
+        for n, half_width in ((2, 1e155), (2, 1e200), (3, 1e103), (4, 1e78)):
+            with pytest.raises(ValueError, match=rf"cell volume L\^{n} overflows"):
+                integrate_density(heat_invariant_binomial(1, n).density,
+                                  _gaussian(n), n, QuadratureConfig(half_width=half_width))
+
+    def test_config_is_frozen(self):
+        config = QuadratureConfig(half_width=6.0)
+        with pytest.raises(AttributeError):
+            config.half_width = 12.0
 
     def test_non_convergence_carries_partial_result(self, monkeypatch):
         monkeypatch.setattr(numeric, "QUAD_LIMIT", 2)
@@ -257,9 +274,8 @@ class TestRegularizedTail:
 class TestSpectralPrefactor:
     def test_exact_value_odd_dimension(self):
         # n = 1, j = 1: (4 pi)^(-1/2) / Gamma(-1/2) = -1 / (4 pi)
-        factor = spectral_prefactor(1, 1)
-        assert factor == HalfIntScalar(Fraction(-1, 4), -2)
-        assert float(factor) == pytest.approx(-1 / (4 * math.pi))
+        assert spectral_prefactor(1, 1) == (Fraction(-1, 4), -2)
+        assert b_from_a(1.0, 1, 1) == pytest.approx(-1 / (4 * math.pi))
 
     def test_pole_detection(self):
         assert spectral_prefactor(1, 2) is None
@@ -274,7 +290,7 @@ class TestSpectralPrefactor:
 
     def test_zero_value_gives_positive_zero(self):
         # the n = 1, j = 1 factor is negative; a zero integral is 0.0, not -0.0
-        assert float(spectral_prefactor(1, 1)) < 0
+        assert spectral_prefactor(1, 1)[0] < 0
         for zero in (0.0, -0.0):
             for convert in (b_from_a, beta_from_alpha):
                 assert math.copysign(1.0, convert(zero, 1, 1)) == 1.0
@@ -286,11 +302,11 @@ class TestSpectralPrefactor:
         assert beta_from_alpha(1.0, 1, 3) is not None
 
     def test_exact_vs_float_assembly(self):
-        # building through HalfIntScalar then converting once agrees with a
+        # building the exact pair (q, k) then converting once agrees with a
         # direct float computation to near machine precision
         for n in (1, 3, 5):
             for j in (1, 2, 3):
-                exact = float(spectral_prefactor(j, n))
+                exact = b_from_a(1.0, j, n)
                 direct = (4 * math.pi) ** (-n / 2) / math.gamma(n / 2 - j)
                 assert abs(exact - direct) <= 1e-12 * abs(direct)
 
