@@ -302,6 +302,8 @@ def verify_trace(args) -> int:
 
 
 def verify_taylor(args) -> int:
+    if args.order < 0:
+        raise UsageError(f"order must be >= 0, got {args.order}")
     if args.order > MAX_TAYLOR_ORDER:
         raise UsageError(
             f"order {args.order} exceeds {MAX_TAYLOR_ORDER}: a higher-order"

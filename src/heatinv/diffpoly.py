@@ -2,11 +2,20 @@
 
 A DiffPoly is a polynomial with rational coefficients in the formal jet
 variables D^nu V (the partial derivatives of the potential at the base
-point).  A monomial is a multiset of multi-indices, one per V factor, stored
-as a tuple sorted in descending order; e.g. in one dimension
+point).  A monomial is a multiset of multi-indices, one per V factor.  Its
+public spelling, the keys of `terms` and of the constructor's dict, is a
+tuple of multi-indices sorted in descending order; e.g. in one dimension
 
     V * V''   ->  ((2,), (0,))      (key sorted descending)
     V^3       ->  ((0,), (0,), (0,))
+
+Inside, each D^nu V is a prime, its jet prime, handed out the first time
+the multi-index is seen, and a stored monomial is the product of its
+factors' primes (1 for the empty monomial).  Unique factorization makes that
+int a canonical key, and multiplying a monomial by D^nu V is one int
+multiplication, so `combination` neither builds nor sorts a tuple.  `terms`,
+`jet_variables`, `to_text` and `permute_axes` factor a key back into its
+jets.
 
 The coefficients are stored as integer numerators over one shared positive
 denominator, and `combination`, the one sum and product, runs on Python
@@ -21,12 +30,77 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
-from math import factorial, gcd, lcm
+from math import factorial, gcd, isqrt, lcm, prod
 from operator import sub
 from types import MappingProxyType
 
 MultiIndex = tuple[int, ...]
 Monomial = tuple[MultiIndex, ...]
+PrimeMonomial = int  # the product of the factors' jet primes, the stored key
+
+# The jet registry.  It is process-global because the exact layer runs on one
+# thread, and it only grows by the jets that the requested orders reach: at
+# the CLI's order caps a few hundred multi-indices, whose primes stay below
+# 3000, and a few thousand distinct monomials in _FACTORS.  Which prime a jet
+# gets depends on the order in which jets are first seen, so nothing outside
+# this module reads the primes.
+_JET_PRIMES: dict[MultiIndex, int] = {}
+_JETS: dict[int, MultiIndex] = {}  # prime -> multi-index
+_PRIMES: list[int] = []  # the registered primes, ascending
+_FACTORS: dict[PrimeMonomial, tuple[int, ...]] = {1: ()}  # key -> its primes
+
+# perm -> {prime: prime of the axis-relabeled jet}, over every registered jet
+_AXIS_IMAGES: dict[tuple[int, ...], dict[int, int]] = {}
+
+
+def _jet_prime(nu: MultiIndex) -> int:
+    p = _JET_PRIMES.get(nu)
+    if p is None:
+        p = _PRIMES[-1] + 1 if _PRIMES else 2
+        while any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            p += 1
+        _JET_PRIMES[nu] = p
+        _JETS[p] = nu
+        _PRIMES.append(p)
+    return p
+
+
+def _factors(key: PrimeMonomial) -> tuple[int, ...]:
+    """The jet primes of a stored key, ascending and repeated by power:
+    trial division by the registered primes, memoized per key."""
+    out = _FACTORS.get(key)
+    if out is None:
+        found, rest = [], key
+        for p in _PRIMES:
+            while rest % p == 0:
+                found.append(p)
+                rest //= p
+            if rest == 1:
+                break
+        out = _FACTORS[key] = tuple(found)
+    return out
+
+
+def _axis_images(perm: tuple[int, ...]) -> dict[int, int]:
+    """The prime -> prime table of the relabeling perm, cached per perm and
+    extended to the jets registered since its last use (another
+    dimension's jets map to 0)."""
+    table = _AXIS_IMAGES.setdefault(perm, {})
+    if len(table) < len(_PRIMES):
+        source = [0] * len(perm)
+        for i, p in enumerate(perm):
+            source[p] = i
+        while len(table) < len(_PRIMES):  # an image may register a new jet
+            p = _PRIMES[len(table)]
+            nu = _JETS[p]
+            table[p] = (_jet_prime(tuple([nu[k] for k in source]))
+                        if len(nu) == len(perm) else 0)
+    return table
+
+
+def _spelled(key: PrimeMonomial) -> Monomial:
+    """A stored key as the public descending tuple of multi-indices."""
+    return tuple(sorted([_JETS[p] for p in _factors(key)], reverse=True))
 
 
 def multi_index_factorial(nu: MultiIndex) -> int:
@@ -70,14 +144,22 @@ class DiffPoly:
     __slots__ = ("dim", "_num", "_den", "_terms")
 
     def __init__(self, dim: int, terms: dict[Monomial, Fraction] | None = None):
+        """terms maps monomials spelled as tuples of multi-indices to their
+        coefficients; spellings of one multiset are summed."""
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        coeffs = {m: Fraction(c) for m, c in terms.items() if c} if terms else {}
+        coeffs: dict[PrimeMonomial, Fraction] = {}
+        for m, c in (terms or {}).items():
+            if any(len(nu) != dim for nu in m):
+                raise ValueError(f"monomial {m} has a multi-index whose length is not {dim}")
+            key = prod(map(_jet_prime, m))
+            coeffs[key] = coeffs.get(key, 0) + Fraction(c)
+        coeffs = {m: q for m, q in coeffs.items() if q}
         den = lcm(*(q.denominator for q in coeffs.values()))
         self._init(dim, {m: q.numerator * (den // q.denominator)
                          for m, q in coeffs.items()}, den)
 
-    def _init(self, dim: int, num: dict[Monomial, int], den: int):
+    def _init(self, dim: int, num: dict[PrimeMonomial, int], den: int):
         """Adopt nonzero integer numerators over den > 0, dividing out their
         common factor with den (zero ends up with den == 1)."""
         g = gcd(den, *num.values())
@@ -90,7 +172,7 @@ class DiffPoly:
         object.__setattr__(self, "_terms", None)
 
     @classmethod
-    def _from_ints(cls, dim: int, num: dict[Monomial, int], den: int) -> "DiffPoly":
+    def _from_ints(cls, dim: int, num: dict[PrimeMonomial, int], den: int) -> "DiffPoly":
         out = object.__new__(cls)
         out._init(dim, num, den)
         return out
@@ -105,7 +187,7 @@ class DiffPoly:
         if self._terms is None:
             den = self._den
             object.__setattr__(self, "_terms", MappingProxyType(
-                {m: Fraction(c, den) for m, c in self._num.items()}))
+                {_spelled(m): Fraction(c, den) for m, c in self._num.items()}))
         return self._terms
 
     # -- constructors ------------------------------------------------------
@@ -123,13 +205,14 @@ class DiffPoly:
         the result: to_text and numeric evaluation read terms sorted."""
         items = list(items)
         den = lcm(*(item[0]._den * item[1].denominator for item in items))
-        acc: dict[Monomial, int] = {}
+        acc: dict[PrimeMonomial, int] = {}
         for item in items:
-            p, q, factor = item[0], item[1], item[2:]
+            p, q = item[0], item[1]
             f = q.numerator * (den // (p._den * q.denominator))
-            if factor:
+            if len(item) == 3:
+                jet = _jet_prime(item[2])
                 for mono, c in p._num.items():
-                    key = tuple(sorted(mono + factor, reverse=True))
+                    key = mono * jet
                     acc[key] = acc.get(key, 0) + c * f
             else:
                 for mono, c in p._num.items():
@@ -145,21 +228,10 @@ class DiffPoly:
     def permute_axes(self, perm: tuple[int, ...]) -> "DiffPoly":
         """Relabel coordinate axes: entry i of each multi-index moves to
         position perm[i]."""
-        source = [0] * self.dim
-        for i, p in enumerate(perm):
-            source[p] = i
-        images: dict[MultiIndex, MultiIndex] = {}
-        out: dict[Monomial, int] = {}
-        for mono, c in self._num.items():
-            new = []
-            for nu in mono:
-                img = images.get(nu)
-                if img is None:
-                    img = images[nu] = tuple([nu[k] for k in source])
-                new.append(img)
-            new.sort(reverse=True)
-            out[tuple(new)] = c
-        return DiffPoly._from_ints(self.dim, out, self._den)
+        image = _axis_images(tuple(perm)).__getitem__
+        return DiffPoly._from_ints(
+            self.dim, {prod(map(image, _factors(mono))): c
+                       for mono, c in self._num.items()}, self._den)
 
     # -- queries -----------------------------------------------------------
 
@@ -172,10 +244,7 @@ class DiffPoly:
 
     def jet_variables(self) -> set[MultiIndex]:
         """All distinct D^nu V appearing in the polynomial."""
-        out: set[MultiIndex] = set()
-        for mono in self._num:
-            out.update(mono)
-        return out
+        return {_JETS[p] for mono in self._num for p in _factors(mono)}
 
     # -- canonical text form ----------------------------------------------
 

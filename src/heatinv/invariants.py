@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import comb, factorial
+from operator import add
 
 from .diffpoly import (DiffPoly, multi_index_factorial, multi_indices,
                        multi_indices_below, multi_indices_upto)
@@ -46,11 +47,24 @@ from .halfint import half_integer_binomial
 
 
 @lru_cache(maxsize=None)
-def _taylor_weights(dim: int, order: int) -> tuple:
-    """(nu, 1/nu!) for every |nu| <= order: the Taylor coefficients of V,
-    built once per (dim, order) instead of once per diagonal."""
-    return tuple((nu, Fraction(1, multi_index_factorial(nu)))
-                 for nu in multi_indices_upto(dim, order))
+def _taylor_weights(dim: int, budget: int, parity: tuple[int, ...]) -> tuple:
+    """(nu, 1/nu!) for the |nu| <= budget whose D^nu V step, taken from
+    exponents alpha of this parity with |alpha| = 2(p-1) - budget, leads to a
+    nonzero diagonal of H^(p-1) z^(alpha+nu); built once per key instead of
+    once per diagonal.
+
+    Laplacian steps keep each exponent's parity, so from z^beta every odd
+    axis of beta needs an odd share of the degree that the k >= 1 remaining
+    V steps add, 2(p-1) - 2k - |beta|.  With odd such axes and
+    odd > 2(p-1) - 2 - |beta| = budget - |nu| - 2, no constant term is
+    reached and the diagonal is zero."""
+    out = []
+    for nu in multi_indices_upto(dim, budget):
+        odd = sum((a + b) & 1 for a, b in zip(parity, nu))
+        if odd and odd > budget - sum(nu) - 2:
+            continue
+        out.append((nu, Fraction(1, multi_index_factorial(nu))))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +82,8 @@ def h_power_diagonal(dim: int, p: int, alpha: tuple[int, ...]) -> DiffPoly:
     # one application H z^alpha = -Lap z^alpha + sum_nu (D^nu V / nu!)
     # z^(alpha+nu) gives a linear recursion over (p, alpha).  A term of
     # z-degree d needs at least d/2 Laplacians to reach the constant term,
-    # so branches with |alpha + nu| > 2(p-1) are dropped.
+    # so branches with |alpha + nu| > 2(p-1) are dropped, and so are those
+    # whose odd exponents cannot all turn even (see _taylor_weights).
     degree = sum(alpha)
     if degree > 2 * p:
         return DiffPoly.zero(dim)
@@ -83,25 +98,32 @@ def h_power_diagonal(dim: int, p: int, alpha: tuple[int, ...]) -> DiffPoly:
             items.append((h_power_diagonal(dim, p - 1, lowered), -e * (e - 1)))
     budget = 2 * (p - 1) - degree
     if budget >= 0:
-        for nu, weight in _taylor_weights(dim, budget):
-            sub = h_power_diagonal(dim, p - 1, tuple(a + b for a, b in zip(alpha, nu)))
+        for nu, weight in _taylor_weights(dim, budget, tuple(e & 1 for e in alpha)):
+            sub = h_power_diagonal(dim, p - 1, tuple(map(add, alpha, nu)))
             if sub:
                 items.append((sub, weight, nu))
     return DiffPoly.combination(dim, items)
 
 
-def _laplacian_power_monomial(alpha: tuple[int, ...], times: int):
-    """(-Laplacian)^times z^alpha as (beta, coeff) pairs: the multinomial
-    expansion of (-sum_i d_i^2)^times, where d_i^(2 k_i) z_i^e gives
+def _laplacian_powers(alpha: tuple[int, ...]) -> dict[int, list]:
+    """(-Laplacian)^times z^alpha for every times at once, as
+    {times: [(beta, coeff)]}: the multinomial expansion of
+    (-sum_i d_i^2)^times, where d_i^(2 k_i) z_i^e gives
     e!/(e - 2 k_i)! z_i^(e - 2 k_i)."""
-    sign = (-1) ** times
+    out: dict[int, list] = {}
     for ks in multi_indices_below(tuple(e // 2 for e in alpha)):
-        if sum(ks) != times:
-            continue
-        coeff = sign * factorial(times)
+        times = sum(ks)
+        coeff = (-1) ** times * factorial(times)
         for k, e in zip(ks, alpha):
             coeff = coeff * factorial(e) // (factorial(k) * factorial(e - 2 * k))
-        yield tuple(e - 2 * k for k, e in zip(ks, alpha)), coeff
+        beta = tuple(e - 2 * k for k, e in zip(ks, alpha))
+        out.setdefault(times, []).append((beta, coeff))
+    return out
+
+
+def _laplacian_power_monomial(alpha: tuple[int, ...], times: int) -> list:
+    """(-Laplacian)^times z^alpha as (beta, coeff) pairs."""
+    return _laplacian_powers(alpha).get(times, [])
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +163,10 @@ def _xm_terms(m: int, n: int, order: int):
     for mu in multi_indices(n, order):
         two_mu = tuple(2 * e for e in mu)
         weight = Fraction((-1) ** order, 4 ** order * multi_index_factorial(mu))
+        powers = _laplacian_powers(two_mu)
         for k in range(m + 1):
             w = weight * (-1) ** k * comb(m, k)
-            for beta, c in _laplacian_power_monomial(two_mu, m - k):
+            for beta, c in powers.get(m - k, ()):
                 yield (k, beta), w * c
 
 

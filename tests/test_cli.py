@@ -202,6 +202,13 @@ class TestVerify:
             assert out == ""
             assert err.startswith("error:") and "round-off" in err
 
+    def test_taylor_negative_order(self, capsys):
+        """The refusal names the option, not the oracle's internal N."""
+        assert main(["verify", "taylor", "--order", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: order must be >= 0, got -1\n"
+
     def test_fk_suite_small(self, capsys):
         assert main(["verify", "fk", "--paths", "20000", "--seed", "7",
                      "--format", "json"]) == 0

@@ -1,12 +1,13 @@
 """Ring structure, derivations, and canonical text form of DiffPoly."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatinv.diffpoly import DiffPoly
+from heatinv.diffpoly import DiffPoly, _factors, _jet_prime, _spelled
 
 
 def polys(dim=1, max_order=3, max_factors=3, max_terms=4):
@@ -48,6 +49,10 @@ class TestCanonicalForm:
         prod = DiffPoly.combination(1, [(v, 1, (2,))])
         assert list(prod.terms) == [((2,), (0,))]
         assert prod == DiffPoly.combination(1, [(d2, 1, (0,))])
+
+    def test_multi_index_of_another_dimension_is_refused(self):
+        with pytest.raises(ValueError, match="length is not 2"):
+            DiffPoly(2, {((1,),): 1})
 
     def test_permute_axes(self):
         p = _jet(2, (2, 0))
@@ -99,7 +104,7 @@ def _ref_combination(pairs):
 
 
 def _assert_matches(got, expected):
-    """Same values, stored in the reduced form."""
+    """Same values, stored in the reduced form under jet-prime product keys."""
     assert dict(got.terms) == expected
     assert got._den > 0
     assert 0 not in got._num.values()
@@ -107,7 +112,8 @@ def _assert_matches(got, expected):
     if not expected:
         assert got._den == 1
     for mono, c in got._num.items():
-        assert Fraction(c, got._den) == expected[mono]
+        assert prod(_factors(mono)) == mono
+        assert Fraction(c, got._den) == expected[_spelled(mono)]
 
 
 class TestIntegerRepresentation:
@@ -157,8 +163,9 @@ class TestIntegerRepresentation:
         unreduced = DiffPoly(1, {((0,),): Fraction(2, 4)})
         combined = DiffPoly.combination(1, [(v, Fraction(1, 3)), (v, Fraction(1, 6))])
         assert unreduced == combined == _jet(1, (0,), Fraction(1, 2))
-        assert (unreduced._den, unreduced._num) == (2, {((0,),): 1})
-        assert (combined._den, combined._num) == (2, {((0,),): 1})
+        v_key = _jet_prime((0,))
+        assert (unreduced._den, unreduced._num) == (2, {v_key: 1})
+        assert (combined._den, combined._num) == (2, {v_key: 1})
 
     def test_cancellation_across_denominators_drops_the_key(self):
         a = DiffPoly(1, {((0,),): Fraction(1, 2), ((1,),): Fraction(1, 6)})

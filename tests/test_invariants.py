@@ -2,6 +2,8 @@
 structure of the regularized densities."""
 
 import hashlib
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -14,6 +16,7 @@ from heatinv.invariants import (_combine, _xm_terms, alpha_density,
                                 heat_invariant_binomial,
                                 heat_invariant_operator_sum,
                                 monomial_decay_weight, regularization_depth)
+from heatinv.jets import transport_jets
 
 
 class TestGaussianFactors:
@@ -164,6 +167,16 @@ class TestStructure:
                 if not any(any(nu) for nu in mono)}
         assert free == {((0,) * n,) * j: Fraction((-1) ** j, factorial(j))}
 
+    @pytest.mark.parametrize("j,n", [(j, n) for n in (2, 3, 4) for j in range(1, 6)])
+    def test_dimension_restriction(self, j, n):
+        """A potential free of x_n splits H into H' + (-d_n^2), so the terms
+        of a_j in dimension n whose jets carry no x_n derivative, with that
+        last index dropped, are a_j in dimension n - 1."""
+        restricted = {tuple(nu[:-1] for nu in mono): c
+                      for mono, c in heat_invariant_binomial(j, n).density.terms.items()
+                      if not any(nu[-1] for nu in mono)}
+        assert DiffPoly(n - 1, restricted) == heat_invariant_binomial(j, n - 1).density
+
 
 def _digest(texts) -> str:
     return hashlib.sha256("\n".join(texts).encode()).hexdigest()
@@ -225,3 +238,66 @@ class TestGoldenText:
             if alpha_regime(j, n, eps_q) == "middle":
                 texts.append(alpha_density_tail_sum(j, n, eps_q).density.to_text())
         assert _digest(texts) == self.ALPHA_DIGESTS[(n, eps)]
+
+
+class TestGoldenTextBeyondThreeDims:
+    """sha256 digests taken before monomials were stored as jet-prime products:
+    a_1..a_6 in dimension 4, each from the binomial then the operator
+    route, and the coefficient texts of transport_jets(6, 3), one line
+    `k b text` per u_k[b], b in sorted order."""
+
+    A4_DIGEST = "31f51f45b3bde6c66ecfaabe29a42f57bbc544ceb0b11a6fd991a8bea726a495"
+    TRANSPORT_DIGEST = "4afda11c975e01e8cc12f532950d79c31ddddc9a36341c9a7dc7a3fb8f3de6b9"
+
+    def test_heat_invariants_in_four_dimensions(self):
+        texts = []
+        for j in range(1, 7):
+            texts.append(heat_invariant_binomial(j, 4).density.to_text())
+            texts.append(heat_invariant_operator_sum(j, 4).density.to_text())
+        assert _digest(texts) == self.A4_DIGEST
+
+    def test_transport_coefficients(self):
+        texts = [f"{k} {b} {u_k[b].to_text()}"
+                 for k, u_k in enumerate(transport_jets(6, 3)) for b in sorted(u_k)]
+        assert _digest(texts) == self.TRANSPORT_DIGEST
+
+
+# Run in a fresh interpreter: every multi-index of order <= 10 in three
+# dimensions is registered highest order first, so D[10,0,0]V and its
+# neighbours hold the small jet primes and V a large one, the reverse of the
+# order the densities meet them in.  Prints one digest per golden entry.
+_REVERSED_PRIMES_SCRIPT = """
+import hashlib
+from fractions import Fraction
+from heatinv.diffpoly import DiffPoly, _jet_prime, multi_indices_upto
+from heatinv.invariants import (alpha_density, alpha_density_tail_sum, alpha_regime,
+                                heat_invariant_binomial, heat_invariant_operator_sum)
+for nu in reversed(multi_indices_upto(3, 10)):
+    DiffPoly(3, {(nu,): 1})
+assert _jet_prime((10, 0, 0)) == 2 and _jet_prime((0, 0, 0)) > 1000
+digest = lambda texts: hashlib.sha256("\\n".join(texts).encode()).hexdigest()
+texts = []
+for j in range(1, 7):
+    b, o = heat_invariant_binomial(j, 3).density, heat_invariant_operator_sum(j, 3).density
+    assert b == o, j
+    texts += [b.to_text(), o.to_text()]
+print(digest(texts))
+for eps in ("1", "1/2", "1/3"):
+    texts = []
+    for j in range(1, 7):
+        sub = alpha_density(j, 3, Fraction(eps)).density
+        texts.append(sub.to_text())
+        if alpha_regime(j, 3, Fraction(eps)) == "middle":
+            tail = alpha_density_tail_sum(j, 3, Fraction(eps)).density
+            assert sub == tail, (j, eps)
+            texts.append(tail.to_text())
+    print(digest(texts))
+"""
+
+
+def test_densities_do_not_depend_on_jet_prime_order():
+    proc = subprocess.run([sys.executable, "-c", _REVERSED_PRIMES_SCRIPT],
+                          capture_output=True, text=True, check=True)
+    expected = [TestGoldenText.A_DIGESTS[3]] + [
+        TestGoldenText.ALPHA_DIGESTS[(3, eps)] for eps in ("1", "1/2", "1/3")]
+    assert proc.stdout.split() == expected
