@@ -40,8 +40,10 @@ from .potentials import PotentialEvalError, parse_potential
 
 # Supported dimensions n and range of j per n.  Both routes and their
 # equality are verified up to each cap, and `verify routes --dim n --order
-# <cap> --epsilon 1/2` stays within the budget stated in the README; one
-# order more breaks it at every n >= 4.
+# <cap> --epsilon 1/2` stays within the budget stated in the README.  One
+# order more fits that time budget too (README Limits): the caps are the
+# orders the tests pin by digest (n <= 4), and one order more would peak
+# past CI's 48 MB RSS cap at n = 3, 4, 5 and 7.
 MAX_ORDER = {1: 10, 2: 8, 3: 7, 4: 6, 5: 5, 6: 4, 7: 4, 8: 3}
 
 # `verify taylor` fits the remainder's slope on t in [1e-3, 1e-2], where the

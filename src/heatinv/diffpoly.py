@@ -13,9 +13,10 @@ Inside, each D^nu V is a prime, its jet prime, handed out the first time
 the multi-index is seen, and a stored monomial is the product of its
 factors' primes (1 for the empty monomial).  Unique factorization makes that
 int a canonical key, and multiplying a monomial by D^nu V is one int
-multiplication, so `combination` neither builds nor sorts a tuple.  `terms`,
-`jet_variables`, `to_text` and `permute_axes` factor a key back into its
-jets.
+multiplication, so `combination` neither builds nor sorts a tuple.  `terms`
+and `permute_axes` factor a key back into its jets; `terms` holds the
+monomials in sorted order, which `jet_variables`, `to_text` and numeric
+evaluation read.
 
 The coefficients are stored as integer numerators over one shared positive
 denominator, and `combination`, the one sum and product, runs on Python
@@ -182,12 +183,12 @@ class DiffPoly:
 
     @property
     def terms(self) -> MappingProxyType:
-        """Read-only {monomial: Fraction} view of the coefficients, in no
-        particular order; built on first read."""
+        """Read-only {monomial: Fraction} view of the coefficients, sorted by
+        monomial whatever order they were built in; built on first read."""
         if self._terms is None:
             den = self._den
-            object.__setattr__(self, "_terms", MappingProxyType(
-                {_spelled(m): Fraction(c, den) for m, c in self._num.items()}))
+            object.__setattr__(self, "_terms", MappingProxyType(dict(sorted(
+                (_spelled(m), Fraction(c, den)) for m, c in self._num.items()))))
         return self._terms
 
     # -- constructors ------------------------------------------------------
@@ -202,7 +203,7 @@ class DiffPoly:
         (p, q, nu) items, each adding q * D^nu V * p; q is an int or a
         Fraction.  Summed over the items' least common denominator into one
         integer accumulator and built once.  The term order is not part of
-        the result: to_text and numeric evaluation read terms sorted."""
+        the result: `terms` reads it sorted."""
         items = list(items)
         den = lcm(*(item[0]._den * item[1].denominator for item in items))
         acc: dict[PrimeMonomial, int] = {}
@@ -244,17 +245,17 @@ class DiffPoly:
 
     def jet_variables(self) -> set[MultiIndex]:
         """All distinct D^nu V appearing in the polynomial."""
-        return {_JETS[p] for mono in self._num for p in _factors(mono)}
+        return {nu for mono in self.terms for nu in mono}
 
     # -- canonical text form ----------------------------------------------
 
     def to_text(self) -> str:
-        """Deterministic text form: terms lexicographically sorted by their
-        canonical (descending-factor) key, e.g. `1/2*V^2 - 1/6*D[2]V`."""
+        """Deterministic text form: terms in the order of `terms`, sorted by
+        their canonical (descending-factor) key, e.g. `1/2*V^2 - 1/6*D[2]V`."""
         if not self.terms:
             return "0"
         parts = []
-        for mono, c in sorted(self.terms.items()):
+        for mono, c in self.terms.items():
             body = "*".join(_format_factor(nu, len(list(run))) for nu, run in groupby(mono))
             mag = abs(c)
             if body:

@@ -121,11 +121,6 @@ def _laplacian_powers(alpha: tuple[int, ...]) -> dict[int, list]:
     return out
 
 
-def _laplacian_power_monomial(alpha: tuple[int, ...], times: int) -> list:
-    """(-Laplacian)^times z^alpha as (beta, coeff) pairs."""
-    return _laplacian_powers(alpha).get(times, [])
-
-
 # ---------------------------------------------------------------------------
 # Invariant densities
 # ---------------------------------------------------------------------------

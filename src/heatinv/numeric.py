@@ -48,11 +48,11 @@ def _density_values(density: DiffPoly, potential: PotentialExpr,
                     coords: list[np.ndarray]) -> np.ndarray:
     """A DiffPoly density for a concrete potential on equal-length 1-D node
     arrays, one per axis, taking every D^nu V it needs from one Taylor-mode
-    pass.  The terms are summed in sorted monomial order, so equal densities
-    give equal floats whatever order their terms were built in."""
+    pass.  The terms are summed in the sorted order of `terms`, so equal
+    densities give equal floats whatever order their terms were built in."""
     derivs = taylor_derivatives(potential, density.jet_variables(), coords)
     total = np.zeros(len(coords[0]))
-    for mono, coeff in sorted(density.terms.items()):
+    for mono, coeff in density.terms.items():
         prod = np.full(total.shape, float(coeff))
         for nu in mono:
             prod *= derivs[nu]
@@ -123,30 +123,25 @@ def _contract(values: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
     return values
 
 
-@lru_cache(maxsize=None)
-def _node_offsets(n: int) -> np.ndarray:
-    """Row a holds the Kronrod node on axis a of each of a cell's 21^n nodes,
-    axis 0 varying slowest: n * 21^n floats, 6.2 MB at n = 4."""
-    return np.stack(np.meshgrid(*([_gk_rule()[0]] * n), indexing="ij")).reshape(n, -1)
-
-
 def _apply_rules(f, centers: np.ndarray, halves: np.ndarray):
     """Kronrod estimate, |Kronrod - Gauss| error and the axis to bisect for
     each cell (center, half-widths).
 
     f sees the cells' nodes in order, in slices of at most EVAL_CHUNK built
-    from their flat indices: index i is node i % 21^n of cell i // 21^n.
+    from their flat indices: index i is node (d_0, ..., d_(n-1)) of cell
+    i // 21^n, where the d_a are the base-21 digits of i % 21^n, d_0 the
+    most significant, and d_a picks the Kronrod node on axis a.
     Only the round's values are kept, not its coordinates."""
     cells, n = centers.shape
     gk_nodes, gk_kronrod, gk_gauss = _gk_rule()
-    offsets = _node_offsets(n)
-    cell_nodes = offsets.shape[1]
-    values = np.empty(cells * cell_nodes)
+    shape = (cells,) + (len(gk_nodes),) * n
+    values = np.empty(math.prod(shape))
     for lo in range(0, len(values), EVAL_CHUNK):
-        cell, node = np.divmod(np.arange(lo, min(lo + EVAL_CHUNK, len(values))), cell_nodes)
+        cell, *digits = np.unravel_index(
+            np.arange(lo, min(lo + EVAL_CHUNK, len(values))), shape)
         values[lo:lo + EVAL_CHUNK] = f(
-            [centers[cell, a] + halves[cell, a] * offsets[a, node] for a in range(n)])
-    values = values.reshape((cells,) + (len(gk_nodes),) * n)
+            [centers[cell, a] + halves[cell, a] * gk_nodes[digits[a]] for a in range(n)])
+    values = values.reshape(shape)
     volume = np.prod(halves, axis=1)
     kronrod = volume * _contract(values, [gk_kronrod] * n)
     gauss = volume * _contract(values, [gk_gauss] * n)
@@ -173,47 +168,56 @@ def _adaptive_gauss_kronrod(f, n: int, config: QuadratureConfig) -> tuple[float,
     Kronrod estimates differ most, and evaluates the new cells' nodes in
     calls of f on at most EVAL_CHUNK nodes.  Returns (value, error), the
     error being the sum of the cells' |Kronrod - Gauss|.  Raises
-    QuadratureError, carrying the value and error reached, when a bisection
-    would cut an axis into more than QUAD_LIMIT subintervals or take the
-    integral past MAX_INTEGRAL_NODES nodes.
+    QuadratureError, carrying the value and error reached, when they stop
+    being finite floats, or when a bisection would cut an axis into more
+    than QUAD_LIMIT subintervals or take the integral past
+    MAX_INTEGRAL_NODES nodes.
     """
-    centers = np.zeros((1, n))
-    halves = np.full((1, n), float(config.half_width))
-    est, err, axis = _apply_rules(f, centers, halves)
-    cell_nodes = len(_gk_rule()[0]) ** n
-    spent = cell_nodes
-    per_round = max(1, MAX_ROUND_NODES // (2 * cell_nodes))
-    while True:
-        value, error = float(np.sum(est)), float(np.sum(err))
-        tol = QUAD_TOL * max(1.0, abs(value))
-        if error <= tol:
-            return value, error
-        order = np.argsort(err)[::-1]
-        count = int(np.searchsorted(np.cumsum(err[order]), error - tol / 2)) + 1
-        pick = order[:min(count, per_round, len(order))]
-        rows = np.arange(len(pick))
-        child_halves = halves[pick].copy()
-        child_halves[rows, axis[pick]] /= 2
-        shift = np.zeros_like(child_halves)
-        shift[rows, axis[pick]] = child_halves[rows, axis[pick]]
-        child_centers = np.concatenate([centers[pick] - shift, centers[pick] + shift])
-        child_halves = np.concatenate([child_halves, child_halves])
-        keep = np.ones(len(est), dtype=bool)
-        keep[pick] = False
-        new_centers = np.concatenate([centers[keep], child_centers])
-        new_halves = np.concatenate([halves[keep], child_halves])
-        if _subintervals_per_axis(new_centers, new_halves) > QUAD_LIMIT:
-            raise QuadratureError(
-                f"quadrature did not converge: error {error:.3g} above tolerance"
-                f" {tol:.3g} with {QUAD_LIMIT} subintervals per axis", value, error)
-        spent += len(child_centers) * cell_nodes
-        if spent > MAX_INTEGRAL_NODES:
-            raise QuadratureError(
-                f"quadrature did not converge: error {error:.3g} above tolerance"
-                f" {tol:.3g} within {MAX_INTEGRAL_NODES} nodes", value, error)
-        child = _apply_rules(f, child_centers, child_halves)
-        centers, halves = new_centers, new_halves
-        est, err, axis = (np.concatenate([old[keep], new]) for old, new in zip((est, err, axis), child))
+    # an overflow in the integrand or in the cell rules shows as a
+    # non-finite value or error, which the first check of each round refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = np.zeros((1, n))
+        halves = np.full((1, n), float(config.half_width))
+        est, err, axis = _apply_rules(f, centers, halves)
+        cell_nodes = len(_gk_rule()[0]) ** n
+        spent = cell_nodes
+        per_round = max(1, MAX_ROUND_NODES // (2 * cell_nodes))
+        while True:
+            value, error = float(np.sum(est)), float(np.sum(err))
+            if not (math.isfinite(value) and math.isfinite(error)):
+                raise QuadratureError(
+                    f"quadrature overflowed float64: value {value}, error {error}",
+                    value, error)
+            tol = QUAD_TOL * max(1.0, abs(value))
+            if error <= tol:
+                return value, error
+            order = np.argsort(err)[::-1]
+            count = int(np.searchsorted(np.cumsum(err[order]), error - tol / 2)) + 1
+            pick = order[:min(count, per_round, len(order))]
+            rows = np.arange(len(pick))
+            child_halves = halves[pick].copy()
+            child_halves[rows, axis[pick]] /= 2
+            shift = np.zeros_like(child_halves)
+            shift[rows, axis[pick]] = child_halves[rows, axis[pick]]
+            child_centers = np.concatenate([centers[pick] - shift, centers[pick] + shift])
+            child_halves = np.concatenate([child_halves, child_halves])
+            keep = np.ones(len(est), dtype=bool)
+            keep[pick] = False
+            new_centers = np.concatenate([centers[keep], child_centers])
+            new_halves = np.concatenate([halves[keep], child_halves])
+            if _subintervals_per_axis(new_centers, new_halves) > QUAD_LIMIT:
+                raise QuadratureError(
+                    f"quadrature did not converge: error {error:.3g} above tolerance"
+                    f" {tol:.3g} with {QUAD_LIMIT} subintervals per axis", value, error)
+            spent += len(child_centers) * cell_nodes
+            if spent > MAX_INTEGRAL_NODES:
+                raise QuadratureError(
+                    f"quadrature did not converge: error {error:.3g} above tolerance"
+                    f" {tol:.3g} within {MAX_INTEGRAL_NODES} nodes", value, error)
+            child = _apply_rules(f, child_centers, child_halves)
+            centers, halves = new_centers, new_halves
+            est, err, axis = (np.concatenate([old[keep], new])
+                              for old, new in zip((est, err, axis), child))
 
 
 def check_quadrature(n: int, config: QuadratureConfig):

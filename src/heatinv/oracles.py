@@ -137,7 +137,8 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
     the trapezoid rule's O(h^2) time-discretization bias cancels, leaving
     O(h^4) (Talay & Tubaro 1990).  Returns (estimate, standard error) of
     these weights.  A weight that overflows makes the mean or its second
-    moment non-finite, which raises FloatingPointError.
+    moment non-finite, which raises FloatingPointError.  One path has no
+    spread to estimate, so fewer than 2 paths raise ValueError.
 
     Each chunk is drawn and evaluated in the fewest tiles of at most
     _TILE_POINTS path points, of equal size but for a smaller last one, so a
@@ -147,6 +148,9 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
+    if sampler.paths < 2:
+        raise ValueError(
+            f"paths must be >= 2 for a standard error, got {sampler.paths}")
     n = sampler.dim
     if len(x) != n or potential.dim != n:
         raise ValueError("dimension mismatch between potential, point, sampler")
@@ -298,7 +302,8 @@ def relative_heat_trace_1d(potential: PotentialExpr, t,
     e^(-t sigma), with sigma = min(0, min V) a lower bound of both spectra
     (H0 is positive definite).  One resolvent-trace sweep serves every
     (t, node) pair, and no eigenvalue is computed.  Returns a float for a
-    float t, an array for an array t.
+    float t, an array for an array t.  A trace that overflows, as a deep
+    well's does, raises FloatingPointError.
     """
     ts = np.asarray(t, dtype=float)
     if np.any(ts <= 0):
@@ -318,7 +323,12 @@ def relative_heat_trace_1d(potential: PotentialExpr, t,
     free = np.full(m, 2.0 / h ** 2)
     resolvents = _relative_resolvent_trace(w, free + v, free, 1.0 / h ** 4)
     out = 2.0 * np.sum(c * resolvents, axis=-1).real
-    out *= np.exp(-ts * sigma) / ts
+    with np.errstate(over="ignore", invalid="ignore"):
+        out *= np.exp(-ts * sigma) / ts
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError(
+            f"relative heat trace overflows float64 at t = {ts[~np.isfinite(out)].min():g},"
+            f" where e^(-t min V) has min V = {sigma:g}")
     return float(out) if ts.ndim == 0 else out
 
 

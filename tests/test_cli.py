@@ -146,6 +146,22 @@ class TestCoeffs:
         assert f"within {4 * 21 ** 2} nodes" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("--dim", "2", "--potential", "x1", "--order", "1", "--box", "1e154",
+         "--format", "json"),
+        ("--dim", "1", "--potential", "10^80*exp(-x1^2)", "--order", "4"),
+        ("--dim", "1", "--potential", "x1", "--order", "1", "--box", "1e308"),
+    ], ids=["box-1e154", "V-1e80", "box-1e308"])
+    def test_overflowing_quadrature_is_a_numeric_failure(self, argv, capsys):
+        """An integral that overflows float64 exits 3, naming the overflow,
+        and prints no table: not an Infinity that is invalid JSON, nor a NaN
+        error bisected until QUAD_LIMIT.  This suite turns a RuntimeWarning
+        into an error, so none escapes either."""
+        assert main(["coeffs", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric failure: quadrature overflowed float64")
+
 
 class TestRegtrace:
     def test_beta_absent_in_even_dimension(self, capsys):
@@ -208,6 +224,15 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: order must be >= 0, got -1\n"
+
+    def test_trace_of_a_deep_well_is_a_numeric_failure(self, capsys):
+        """The trace of a well 10^4 deep overflows float64: exit 3 and no
+        report, rather than NaN fit coefficients."""
+        assert main(["verify", "trace", "--potential=-10000*exp(-x1^2)",
+                     "--format", "json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric failure: relative heat trace overflows float64")
 
     def test_fk_suite_small(self, capsys):
         assert main(["verify", "fk", "--paths", "20000", "--seed", "7",
@@ -482,7 +507,10 @@ class TestProcessLevel:
         assert code == 1
         assert out.startswith("[FAIL] fk_vs_3term_expansion")
 
+    # one path has no spread: its standard error of 0 would leave a window
+    # of the omitted a_4 t^4 term alone
     @pytest.mark.parametrize("flag,value", [("--paths", "0"), ("--paths", "-5"),
+                                            ("--paths", "1"),
                                             ("--steps", "0"), ("--steps", "7"),
                                             ("--dim", "9"),
                                             ("--t", "inf"), ("--t", "nan")])

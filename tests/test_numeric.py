@@ -79,11 +79,12 @@ class TestIntegration:
 
     def test_equal_densities_integrate_to_equal_floats(self):
         """Terms are summed in sorted order, not in the order they were
-        built: a copy with its terms reversed gives bitwise equal results."""
+        built: a copy built from its terms reversed gives bitwise equal
+        results."""
         density = heat_invariant_binomial(4, 1).density
         reordered = DiffPoly(1, dict(reversed(list(density.terms.items()))))
         assert reordered == density
-        assert list(reordered.terms) != list(density.terms)
+        assert list(reordered._num) != list(density._num)
         assert (integrate_density(density, GAUSSIAN, 1)
                 == integrate_density(reordered, GAUSSIAN, 1))
 
@@ -184,6 +185,46 @@ class TestRoundSlices:
 
         monkeypatch.setattr(numeric, "_apply_rules", whole_round)
         assert integrate_density(density, v, n, config) == sliced
+
+
+    def test_four_dimensional_nodes_follow_the_meshgrid_layout(self):
+        """At n = 4 the slices' coordinates are the cell's c + h*o nodes in
+        the "ij" meshgrid order of the Kronrod nodes, bitwise, and the
+        estimate is the rule's exact integral of a quadratic."""
+        n = 4
+        gk_nodes = _gk_rule()[0]
+        offsets = np.stack(np.meshgrid(*([gk_nodes] * n), indexing="ij"),
+                           axis=-1).reshape(-1, n)
+        centers = np.array([[0.5, -1.0, 2.0, 0.25]])
+        halves = np.array([[1.0, 0.5, 3.0, 0.75]])
+        seen = []
+
+        def f(coords):
+            seen.append(np.stack(coords, axis=1))
+            return coords[0] * coords[1] + coords[2] ** 2 - coords[3]
+
+        est, _, _ = numeric._apply_rules(f, centers, halves)
+        assert max(map(len, seen)) == EVAL_CHUNK
+        assert np.array_equal(np.concatenate(seen), centers + halves * offsets)
+        (c0, c1, c2, c3), h2 = centers[0], halves[0, 2]
+        exact = 2 ** n * np.prod(halves) * (c0 * c1 + c2 ** 2 + h2 ** 2 / 3 - c3)
+        assert est[0] == pytest.approx(exact, rel=1e-13)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("potential, n, j, box", [
+        ("x1", 2, 1, 1e154), ("10^80*exp(-x1^2)", 1, 4, 12.0), ("x1", 1, 1, 1e308)])
+    def test_refused_after_the_first_round(self, monkeypatch, potential, n, j, box):
+        """A value or error that overflows float64 raises QuadratureError,
+        naming the overflow and carrying the non-finite pair, before any cell
+        is bisected: the integrand sees one cell's 21^n nodes."""
+        sizes = _record_calls(monkeypatch)
+        with pytest.raises(QuadratureError, match="overflowed float64") as info:
+            integrate_density(heat_invariant_binomial(j, n).density,
+                              parse_potential(potential, n), n,
+                              QuadratureConfig(half_width=box))
+        assert sum(sizes) == 21 ** n
+        assert not (math.isfinite(info.value.value) and math.isfinite(info.value.error))
 
 
 class TestNodeBudget:

@@ -83,6 +83,12 @@ class TestFeynmanKac:
         assert est == pytest.approx(expected, rel=1e-12)
         assert se == 0.0
 
+    def test_one_path_is_refused(self):
+        """A standard error needs two paths; one would report a spread of 0."""
+        with pytest.raises(ValueError, match="paths must be >= 2 .* got 1"):
+            fk_diagonal(GAUSSIAN, (0.0,), 0.05, BridgeSampler(seed=1, paths=1))
+        assert fk_diagonal(GAUSSIAN, (0.0,), 0.05, BridgeSampler(seed=1, paths=2))[1] > 0
+
     def test_thread_count_does_not_change_result(self, monkeypatch):
         sampler = BridgeSampler(seed=11, paths=12_000)
         serial = fk_diagonal(GAUSSIAN, (0.0,), 0.05, sampler)
