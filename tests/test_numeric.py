@@ -186,7 +186,6 @@ class TestRoundSlices:
         monkeypatch.setattr(numeric, "_apply_rules", whole_round)
         assert integrate_density(density, v, n, config) == sliced
 
-
     def test_four_dimensional_nodes_follow_the_meshgrid_layout(self):
         """At n = 4 the slices' coordinates are the cell's c + h*o nodes in
         the "ij" meshgrid order of the Kronrod nodes, bitwise, and the
