@@ -36,7 +36,7 @@ from .oracles import (BridgeSampler, TraceGrid, discretized_schrodinger_1d,
                       fit_expansion, fk_diagonal, nc_taylor_matrix_check,
                       relative_heat_trace_1d,
                       taylor_family_matches_operator_family)
-from .potentials import PotentialEvalError, parse_potential
+from .potentials import PotentialEvalError, evaluate_array, parse_potential
 
 # Supported dimensions n and range of j per n.  Both routes and their
 # equality are verified up to each cap, and `verify routes --dim n --order
@@ -53,6 +53,11 @@ MAX_TAYLOR_ORDER = 4
 # `verify taylor` checks matrices of this size: its random symmetric
 # matrices and its discretized Schrodinger pair
 TAYLOR_MATRIX_DIM = 6
+
+# `verify trace` fits its 4-term small-time expansion on t in [0.02, 0.2];
+# past this bound on t |min V| over the window and the trace grid, a well's
+# trace grows like e^(t |min V|) and the fit no longer holds
+TRACE_MAX_WELL = 2.0
 
 # `verify fk` tests something only while its window (3 standard errors plus
 # the omitted a_4 t^4 term) is below this fraction of |target|
@@ -287,6 +292,14 @@ def verify_trace(args) -> int:
     ts = np.geomspace(0.02, 0.2, 12)
     grid = TraceGrid()
     traces = relative_heat_trace_1d(potential, ts, grid)
+    # checked after the sweep, whose overflow on a far deeper well is
+    # reported as such
+    well = ts[-1] * max(0.0, -float(evaluate_array(potential, [grid.nodes()]).min()))
+    if well > TRACE_MAX_WELL:
+        raise ArithmeticError(
+            f"t * |min V| reaches {well:.3g} on the trace grid, past the bound"
+            f" {TRACE_MAX_WELL:g} within which the small-time fit on t in"
+            f" [{ts[0]:g}, {ts[-1]:g}] holds")
     samples = list(zip(ts.tolist(), traces.tolist()))
     report = fit_expansion(samples, 1, 4)
     # the targets integrate over the box the trace is taken on

@@ -236,6 +236,10 @@ class TraceGrid:
     half_width: float = 30.0
     points: int = 4000
 
+    def nodes(self) -> np.ndarray:
+        """The interior nodes of the grid on [-L, L], Dirichlet ends left out."""
+        return np.linspace(-self.half_width, self.half_width, self.points + 2)[1:-1]
+
 
 _CONTOUR_N = 32
 
@@ -311,8 +315,7 @@ def relative_heat_trace_1d(potential: PotentialExpr, t,
     if potential.dim != 1:
         raise ValueError("relative_heat_trace_1d needs a 1-D potential")
     grid = grid or TraceGrid()
-    L, m = grid.half_width, grid.points
-    x = np.linspace(-L, L, m + 2)[1:-1]  # interior nodes
+    x = grid.nodes()
     h = x[1] - x[0]
     v = evaluate_array(potential, [x])
     sigma = min(0.0, float(v.min()))
@@ -320,7 +323,7 @@ def relative_heat_trace_1d(potential: PotentialExpr, t,
     # (z_k + t (H - sigma))^(-1) = (w I + H)^(-1) / t with w = z_k / t - sigma
     z, c = _contour_nodes()
     w = z / ts[..., None] - sigma
-    free = np.full(m, 2.0 / h ** 2)
+    free = np.full(len(x), 2.0 / h ** 2)
     resolvents = _relative_resolvent_trace(w, free + v, free, 1.0 / h ** 4)
     out = 2.0 * np.sum(c * resolvents, axis=-1).real
     with np.errstate(over="ignore", invalid="ignore"):

@@ -17,14 +17,16 @@ through powr, which keeps symbolic differentiation total.
 ASTs are immutable.  A difference a - b is stored as a + (-b), which IEEE 754
 evaluates to the same float.  Every number comes from one walk of the AST on
 numpy arrays: a truncated multivariate Taylor pass (`taylor_derivatives`
-gives D^nu V); values are its order-0 case (`evaluate_array`, and `evaluate`
-on one point).  `differentiate` builds the exact symbolic D^nu V tree, with
-light constant folding; it serves as the independent reference for Taylor
-mode.
+gives D^nu V) in which each node stores and multiplies only the coefficients
+that can be nonzero; values are its order-0 case (`evaluate_array`, and
+`evaluate` on one point).  `differentiate` builds the exact symbolic D^nu V
+tree, with light constant folding; it serves as the independent reference
+for Taylor mode.
 One error rule holds for every evaluation: a non-positive powr base gives NaN,
 and a non-finite final value raises PotentialEvalError.  Nothing else raises
 it, so a finite value is accepted even where an intermediate one is infinite,
-as in exp(-1/x1^2) at x1 = 0.
+as in exp(-1/x1^2) at x1 = 0.  A derivative that no term of the expression
+reaches, such as D^(0,3) of x1^3*x2, is never computed: it is +0.0.
 """
 
 from __future__ import annotations
@@ -447,7 +449,7 @@ def differentiate(e: PotentialExpr, nu: MultiIndex) -> PotentialExpr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: truncated Taylor arithmetic
+# Evaluation: truncated Taylor arithmetic on each node's support
 # ---------------------------------------------------------------------------
 #
 # Every AST node becomes its truncated Taylor expansion at each point,
@@ -459,119 +461,251 @@ def differentiate(e: PotentialExpr, nu: MultiIndex) -> PotentialExpr:
 #
 #     alpha_i w_alpha = sum_(0 < g <= alpha) g_i u_g w_(alpha - g).
 #
+# A node stores only its support: the rows of S that can be nonzero at some
+# point.  Row 0 is always stored; x_i adds e_i; a sum holds the union of
+# its operands' rows, a product the sums of their rows that lie in S, and a
+# recurrence the rows its sums reach from its argument's rows.  An
+# operation's support and row pairs are worked out once per S and operand
+# supports, and it forms only the products whose factors are both stored,
+# in table order.  Each term it leaves out is an exact zero times a finite
+# number, unless that number is infinite or NaN, where the product would
+# have been NaN; so a stored row is the float of the full sum up to the sign
+# of an exact zero, and a requested row outside the support reads +0.0.
 # Plain values are the case S = {0}: one row, and no recurrence steps.
 
 
-def _dot(out: np.ndarray, factors) -> np.ndarray:
-    """out = the sum of x * y over the (x, y) row pairs of `factors`: the
-    first product is written into out and the rest are added in order."""
+def _dot(factors) -> np.ndarray:
+    """The sum of x * y over the (x, y) row pairs of `factors`, as a new
+    row: the first product, then the rest added to it in order."""
     factors = iter(factors)
     x, y = next(factors)
-    np.multiply(x, y, out=out)
+    out = x * y
     for x, y in factors:
         out += x * y
     return out
+
+
+def _at(support: tuple[int, ...]) -> dict[int, int]:
+    """Each row of a support mapped to its position in the stored rows."""
+    return {k: i for i, k in enumerate(support)}
+
+
+def _shared(op):
+    """Work a plan operation out once per plan and arguments: every node
+    with operands of the same supports shares its support and kernel."""
+    def shared(plan, *args):
+        key = (op.__name__, *args)
+        found = plan.kernels.get(key)
+        if found is None:
+            found = plan.kernels[key] = op(plan, *args)
+        return found
+    return shared
 
 
 class _TaylorPlan:
     """Truncated Taylor arithmetic on the downward closure S of a set of
     multi-indices, ordered by total order.
 
-    One table drives every operation.  Its row k, for alpha = indices[k],
-    holds alpha_i along the first axis i with alpha_i > 0 (0 at alpha = 0)
-    and one term (g_i, g, alpha - g) per g <= alpha, as row positions, g = 0
-    first.  All of them give the Cauchy product
+    One table drives every operation.  Its row k, for alpha = the k-th index
+    of S, holds alpha_i along the first axis i with alpha_i > 0 (0 at
+    alpha = 0) and one term (g_i, g, alpha - g) per g <= alpha, as row
+    positions, g = 0 first.  All of them give the Cauchy product
     (u v)_alpha = sum_(g <= alpha) u_g v_(alpha - g); all but the first give
-    the recurrence sums over 0 < g <= alpha above."""
+    the recurrence sums over 0 < g <= alpha above.
+
+    A node's series is its support, the tuple of rows that can be nonzero,
+    and a list with one 1-D array per row of it.  Each operation takes its
+    operands' supports and returns the support of its result with a kernel:
+    a function from the operands' lists to the result's, which reads only
+    the terms whose factors are both stored, in table order, and may reuse
+    its operands' arrays."""
 
     def __init__(self, nus: tuple[MultiIndex, ...]):
         closure = set()
         for nu in nus:
             closure.update(multi_indices_below(nu))
-        self.indices = sorted(closure, key=lambda a: (sum(a), a))
-        self.pos = pos = {a: k for k, a in enumerate(self.indices)}
-        dim = len(self.indices[0])
+        indices = sorted(closure, key=lambda a: (sum(a), a))
+        self.pos = pos = {a: k for k, a in enumerate(indices)}
+        dim = len(indices[0])
         # row of d x_i / d x_i = 1 in the series of x_i, if S holds e_i
         self.unit_rows = [pos.get(tuple(int(i == j) for j in range(dim)))
                           for i in range(dim)]
         self.table: list[tuple[float, list[tuple[float, int, int]]]] = []
-        for alpha in self.indices:
+        for alpha in indices:
             axis = next((i for i, a in enumerate(alpha) if a), 0)
             self.table.append((float(alpha[axis]), [
                 (float(g[axis]), pos[g], pos[tuple(a - b for a, b in zip(alpha, g))])
                 for g in multi_indices_below(alpha)]))
+        self.kernels = {}
 
-    def constant(self, value: float, size: int) -> np.ndarray:
-        out = np.zeros((len(self.indices), size))
-        out[0] = value
-        return out
+    @_shared
+    def add(self, su: tuple, sv: tuple):
+        sw = tuple(sorted(set(su) | set(sv)))
+        iu, iv = _at(su), _at(sv)
+        steps = [(iu.get(k), iv.get(k)) for k in sw]
 
-    def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        w = np.empty_like(u)
+        def kernel(u, v):
+            return [v[b] if a is None else u[a] if b is None
+                    else np.add(u[a], v[b], out=u[a]) for a, b in steps]
+        return sw, kernel
+
+    @_shared
+    def mul(self, su: tuple, sv: tuple):
+        iu, iv = _at(su), _at(sv)
+        sw, steps = [], []
         for k, (_, terms) in enumerate(self.table):
-            _dot(w[k], ((u[g], v[c]) for _, g, c in terms))
-        return w
+            pairs = [(iu[g], iv[c]) for _, g, c in terms if g in iu and c in iv]
+            if pairs:
+                sw.append(k)
+                steps.append(pairs)
 
-    def div(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        def kernel(u, v):
+            return [_dot((u[a], v[b]) for a, b in pairs) for pairs in steps]
+        return tuple(sw), kernel
+
+    @_shared
+    def div(self, su: tuple, sv: tuple):
         # v w = u: w_alpha = (u_alpha - sum_(0 < g <= alpha) v_g w_(alpha - g)) / v_0
-        w = np.empty_like(u)
-        np.divide(u[0], v[0], out=w[0])
+        iu, iv, iw, steps = _at(su), _at(sv), {0: 0}, []
         for k, (_, terms) in enumerate(self.table[1:], 1):
-            _dot(w[k], ((v[g], w[c]) for _, g, c in terms[1:]))
-            np.subtract(u[k], w[k], out=w[k])
-            w[k] /= v[0]
-        return w
+            pairs = [(iv[g], iw[c]) for _, g, c in terms[1:] if g in iv and c in iw]
+            if pairs or k in iu:
+                iw[k] = len(iw)
+                steps.append((iu.get(k), pairs))
 
-    def power(self, u: np.ndarray, k: int) -> np.ndarray:
+        def kernel(u, v):
+            w = [u[0] / v[0]]
+            for a, pairs in steps:
+                if not pairs:
+                    row = u[a] / v[0]
+                else:
+                    row = _dot((v[g], w[c]) for g, c in pairs)
+                    if a is None:
+                        np.negative(row, out=row)
+                    else:
+                        np.subtract(u[a], row, out=row)
+                    row /= v[0]
+                w.append(row)
+            return w
+        return tuple(iw), kernel
+
+    @_shared
+    def power(self, su: tuple, k: int):
         # repeated multiplication, exact at a zero base
         if k < 0:
-            return self.div(self.constant(1.0, u.shape[1]), self.power(u, -k))
-        out, base = None, u
+            sp, positive = self.power(su, -k)
+            sw, divide = self.div((0,), sp)
+            return sw, lambda u: divide([np.ones(len(u[0]))], positive(u))
+        # the square-and-multiply steps: (True, mul) sets out = out * base,
+        # (True, None) out = base, and (False, mul) base = base * base
+        steps, sw, sbase = [], None, su
         while k:
             if k & 1:
-                out = base if out is None else self.mul(out, base)
+                if sw is None:
+                    sw = sbase
+                    steps.append((True, None))
+                else:
+                    sw, mul = self.mul(sw, sbase)
+                    steps.append((True, mul))
             k >>= 1
             if k:
-                base = self.mul(base, base)
-        return self.constant(1.0, u.shape[1]) if out is None else out
+                sbase, mul = self.mul(sbase, sbase)
+                steps.append((False, mul))
+        if sw is None:
+            return (0,), lambda u: [np.ones(len(u[0]))]
 
-    def real_power(self, u: np.ndarray, r: float, w0: np.ndarray) -> np.ndarray:
-        # w = u^r from its value w0: u d_i w = r w d_i u
-        w = np.empty_like(u)
-        w[0] = w0
+        def kernel(u):
+            out = base = u
+            for to_out, mul in steps:
+                if not to_out:
+                    base = mul(base, base)
+                else:
+                    out = base if mul is None else mul(out, base)
+            return out
+        return sw, kernel
+
+    def _recurrence(self, su: tuple, scale):
+        """Support of w and its steps for a recurrence
+        alpha_i w_alpha = sum_(0 < g <= alpha) (...) u_g w_(alpha - g): per
+        row after row 0, alpha_i and the triples (scale(g_i, alpha_i), u row,
+        w row) whose u_g and w_(alpha - g) are both stored."""
+        iu, iw, steps = _at(su), {0: 0}, []
         for k, (order, terms) in enumerate(self.table[1:], 1):
-            _dot(w[k], ((((r + 1.0) * gi - order) * u[g], w[c]) for gi, g, c in terms[1:]))
-            w[k] /= order * u[0]
-        return w
+            pairs = [(scale(gi, order), iu[g], iw[c])
+                     for gi, g, c in terms[1:] if g in iu and c in iw]
+            if pairs:
+                iw[k] = len(iw)
+                steps.append((order, pairs))
+        return tuple(iw), steps
 
-    def exp(self, u: np.ndarray) -> np.ndarray:
+    @_shared
+    def real_power(self, su: tuple, r: float, sqrt: bool):
+        # w = u^r: u d_i w = r w d_i u, from w_0 = sqrt(u_0), or for powr,
+        # whose domain is base > 0, u_0^r there and NaN elsewhere, which the
+        # caller rejects
+        sw, steps = self._recurrence(su, lambda gi, order: (r + 1.0) * gi - order)
+
+        def kernel(u):
+            w = [np.sqrt(u[0]) if sqrt else np.where(u[0] > 0.0, u[0] ** r, np.nan)]
+            for order, pairs in steps:
+                row = _dot((s * u[a], w[b]) for s, a, b in pairs)
+                row /= order * u[0]
+                w.append(row)
+            return w
+        return sw, kernel
+
+    @_shared
+    def exp(self, su: tuple):
         # d_i w = w d_i u
-        w = np.empty_like(u)
-        np.exp(u[0], out=w[0])
-        for k, (order, terms) in enumerate(self.table[1:], 1):
-            _dot(w[k], ((gi / order * u[g], w[c]) for gi, g, c in terms[1:]))
-        return w
+        sw, steps = self._recurrence(su, lambda gi, order: gi / order)
 
-    def sin_cos(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # d_i sin u = cos u d_i u, d_i cos u = -sin u d_i u
-        s, c = np.empty_like(u), np.empty_like(u)
-        np.sin(u[0], out=s[0])
-        np.cos(u[0], out=c[0])
-        for k, (order, terms) in enumerate(self.table[1:], 1):
-            du = [(gi / order * u[g], rest) for gi, g, rest in terms[1:]]
-            _dot(s[k], ((d, c[rest]) for d, rest in du))
-            np.negative(_dot(c[k], ((d, s[rest]) for d, rest in du)), out=c[k])
-        return s, c
+        def kernel(u):
+            w = [np.exp(u[0])]
+            for _, pairs in steps:
+                w.append(_dot((s * u[a], w[b]) for s, a, b in pairs))
+            return w
+        return sw, kernel
 
-    def tanh(self, u: np.ndarray) -> np.ndarray:
+    @_shared
+    def sin_cos(self, su: tuple, part: int):
+        # d_i sin u = cos u d_i u, d_i cos u = -sin u d_i u; both series
+        # reach the same rows, since both hold row 0.  part 0 is sin, 1 cos
+        sw, steps = self._recurrence(su, lambda gi, order: gi / order)
+
+        def kernel(u):
+            s, c = [np.sin(u[0])], [np.cos(u[0])]
+            for _, pairs in steps:
+                du = [(f * u[a], b) for f, a, b in pairs]
+                s.append(_dot((d, c[b]) for d, b in du))
+                row = _dot((d, s[b]) for d, b in du)
+                c.append(np.negative(row, out=row))
+            return (s, c)[part]
+        return sw, kernel
+
+    @_shared
+    def tanh(self, su: tuple):
         # d_i w = (1 - w^2) d_i u, with q = 1 - w^2 built alongside w
-        w, q = np.empty_like(u), np.empty_like(u)
-        np.tanh(u[0], out=w[0])
-        q[0] = 1.0 - w[0] ** 2
+        iu, iw, iq, steps = _at(su), {0: 0}, {0: 0}, []
         for k, (order, terms) in enumerate(self.table[1:], 1):
-            _dot(w[k], ((gi / order * u[g], q[c]) for gi, g, c in terms[1:]))
-            np.negative(_dot(q[k], ((w[g], w[c]) for _, g, c in terms)), out=q[k])
-        return w
+            wpairs = [(gi / order, iu[g], iq[c])
+                      for gi, g, c in terms[1:] if g in iu and c in iq]
+            if wpairs:
+                iw[k] = len(iw)
+            qpairs = [(iw[g], iw[c]) for _, g, c in terms if g in iw and c in iw]
+            if qpairs:  # as a stored w row gives the pairs (0, alpha) and (alpha, 0)
+                iq[k] = len(iq)
+                steps.append((wpairs, qpairs))
+
+        def kernel(u):
+            w = [np.tanh(u[0])]
+            q = [1.0 - w[0] ** 2]
+            for wpairs, qpairs in steps:
+                if wpairs:
+                    w.append(_dot((f * u[a], q[b]) for f, a, b in wpairs))
+                row = _dot((w[a], w[b]) for a, b in qpairs)
+                q.append(np.negative(row, out=row))
+            return w
+        return tuple(iw), kernel
 
 
 @lru_cache(maxsize=64)
@@ -579,49 +713,46 @@ def _taylor_plan(nus: tuple[MultiIndex, ...]) -> _TaylorPlan:
     return _TaylorPlan(nus)
 
 
-def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray]) -> np.ndarray:
-    size = coords[0].shape[0]
-    if isinstance(e, Const):
-        return plan.constant(float(e.value), size)
-    if isinstance(e, Pi):
-        return plan.constant(math.pi, size)
+def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray]):
+    """The series of e at the points of `coords`: its support and its
+    stored rows, new arrays held by the caller alone."""
+    if isinstance(e, (Const, Pi)):
+        return (0,), [np.full(len(coords[0]), math.pi if isinstance(e, Pi) else float(e.value))]
     if isinstance(e, Var):
-        out = plan.constant(0.0, size)
-        out[0] = coords[e.index]
-        if plan.unit_rows[e.index] is not None:
-            out[plan.unit_rows[e.index]] = 1.0
-        return out
-    if isinstance(e, Add):
-        return _taylor(e.left, plan, coords) + _taylor(e.right, plan, coords)
-    if isinstance(e, Mul):
-        return plan.mul(_taylor(e.left, plan, coords), _taylor(e.right, plan, coords))
-    if isinstance(e, Div):
-        return plan.div(_taylor(e.left, plan, coords), _taylor(e.right, plan, coords))
+        unit = plan.unit_rows[e.index]
+        if unit is None:
+            return (0,), [coords[e.index].copy()]
+        return (0, unit), [coords[e.index].copy(), np.ones(len(coords[0]))]
     if isinstance(e, Neg):
-        # every series _taylor returns is new and held by its caller alone
-        u = _taylor(e.arg, plan, coords)
-        return np.negative(u, out=u)
+        support, u = _taylor(e.arg, plan, coords)
+        return support, [np.negative(x, out=x) for x in u]
+    if isinstance(e, (Add, Mul, Div)):
+        su, u = _taylor(e.left, plan, coords)
+        sv, v = _taylor(e.right, plan, coords)
+        op = plan.add if isinstance(e, Add) else plan.mul if isinstance(e, Mul) else plan.div
+        support, kernel = op(su, sv)
+        return support, kernel(u, v)
     if isinstance(e, Pow):
-        return plan.power(_taylor(e.base, plan, coords), e.exponent)
-    if isinstance(e, Powr):
-        u = _taylor(e.base, plan, coords)
-        r = e.num / e.den
-        # the powr domain is base > 0: NaN elsewhere, which the caller rejects
-        return plan.real_power(u, r, np.where(u[0] > 0.0, u[0] ** r, np.nan))
-    if isinstance(e, Call):
-        u = _taylor(e.arg, plan, coords)
+        su, u = _taylor(e.base, plan, coords)
+        support, kernel = plan.power(su, e.exponent)
+    elif isinstance(e, Powr):
+        su, u = _taylor(e.base, plan, coords)
+        support, kernel = plan.real_power(su, e.num / e.den, False)
+    elif isinstance(e, Call):
+        su, u = _taylor(e.arg, plan, coords)
         if e.name == "exp":
-            return plan.exp(u)
-        if e.name == "sin":
-            return plan.sin_cos(u)[0]
-        if e.name == "cos":
-            return plan.sin_cos(u)[1]
-        if e.name == "tanh":
-            return plan.tanh(u)
-        if e.name == "sqrt":
-            return plan.real_power(u, 0.5, np.sqrt(u[0]))
-        raise TypeError(f"unknown function {e.name!r}")
-    raise TypeError(f"unknown node {e!r}")
+            support, kernel = plan.exp(su)
+        elif e.name in ("sin", "cos"):
+            support, kernel = plan.sin_cos(su, e.name == "cos")
+        elif e.name == "tanh":
+            support, kernel = plan.tanh(su)
+        elif e.name == "sqrt":
+            support, kernel = plan.real_power(su, 0.5, True)
+        else:
+            raise TypeError(f"unknown function {e.name!r}")
+    else:
+        raise TypeError(f"unknown node {e!r}")
+    return support, kernel(u)
 
 
 def _derivatives(e: PotentialExpr, nus: tuple[MultiIndex, ...],
@@ -637,12 +768,19 @@ def _derivatives(e: PotentialExpr, nus: tuple[MultiIndex, ...],
     shape = np.broadcast_shapes(*(c.shape for c in coords))
     flat = [np.broadcast_to(c, shape).ravel() for c in coords]
     with np.errstate(all="ignore"):
-        series = _taylor(e.root, plan, flat)
+        support, series = _taylor(e.root, plan, flat)
+    at = _at(support)
     out = {}
     for nu in nus:
+        row = at.get(plan.pos[nu])
+        if row is None:  # structurally zero
+            out[nu] = np.zeros(shape)
+            continue
+        values = series[row]
         scale = multi_index_factorial(nu)
-        values = series[plan.pos[nu]]
-        values = (values if scale == 1 else values * scale).reshape(shape)
+        if scale != 1:
+            values *= scale  # each nu has its own row
+        values = values.reshape(shape)
         if not np.all(np.isfinite(values)):
             raise PotentialEvalError("non-finite values in evaluation")
         out[nu] = values

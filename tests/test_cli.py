@@ -234,6 +234,23 @@ class TestVerify:
         assert out == ""
         assert err.startswith("numeric failure: relative heat trace overflows float64")
 
+    @pytest.mark.parametrize("depth", ["1000", "11"])
+    def test_trace_of_a_well_past_the_fit_window_is_refused(self, capsys, depth):
+        """Past t |min V| = TRACE_MAX_WELL at the window's largest t, 0.2, the
+        4-term fit fails (c_1 = -8.9e84 against 1772 at depth 1000): exit 3
+        with no report, naming the bound."""
+        assert main(["verify", "trace", f"--potential=-{depth}*exp(-x1^2)",
+                     "--format", "json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric failure: t * |min V| reaches")
+        assert f"bound {cli.TRACE_MAX_WELL:g}" in err
+
+    @pytest.mark.parametrize("potential", ["-10*exp(-x1^2)", "1/(1+x1^2)"])
+    def test_trace_within_the_fit_window_passes(self, capsys, potential):
+        assert main(["verify", "trace", f"--potential={potential}"]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+
     def test_fk_suite_small(self, capsys):
         assert main(["verify", "fk", "--paths", "20000", "--seed", "7",
                      "--format", "json"]) == 0

@@ -177,6 +177,33 @@ class TestStructure:
                       if not any(nu[-1] for nu in mono)}
         assert DiffPoly(n - 1, restricted) == heat_invariant_binomial(j, n - 1).density
 
+    @pytest.mark.parametrize("n,j", [(3, 3), (4, 3), (4, 4)])
+    def test_dimension_spread(self, n, j):
+        """A monomial of a_j has at most 2j - 2 derivatives, each axis an even
+        number of times, so it uses at most j - 1 axes: a_j in dimension n is
+        a_j in dimension j - 1 spread over the n axes."""
+        assert _spread(heat_invariant_binomial(j, j - 1).density, n) == (
+            heat_invariant_binomial(j, n).density)
+
+
+def _spread(density: DiffPoly, n: int) -> DiffPoly:
+    """A density of a lower dimension carried into dimension n: each
+    monomial under every injection of the axes it uses into the n axes.  An
+    image reached from several monomials, which differ by a permutation of
+    axes, is counted once, with their common coefficient."""
+    spread = {}
+    for mono, coeff in density.terms.items():
+        used = sorted({a for nu in mono for a, k in enumerate(nu) if k})
+        for image in permutations(range(n), len(used)):
+            jets = []
+            for nu in mono:
+                jet = [0] * n
+                for a, b in zip(used, image):
+                    jet[b] = nu[a]
+                jets.append(tuple(jet))
+            assert spread.setdefault(tuple(sorted(jets)), coeff) == coeff
+    return DiffPoly(n, spread)
+
 
 def _digest(texts) -> str:
     return hashlib.sha256("\n".join(texts).encode()).hexdigest()

@@ -131,6 +131,67 @@ def _gaussian(n):
     return parse_potential("exp(-" + "-".join(f"x{i}^2" for i in range(1, n + 1)) + ")", n)
 
 
+def _hermite(k: int) -> list[int]:
+    """Coefficients of the physicists' Hermite polynomial H_k, lowest power
+    first: H_0 = 1, H_1 = 2x, H_(i+1) = 2x H_i - 2i H_(i-1)."""
+    prev, cur = [], [1]
+    for i in range(k):
+        nxt = [0] + [2 * c for c in cur]
+        for p, c in enumerate(prev):
+            nxt[p] -= 2 * i * c
+        prev, cur = cur, nxt
+    return cur
+
+
+def _gaussian_pairs(density: DiffPoly) -> dict[int, Fraction]:
+    """The whole-space integral of `density` for V = exp(-|x|^2) as exact
+    pairs {m: q_m}, the integral being sum_m q_m (pi/m)^(n/2).
+
+    D^nu V = prod_i (-1)^(nu_i) H_(nu_i)(x_i) exp(-|x|^2), so a monomial of
+    m jets is prod_i P_i(x_i) exp(-m |x|^2), and each axis integrates to
+    sqrt(pi/m) sum_l c_(2l) (2l-1)!! / (2m)^l over the coefficients c of P_i."""
+    pairs: dict[int, Fraction] = {}
+    for mono, coeff in density.terms.items():
+        m, q = len(mono), Fraction(coeff)
+        for axis in range(density.dim):
+            poly = [1]
+            for nu in mono:
+                h = [(-1) ** nu[axis] * c for c in _hermite(nu[axis])]
+                poly = [sum(poly[i] * h[p - i] for i in range(len(poly)) if 0 <= p - i < len(h))
+                        for p in range(len(poly) + len(h) - 1)]
+            q *= sum(Fraction(c * math.prod(range(1, p, 2)), (2 * m) ** (p // 2))
+                     for p, c in enumerate(poly) if p % 2 == 0)
+        pairs[m] = pairs.get(m, 0) + q
+    return {m: q for m, q in pairs.items() if q}
+
+
+class TestExactGaussianIntegrals:
+    """integrate_density against the closed-form integrals of a_j for
+    exp(-|x|^2) over R^n.  Outside the box [-6, 6]^n lies at most about
+    5e-12 of them (the D^10 V term of a_6 at n = 1), below every reported
+    error."""
+
+    def test_ruler_of_a3_in_four_dimensions(self):
+        # int a_3 = -1/6 int V^3 - 1/12 int |grad V|^2 at n = 4
+        assert _gaussian_pairs(heat_invariant_binomial(3, 4).density) == {
+            3: Fraction(-1, 6), 2: Fraction(-1, 3)}
+
+    def test_ruler_of_the_hand_derived_rows(self):
+        # -sqrt(pi) and 1/2 sqrt(pi/2), as in TestIntegration
+        assert _gaussian_pairs(heat_invariant_binomial(1, 1).density) == {1: -1}
+        assert _gaussian_pairs(heat_invariant_binomial(2, 1).density) == {2: Fraction(1, 2)}
+
+    @pytest.mark.parametrize("n,j", [(1, j) for j in range(1, 7)]
+                             + [(2, j) for j in range(1, 4)] + [(3, 1), (3, 2)])
+    def test_value_within_its_error_of_the_exact_integral(self, n, j):
+        density = heat_invariant_binomial(j, n).density
+        exact = sum(float(q) * (math.pi / m) ** (n / 2)
+                    for m, q in _gaussian_pairs(density).items())
+        value, err = integrate_density(density, _gaussian(n), n,
+                                       QuadratureConfig(half_width=6.0))
+        assert abs(value - exact) <= err
+
+
 def _record_calls(monkeypatch):
     """Node counts of every call of the integrand, in order."""
     sizes = []

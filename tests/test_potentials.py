@@ -357,6 +357,34 @@ class TestTaylorMode:
             taylor_derivatives(parse_potential("exp(x1^2)", 1), [(0,)], [np.array([40.0])])
 
 
+class TestTaylorZeros:
+    """A row that no product can reach is never formed.  These cases pin
+    what skipping it must keep: a structurally zero derivative reads +0.0,
+    and a product with an infinite factor still fails by the error rule of
+    the module docstring."""
+
+    def test_structurally_zero_rows_read_positive_zero(self):
+        # no term of x1^3*x2 - x2^2*sin(x1) has a third x2 derivative
+        x1, x2 = np.array([0.7, -0.3, 0.0]), np.array([0.2, -1.1, -0.0])
+        got = taylor_derivatives(parse_potential("x1^3*x2 - x2^2*sin(x1)", 2),
+                                 [(0, 3), (1, 3)], [x1, x2])
+        for nu in ((0, 3), (1, 3)):
+            assert np.all(got[nu] == 0.0) and not np.any(np.signbit(got[nu])), nu
+
+    def test_finite_value_over_an_infinite_intermediate(self):
+        e = parse_potential("exp(-1/x1^2)", 1)
+        at_zero = [np.array([0.0])]
+        assert taylor_derivatives(e, [(0,)], at_zero)[(0,)][0] == 0.0
+        with pytest.raises(PotentialEvalError):
+            taylor_derivatives(e, [(1,)], at_zero)
+
+    @pytest.mark.parametrize("nu", [(0,), (1,), (3,)])
+    def test_zero_times_infinity_raises(self, nu):
+        # x1^2 has no row 3, and exp(1/x1) is infinite in every row at 0
+        with pytest.raises(PotentialEvalError):
+            taylor_derivatives(parse_potential("x1^2*exp(1/x1)", 1), [nu], [np.array([0.0])])
+
+
 class TestTaylorBits:
     """sha256 of every taylor_derivatives array, |nu| <= 4 at n = 2, as the
     Taylor pass computed them before its index tables were merged into one
