@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 from ._lazy import np
@@ -25,24 +26,29 @@ from .potentials import PotentialExpr, evaluate_array
 # ---------------------------------------------------------------------------
 
 _CHUNK = 4096  # paths per block; fixed so results do not depend on memory
-# path points (paths x (steps+1) x dim) per tile of a chunk: 256 KB per
-# float64 buffer, so a worker's buffers stay within a core's L2 cache; a
-# chunk is cut into the fewest tiles of this size, split evenly, and a path
-# longer than this is a tile of its own.  A tile is the next stretch of its
-# chunk's normal stream, so its size moves no result
-_TILE_POINTS = 1 << 15
+# path points (paths x (steps+1) x dim) per tile of a chunk: 128 KB per
+# float64 buffer, so a worker's buffers and the potential's temporaries on
+# one tile stay within a core's L2 cache; a chunk is cut into the fewest
+# tiles of this size, split evenly, and a path longer than this is a tile
+# of its own.  A tile is the next stretch of its chunk's normal stream, so
+# its size moves no result
+_TILE_POINTS = 1 << 14
 
 
 def worker_count() -> int:
     """Worker cap for parallel sections, from the HEATINV_THREADS environment
-    variable (default 1, i.e. serial).  Results never depend on this value;
-    work is partitioned by fixed-size chunk before any parallel dispatch."""
+    variable (default 1, i.e. serial), clamped to os.cpu_count().  A value
+    that is not an integer, or is below 1, raises ValueError.  Results never
+    depend on this value; work is partitioned by fixed-size chunk before any
+    parallel dispatch."""
     raw = os.environ.get("HEATINV_THREADS", "1")
     try:
         value = int(raw)
     except ValueError as exc:
         raise ValueError(f"HEATINV_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, min(value, os.cpu_count() or 1))
+    if value < 1:
+        raise ValueError(f"HEATINV_THREADS must be >= 1, got {value}")
+    return min(value, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -140,11 +146,17 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
     moment non-finite, which raises FloatingPointError.  One path has no
     spread to estimate, so fewer than 2 paths raise ValueError.
 
-    Each chunk is drawn and evaluated in the fewest tiles of at most
+    The calling thread and worker_count() - 1 helper threads each take the
+    next chunk in order until none is left.  Each worker allocates its
+    scratch once per call: two tile buffers sized to the call's largest tile
+    and the fine and coarse weights of one chunk, reused for every chunk it
+    takes.  A chunk is drawn and evaluated in the fewest tiles of at most
     _TILE_POINTS path points, of equal size but for a smaller last one, so a
-    worker holds two tile buffers and the chunk's fine and coarse weights,
-    not the chunk's paths.  A path of more than _TILE_POINTS points is a tile
-    of its own.
+    worker never holds a chunk's paths; a path of more than _TILE_POINTS
+    points is a tile of its own.  The chunks' statistics are merged in chunk
+    order, so the result does not depend on the thread count.  An exception
+    in a chunk stops every worker at its next chunk and is raised here once
+    all have finished.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -158,15 +170,17 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
     prefactor = (4.0 * math.pi * t) ** (-n / 2)
     steps = sampler.steps
     most = max(1, _TILE_POINTS // ((steps + 1) * n))  # paths a tile may hold
+    threads = worker_count()
 
-    def block_stats(chunk):
+    def tile_of(count):
+        """Paths per tile of a chunk of `count` paths."""
+        return -(-count // -(-count // most))
+
+    def chunk_stats(chunk, path_buf, work_buf, weights_buf, coarse_buf):
         child, count = chunk
         rng = np.random.default_rng(child)
-        tiles = -(-count // most)
-        tile = -(-count // tiles)
-        shape = (tile, steps + 1, n)
-        path_buf, work_buf = np.empty(shape), np.empty(shape)
-        weights, coarse = np.empty(count), np.empty(count)
+        tile = tile_of(count)
+        weights, coarse = weights_buf[:count], coarse_buf[:count]
         # an overflow in the weights shows as a non-finite mean or M2, which
         # the caller checks once the chunks are merged
         with np.errstate(over="ignore", invalid="ignore"):
@@ -205,12 +219,42 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
                     float(np.square(weights, out=weights).sum()))
 
     # chunks() loads numpy in this thread, so that no worker is the first to
-    # touch the lazy module (see _lazy); the pool's module is imported only
-    # here, as no other command needs it
+    # touch the lazy module (see _lazy)
     chunks = sampler.chunks()
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        stats = list(pool.map(block_stats, chunks))
+    tile_shape = (max(tile_of(count) for _, count in chunks), steps + 1, n)
+    width = chunks[0][1]  # the first chunk is the longest
+    stats = [None] * len(chunks)
+    order = iter(range(len(chunks)))
+    lock = threading.Lock()
+    failures = []  # (chunk index, exception) of each chunk that raised
+
+    def work():
+        """Take the next chunk until none is left or a worker has failed,
+        on scratch this worker allocates once."""
+        k = -1  # a failure to allocate ranks before every chunk
+        try:
+            scratch = (np.empty(tile_shape), np.empty(tile_shape),
+                       np.empty(width), np.empty(width))
+            while not failures:
+                with lock:
+                    k = next(order, None)
+                if k is None:
+                    return
+                stats[k] = chunk_stats(chunks[k], *scratch)
+        except BaseException as exc:
+            failures.append((k, exc))
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(threads, len(chunks)) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        # chunks are taken in order, so the first chunk that raises always
+        # runs: its exception is the one a serial run raises
+        raise min(failures, key=lambda failure: failure[0])[1]
     # Chan, Golub & LeVeque (1983) pairwise update, in chunk order
     count, mean, m2 = stats[0]
     for c, m, q in stats[1:]:

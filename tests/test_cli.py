@@ -258,6 +258,23 @@ class TestVerify:
         check = data["checks"][0]
         assert abs(check["observed"] - check["target"]) <= check["tolerance"]
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_fk_thread_count_below_one_is_a_usage_error(self, capsys, monkeypatch,
+                                                         threads):
+        monkeypatch.setenv("HEATINV_THREADS", threads)
+        assert main(["verify", "fk", "--paths", "20000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: HEATINV_THREADS must be >= 1, got {threads}\n"
+
+    def test_fk_worker_failure_is_a_numeric_failure(self, capsys, monkeypatch):
+        monkeypatch.setenv("HEATINV_THREADS", "2")
+        assert main(["verify", "fk", "--potential", "powr(x1,1,2)",
+                     "--paths", "20000"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric failure:")
+
     def test_fk_tolerance_covers_the_omitted_t4_term(self, capsys):
         # at 200k paths the a_4 t^4 term left out of the 3-term target is
         # close to 3 standard errors; at this seed the estimate is more than

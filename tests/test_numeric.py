@@ -182,7 +182,8 @@ class TestExactGaussianIntegrals:
         assert _gaussian_pairs(heat_invariant_binomial(2, 1).density) == {2: Fraction(1, 2)}
 
     @pytest.mark.parametrize("n,j", [(1, j) for j in range(1, 7)]
-                             + [(2, j) for j in range(1, 4)] + [(3, 1), (3, 2)])
+                             + [(2, j) for j in range(1, 7)]
+                             + [(3, j) for j in range(1, 4)])
     def test_value_within_its_error_of_the_exact_integral(self, n, j):
         density = heat_invariant_binomial(j, n).density
         exact = sum(float(q) * (math.pi / m) ** (n / 2)

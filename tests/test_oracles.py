@@ -2,6 +2,7 @@
 
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from heatinv.oracles import (BridgeSampler, TraceGrid, _contour_nodes, _expm,
                              fk_diagonal, matrix_operator_family,
                              nc_taylor_matrix_check, relative_heat_trace_1d,
                              taylor_family, taylor_remainder)
-from heatinv.potentials import evaluate_array, parse_potential
+from heatinv.potentials import PotentialEvalError, evaluate_array, parse_potential
 
 GAUSSIAN = parse_potential("exp(-x1^2)", 1)
 
@@ -176,8 +177,8 @@ class TestFeynmanKac:
                     for (p, x), s in zip(cases, samplers)] == default
 
     def test_chunk_is_cut_into_the_fewest_even_tiles(self, monkeypatch):
-        """At 32 steps a 4096-path chunk is 5 tiles of 820 or 816 paths,
-        not one full tile and a nearly empty one."""
+        """At 32 steps a 4096-path chunk is 8 tiles of 456 paths and one of
+        448, not one full tile and a nearly empty one."""
         sizes = []
         fill = BridgeSampler.fill
 
@@ -193,6 +194,22 @@ class TestFeynmanKac:
         assert tiles == math.ceil(4096 * 33 / oracles._TILE_POINTS)
         assert max(sizes) * 33 <= oracles._TILE_POINTS
         assert max(sizes) - min(sizes) <= tiles - 1
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one_is_refused(self, threads, monkeypatch):
+        monkeypatch.setenv("HEATINV_THREADS", threads)
+        with pytest.raises(ValueError, match=f"HEATINV_THREADS must be >= 1, got {threads}"):
+            fk_diagonal(GAUSSIAN, (0.0,), 0.05, BridgeSampler(paths=100))
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch):
+        """A potential that fails on every path raises in both workers; the
+        error reaches the caller once both threads have finished."""
+        monkeypatch.setenv("HEATINV_THREADS", "2")
+        before = threading.active_count()
+        with pytest.raises(PotentialEvalError):
+            fk_diagonal(parse_potential("powr(x1,1,2)", 1), (0.0,), 0.05,
+                        BridgeSampler(paths=20000))
+        assert threading.active_count() == before
 
     def test_memory_does_not_grow_with_steps(self, monkeypatch):
         """The traced peak is two tiles and the potential's temporaries on
