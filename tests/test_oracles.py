@@ -202,7 +202,7 @@ class TestFeynmanKac:
             fk_diagonal(GAUSSIAN, (0.0,), 0.05, BridgeSampler(paths=100))
 
     def test_worker_failure_reaches_the_caller(self, monkeypatch):
-        """A potential that fails on every path raises in both workers; the
+        """A potential that fails in every chunk raises in both workers; the
         error reaches the caller once both threads have finished."""
         monkeypatch.setenv("HEATINV_THREADS", "2")
         before = threading.active_count()
