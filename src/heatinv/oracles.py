@@ -26,13 +26,15 @@ from .potentials import PotentialExpr, evaluate_array
 # ---------------------------------------------------------------------------
 
 _CHUNK = 4096  # paths per block; fixed so results do not depend on memory
-# path points (paths x (steps+1) x dim) per tile of a chunk: 128 KB per
-# float64 buffer, so a worker's buffers and the potential's temporaries on
-# one tile stay within a core's L2 cache; a chunk is cut into the fewest
-# tiles of this size, split evenly, and a path longer than this is a tile
-# of its own.  A tile is the next stretch of its chunk's normal stream, so
-# its size moves no result
-_TILE_POINTS = 1 << 14
+# path points (paths x (steps+1) x dim) per tile of a chunk: 256 KB per
+# float64 buffer, so a worker's buffers stay within a core's L2 cache; a
+# chunk is cut into the fewest tiles of this size, split evenly, and a path
+# longer than this is a tile of its own.  A tile is the next stretch of its
+# chunk's normal stream, so its size moves no result.  Half-size tiles hold
+# about 1.3 MB less at two threads, but each tile's numpy calls hand the GIL
+# between the workers, and twice as many of them made two threads barely
+# faster than one
+_TILE_POINTS = 1 << 15
 
 
 def worker_count() -> int:

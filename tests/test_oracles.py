@@ -177,8 +177,8 @@ class TestFeynmanKac:
                     for (p, x), s in zip(cases, samplers)] == default
 
     def test_chunk_is_cut_into_the_fewest_even_tiles(self, monkeypatch):
-        """At 32 steps a 4096-path chunk is 8 tiles of 456 paths and one of
-        448, not one full tile and a nearly empty one."""
+        """At 32 steps a 4096-path chunk is 5 tiles of 820 or 816 paths,
+        not one full tile and a nearly empty one."""
         sizes = []
         fill = BridgeSampler.fill
 
