@@ -65,6 +65,10 @@ class BridgeSampler:
 
     `steps` must be even: the even grid points of a path are the coarse path
     of steps/2 intervals that fk_diagonal's Richardson estimate reads.
+
+    The paths come in fixed-size chunks, each with its own seed (chunks).
+    fill writes the next paths of a chunk's stream into the caller's
+    buffers, as fk_diagonal does tile by tile; blocks yields each chunk whole.
     """
 
     seed: int = 0
@@ -94,10 +98,6 @@ class BridgeSampler:
         return [(child, min(_CHUNK, self.paths - k * _CHUNK))
                 for k, child in enumerate(children)]
 
-    def grid(self) -> np.ndarray:
-        """The steps+1 uniform times s of a path, 0 and 1 included."""
-        return np.linspace(0.0, 1.0, self.steps + 1)
-
     def fill(self, rng: np.random.Generator, path: np.ndarray,
              work: np.ndarray) -> None:
         """Write the next len(path) bridges of `rng`'s stream into `path`,
@@ -116,20 +116,19 @@ class BridgeSampler:
         incr *= math.sqrt(1.0 / self.steps)
         path[:, 0] = 0.0
         np.cumsum(incr, axis=1, out=path[:, 1:])
-        np.multiply(self.grid()[None, :, None], path[:, -1:], out=work)
+        s = np.linspace(0.0, 1.0, self.steps + 1)
+        np.multiply(s[None, :, None], path[:, -1:], out=work)
         path -= work
 
-    def draw(self, chunk: tuple[np.random.SeedSequence, int]):
-        """(s_grid, block) of one chunk; block has shape (count, steps+1, dim)."""
-        child, count = chunk
-        block = np.empty((count, self.steps + 1, self.dim))
-        self.fill(np.random.default_rng(child), block, np.empty_like(block))
-        return self.grid(), block
-
     def blocks(self):
-        """Yield draw(chunk) for each chunk, in chunk order."""
-        for chunk in self.chunks():
-            yield self.draw(chunk)
+        """Yield (s, block) for each chunk, in chunk order: s the steps+1
+        uniform times of a path, 0 and 1 included, and block the chunk's
+        bridges in fresh arrays, shape (count, steps+1, dim), as fill draws
+        them from a generator of the chunk's seed."""
+        for child, count in self.chunks():
+            block = np.empty((count, self.steps + 1, self.dim))
+            self.fill(np.random.default_rng(child), block, np.empty_like(block))
+            yield np.linspace(0.0, 1.0, self.steps + 1), block
 
 
 def fk_diagonal(potential: PotentialExpr, x, t: float,
@@ -282,6 +281,13 @@ class TraceGrid:
     half_width: float = 30.0
     points: int = 4000
 
+    def __post_init__(self):
+        if self.points < 2:
+            raise ValueError(f"points must be >= 2, got {self.points}")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError(
+                f"half_width must be positive and finite, got {self.half_width}")
+
     def nodes(self) -> np.ndarray:
         """The interior nodes of the grid on [-L, L], Dirichlet ends left out."""
         return np.linspace(-self.half_width, self.half_width, self.points + 2)[1:-1]
@@ -353,11 +359,12 @@ def relative_heat_trace_1d(potential: PotentialExpr, t,
     (H0 is positive definite).  One resolvent-trace sweep serves every
     (t, node) pair, and no eigenvalue is computed.  Returns a float for a
     float t, an array for an array t.  A trace that overflows, as a deep
-    well's does, raises FloatingPointError.
+    well's does, raises FloatingPointError; a t that is not positive and
+    finite raises ValueError.
     """
     ts = np.asarray(t, dtype=float)
-    if np.any(ts <= 0):
-        raise ValueError(f"t must be positive, got {t}")
+    if not np.all((0 < ts) & (ts < math.inf)):
+        raise ValueError(f"t must be positive and finite, got {t}")
     if potential.dim != 1:
         raise ValueError("relative_heat_trace_1d needs a 1-D potential")
     grid = grid or TraceGrid()
@@ -402,16 +409,21 @@ def fit_expansion(samples: list[tuple[float, float]], n: int, J: int) -> FitRepo
         value(t) = (4 pi t)^(-n/2) * sum_(j=1)^J c_j t^j.
 
     The (4 pi t)^(-n/2) prefactor is divided out first.  Reports the design
-    matrix condition number; raises on rank deficiency.
+    matrix condition number; raises on rank deficiency, and on a t that is
+    not positive and finite or a value that is not finite.
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
     if len(samples) < J + 2:
         raise ValueError(f"need at least {J + 2} samples for J={J}, got {len(samples)}")
     ts = np.array([s[0] for s in samples], dtype=float)
+    values = np.array([s[1] for s in samples], dtype=float)
+    if not np.all((0 < ts) & (ts < math.inf)):
+        raise ValueError(f"t values must be positive and finite, got {ts}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"values must be finite, got {values}")
     if not np.all(np.diff(np.sort(ts))):
         raise ValueError("t values must be distinct")
-    values = np.array([s[1] for s in samples], dtype=float)
     g = values / (4.0 * math.pi * ts) ** (-n / 2)
     design = np.vander(ts, J + 1, increasing=True)[:, 1:]  # columns t^1..t^J
     cond = float(np.linalg.cond(design))

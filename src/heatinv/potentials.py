@@ -16,12 +16,12 @@ through powr, which keeps symbolic differentiation total.
 
 ASTs are immutable.  A difference a - b is stored as a + (-b), which IEEE 754
 evaluates to the same float.  Every number comes from one walk of the AST on
-numpy arrays: a truncated multivariate Taylor pass (`taylor_derivatives`
-gives D^nu V) in which each node stores and multiplies only the coefficients
-that can be nonzero; values are its order-0 case (`evaluate_array`, and
-`evaluate` on one point).  `differentiate` builds the exact symbolic D^nu V
-tree, with light constant folding; it serves as the independent reference
-for Taylor mode.
+numpy arrays: a truncated multivariate Taylor pass in which each node stores
+and multiplies only the coefficients that can be nonzero.  Its one entry is
+`taylor_derivatives`, which gives D^nu V; `evaluate_array`, and `evaluate` on
+one point, are views of its order-0 case.  `differentiate` builds the exact
+symbolic D^nu V tree, with light constant folding; it serves as the
+independent reference for Taylor mode.
 One error rule holds for every evaluation: a non-positive powr base gives NaN,
 and a non-finite final value raises PotentialEvalError.  Nothing else raises
 it, so a finite value is accepted even where an intermediate one is infinite,
@@ -215,6 +215,9 @@ class _Parser:
     written, one above its highest operand's (leaves are 1); `a - b` counts
     one level, though it is stored as Add(a, Neg(b))."""
 
+    # the binary operators of each precedence level, loosest first
+    BINARY = ({"+": _add, "-": _sub}, {"*": _mul, "/": _div})
+
     def __init__(self, src: str, dim: int):
         self.src = src
         self.dim = dim
@@ -261,25 +264,17 @@ class _Parser:
             self.error("unexpected trailing input")
         return e
 
-    def expr(self) -> tuple[Expr, int]:
-        e = self.term()
-        while True:
-            if self.accept("+"):
-                e = self.node(_add, self.pos - 1, e, self.term())
-            elif self.accept("-"):
-                e = self.node(_sub, self.pos - 1, e, self.term())
-            else:
-                return e
-
-    def term(self) -> tuple[Expr, int]:
-        e = self.unary()
-        while True:
-            if self.accept("*"):
-                e = self.node(_mul, self.pos - 1, e, self.unary())
-            elif self.accept("/"):
-                e = self.node(_div, self.pos - 1, e, self.unary())
-            else:
-                return e
+    def expr(self, level: int = 0) -> tuple[Expr, int]:
+        """A left-associative chain of BINARY[level]'s operators over the
+        next level's chains; below the last level, over unary()."""
+        if level == len(self.BINARY):
+            return self.unary()
+        ops = self.BINARY[level]
+        e = self.expr(level + 1)
+        while (op := self.peek()) in ops:
+            self.pos += 1
+            e = self.node(ops[op], self.pos - 1, e, self.expr(level + 1))
+        return e
 
     def unary(self) -> tuple[Expr, int]:
         self.skip_ws()
@@ -591,7 +586,8 @@ class _TaylorPlan:
 
     @_shared
     def power(self, su: tuple, k: int):
-        # repeated multiplication, exact at a zero base
+        # repeated multiplication, exact at a zero base; k is never 0 or 1,
+        # which _pow folds
         if k < 0:
             sp, positive = self.power(su, -k)
             sw, divide = self.div((0,), sp)
@@ -611,8 +607,6 @@ class _TaylorPlan:
             if k:
                 sbase, mul = self.mul(sbase, sbase)
                 steps.append((False, mul))
-        if sw is None:
-            return (0,), lambda u: [np.ones(len(u[0]))]
 
         def kernel(u):
             out = base = u
@@ -755,18 +749,40 @@ def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray]):
     return support, kernel(u)
 
 
-def _derivatives(e: PotentialExpr, nus: tuple[MultiIndex, ...],
-                 coords) -> dict[MultiIndex, np.ndarray]:
-    """D^nu V for the sorted, distinct `nus` from one Taylor pass; the
-    common core of evaluate, evaluate_array and taylor_derivatives."""
+def evaluate(e: PotentialExpr, point) -> float:
+    """Value at a point (sequence of dim floats), as evaluate_array gives it
+    on one node."""
+    zero = (0,) * e.dim
+    return float(taylor_derivatives(e, [zero], [float(x) for x in point])[zero])
+
+
+def evaluate_array(e: PotentialExpr, coords: list[np.ndarray]) -> np.ndarray:
+    """Values on numpy coordinate arrays (one per axis, broadcast together):
+    the order-0 Taylor pass.  Non-finite entries raise PotentialEvalError, by
+    the rule in the module docstring."""
+    zero = (0,) * e.dim
+    return taylor_derivatives(e, [zero], coords)[zero]
+
+
+def taylor_derivatives(e: PotentialExpr, nus,
+                       coords: list[np.ndarray]) -> dict[MultiIndex, np.ndarray]:
+    """D^nu V for every nu in `nus` at the nodes given by `coords` (one
+    array per axis, broadcast together), from one truncated Taylor pass over
+    the AST.  This is the one Taylor entry: evaluate and evaluate_array are
+    its nu = 0 case.  No derivative tree is built, so the cost grows with the
+    number of Taylor coefficients rather than with the size of D^nu V.
+    Errors follow the rule in the module docstring."""
+    nus = tuple(sorted(set(nus)))
+    if any(len(nu) != e.dim for nu in nus):
+        raise ValueError(f"multi-indices {nus} have wrong length for dimension {e.dim}")
     if len(coords) != e.dim:
         raise ValueError(f"{len(coords)} coordinate arrays for dimension {e.dim}")
     if not nus:
         return {}
     plan = _taylor_plan(nus)
-    coords = [np.asarray(c, dtype=float) for c in coords]
-    shape = np.broadcast_shapes(*(c.shape for c in coords))
-    flat = [np.broadcast_to(c, shape).ravel() for c in coords]
+    coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
+    shape = coords[0].shape
+    flat = [c.ravel() for c in coords]
     with np.errstate(all="ignore"):
         support, series = _taylor(e.root, plan, flat)
     at = _at(support)
@@ -785,33 +801,3 @@ def _derivatives(e: PotentialExpr, nus: tuple[MultiIndex, ...],
             raise PotentialEvalError("non-finite values in evaluation")
         out[nu] = values
     return out
-
-
-def evaluate(e: PotentialExpr, point) -> float:
-    """Value at a point (sequence of dim floats), as evaluate_array gives it
-    on one node."""
-    if len(point) != e.dim:
-        raise ValueError(f"point of length {len(point)} for dimension {e.dim}")
-    zero = (0,) * e.dim
-    return float(_derivatives(e, (zero,), [float(x) for x in point])[zero])
-
-
-def evaluate_array(e: PotentialExpr, coords: list[np.ndarray]) -> np.ndarray:
-    """Values on numpy coordinate arrays (one per axis, broadcast together):
-    the order-0 Taylor pass.  Non-finite entries raise PotentialEvalError, by
-    the rule in the module docstring."""
-    zero = (0,) * e.dim
-    return _derivatives(e, (zero,), coords)[zero]
-
-
-def taylor_derivatives(e: PotentialExpr, nus,
-                       coords: list[np.ndarray]) -> dict[MultiIndex, np.ndarray]:
-    """D^nu V for every nu in `nus` at the nodes given by `coords` (one
-    array per axis, broadcast together), from one truncated Taylor pass over
-    the AST.  No derivative tree is built, so the cost grows with the number of
-    Taylor coefficients rather than with the size of D^nu V.  Errors follow
-    the rule in the module docstring."""
-    nus = tuple(sorted(set(nus)))
-    if any(len(nu) != e.dim for nu in nus):
-        raise ValueError(f"multi-indices {nus} have wrong length for dimension {e.dim}")
-    return _derivatives(e, nus, coords)

@@ -1,5 +1,6 @@
 """Density evaluation, quadrature, spectral prefactors, and table emitters."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -143,24 +144,46 @@ def _hermite(k: int) -> list[int]:
     return cur
 
 
-def _gaussian_pairs(density: DiffPoly) -> dict[int, Fraction]:
-    """The whole-space integral of `density` for V = exp(-|x|^2) as exact
-    pairs {m: q_m}, the integral being sum_m q_m (pi/m)^(n/2).
+def _poly_mul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return out
 
-    D^nu V = prod_i (-1)^(nu_i) H_(nu_i)(x_i) exp(-|x|^2), so a monomial of
-    m jets is prod_i P_i(x_i) exp(-m |x|^2), and each axis integrates to
+
+def _jet_factor(p: list[int], k: int) -> list[int]:
+    """d^k (p(x) e^(-x^2)) / e^(-x^2) = sum_l C(k, l) p^(l)(x) (-1)^(k-l)
+    H_(k-l)(x), coefficients lowest power first."""
+    out = [0]
+    for l in range(k + 1):
+        h = [math.comb(k, l) * (-1) ** (k - l) * c for c in _hermite(k - l)]
+        term = _poly_mul(p, h)
+        out = [a + b for a, b in itertools.zip_longest(out, term, fillvalue=0)]
+        p = [i * c for i, c in enumerate(p)][1:] or [0]  # p' for the next l
+    return out
+
+
+def _gaussian_pairs(density: DiffPoly, prefactors=None) -> dict[int, Fraction]:
+    """The whole-space integral of `density` for V = prod_i p_i(x_i)
+    exp(-|x|^2) as exact pairs {m: q_m}, the integral being
+    sum_m q_m (pi/m)^(n/2).  `prefactors` holds each axis's polynomial p_i,
+    coefficients lowest power first; None means p_i = 1 on every axis.
+
+    Along each axis a jet is a polynomial times exp(-x_i^2) (_jet_factor;
+    for p_i = 1, (-1)^(nu_i) H_(nu_i)(x_i) exp(-x_i^2)), so a monomial of m
+    jets is prod_i P_i(x_i) exp(-m |x|^2), and each axis integrates to
     sqrt(pi/m) sum_l c_(2l) (2l-1)!! / (2m)^l over the coefficients c of P_i."""
+    prefactors = prefactors or [[1]] * density.dim
     pairs: dict[int, Fraction] = {}
     for mono, coeff in density.terms.items():
         m, q = len(mono), Fraction(coeff)
-        for axis in range(density.dim):
+        for axis, p in enumerate(prefactors):
             poly = [1]
             for nu in mono:
-                h = [(-1) ** nu[axis] * c for c in _hermite(nu[axis])]
-                poly = [sum(poly[i] * h[p - i] for i in range(len(poly)) if 0 <= p - i < len(h))
-                        for p in range(len(poly) + len(h) - 1)]
-            q *= sum(Fraction(c * math.prod(range(1, p, 2)), (2 * m) ** (p // 2))
-                     for p, c in enumerate(poly) if p % 2 == 0)
+                poly = _poly_mul(poly, _jet_factor(p, nu[axis]))
+            q *= sum(Fraction(c * math.prod(range(1, k, 2)), (2 * m) ** (k // 2))
+                     for k, c in enumerate(poly) if k % 2 == 0)
         pairs[m] = pairs.get(m, 0) + q
     return {m: q for m, q in pairs.items() if q}
 
@@ -181,6 +204,15 @@ class TestExactGaussianIntegrals:
         assert _gaussian_pairs(heat_invariant_binomial(1, 1).density) == {1: -1}
         assert _gaussian_pairs(heat_invariant_binomial(2, 1).density) == {2: Fraction(1, 2)}
 
+    def test_ruler_of_a1_with_a_prefactor(self):
+        # int a_1 = -int V: -sqrt(pi) for (1+x1) exp(-x1^2), -pi for
+        # (1+x1) exp(-|x|^2) and -pi/2 for x1^2 exp(-|x|^2) in two dimensions
+        assert _gaussian_pairs(heat_invariant_binomial(1, 1).density, [[1, 1]]) == {1: -1}
+        assert _gaussian_pairs(heat_invariant_binomial(1, 2).density,
+                               [[1, 1], [1]]) == {1: -1}
+        assert _gaussian_pairs(heat_invariant_binomial(1, 2).density,
+                               [[0, 0, 1], [1]]) == {1: Fraction(-1, 2)}
+
     @pytest.mark.parametrize("n,j", [(1, j) for j in range(1, 7)]
                              + [(2, j) for j in range(1, 7)]
                              + [(3, j) for j in range(1, 4)])
@@ -189,6 +221,21 @@ class TestExactGaussianIntegrals:
         exact = sum(float(q) * (math.pi / m) ** (n / 2)
                     for m, q in _gaussian_pairs(density).items())
         value, err = integrate_density(density, _gaussian(n), n,
+                                       QuadratureConfig(half_width=6.0))
+        assert abs(value - exact) <= err
+
+    @pytest.mark.parametrize("text,prefactors,j", [
+        ("(1+x1)*exp(-x1^2)", [[1, 1]], j) for j in range(1, 6)
+    ] + [("(1+x1)*exp(-x1^2-x2^2)", [[1, 1], [1]], j) for j in range(1, 5)]
+      + [("x1^2*exp(-x1^2-x2^2)", [[0, 0, 1], [1]], j) for j in range(1, 4)])
+    def test_polynomial_prefactor_within_its_error(self, text, prefactors, j):
+        """p(x) exp(-|x|^2) is neither even nor symmetric under swapping
+        axes, so errors in the coefficients of odd-order jets do not cancel."""
+        n = len(prefactors)
+        density = heat_invariant_binomial(j, n).density
+        exact = sum(float(q) * (math.pi / m) ** (n / 2)
+                    for m, q in _gaussian_pairs(density, prefactors).items())
+        value, err = integrate_density(density, parse_potential(text, n), n,
                                        QuadratureConfig(half_width=6.0))
         assert abs(value - exact) <= err
 

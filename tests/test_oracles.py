@@ -49,10 +49,11 @@ class TestBridgeSampler:
         sampler = BridgeSampler(seed=5, paths=9000)
         chunks = sampler.chunks()
         assert [count for _, count in chunks] == [4096, 4096, 808]
-        for chunk, (s, block) in zip(chunks, sampler.blocks(), strict=True):
-            s2, block2 = sampler.draw(chunk)
-            assert np.array_equal(s, s2)
-            assert np.array_equal(block, block2)
+        for (child, count), (s, block) in zip(chunks, sampler.blocks(), strict=True):
+            assert np.array_equal(s, np.linspace(0.0, 1.0, sampler.steps + 1))
+            fresh = np.empty((count, sampler.steps + 1, sampler.dim))
+            sampler.fill(np.random.default_rng(child), fresh, np.empty_like(fresh))
+            assert np.array_equal(block, fresh)
 
     @pytest.mark.parametrize("value,field", [
         (value, field) for field in ("steps", "paths", "dim") for value in (0, -5)
@@ -277,6 +278,20 @@ class TestRelativeTrace:
         with pytest.raises(ValueError):
             relative_heat_trace_1d(parse_potential("x1 + x2", 2), 0.1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, np.array([0.1, math.nan])])
+    def test_rejects_non_finite_times(self, t):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            relative_heat_trace_1d(GAUSSIAN, t)
+
+    @pytest.mark.parametrize("field,value", [("points", 0), ("points", 1),
+                                             ("half_width", math.inf),
+                                             ("half_width", -30.0),
+                                             ("half_width", 0.0),
+                                             ("half_width", math.nan)])
+    def test_grid_rejects_unusable_sizes(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TraceGrid(**{field: value})
+
 
 class TestTraceContour:
     def test_contour_rule_matches_exponential(self):
@@ -326,6 +341,17 @@ class TestFitExpansion:
     def test_requires_distinct_ts(self):
         with pytest.raises(ValueError):
             fit_expansion([(0.1, 1.0)] * 5, 1, 1)
+
+    @pytest.mark.parametrize("k,sample,message", [
+        (0, (0.0, 1.0), "t values"), (0, (-0.05, 1.0), "t values"),
+        (4, (math.inf, 1.0), "t values"), (4, (math.nan, 1.0), "t values"),
+        (2, (0.2, math.nan), "values must be finite"),
+        (2, (0.2, math.inf), "values must be finite")])
+    def test_rejects_unusable_samples(self, k, sample, message):
+        samples = [(t, 1.0) for t in (0.05, 0.1, 0.2, 0.3, 0.4)]
+        samples[k] = sample
+        with pytest.raises(ValueError, match=message):
+            fit_expansion(samples, 1, 2)
 
 
 class TestNcTaylor:

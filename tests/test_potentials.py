@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,8 @@ class TestParsing:
         assert evaluate(e, (0.0,)) == 0.0
         e = parse_potential("-x1^2", 1)
         assert evaluate(e, (2.0,)) == -4.0
+        e = parse_potential("8/4/2", 1)  # (8/4)/2, not 8/(4/2)
+        assert evaluate(e, (0.0,)) == 1.0
 
     def test_functions_and_pi(self):
         e = parse_potential("exp(-x1^2) + sin(pi * x2)", 2)
@@ -55,6 +58,10 @@ class TestParsing:
         assert parse_potential("x1 - 0", 1) == parse_potential("x1", 1)
         assert parse_potential("0 - x1", 1) == parse_potential("-x1", 1)
         assert parse_potential("3 - 5/2", 1).root.value == Fraction(1, 2)
+        # the same folds in the second level and under '^'
+        assert parse_potential("x1/1", 1) == parse_potential("x1", 1)
+        assert parse_potential("x1/2/1", 1) == parse_potential("x1/2", 1)
+        assert parse_potential("x1^0", 1).root.value == 1
 
     def test_syntax_errors_carry_offset(self):
         with pytest.raises(PotentialSyntaxError) as exc:
@@ -66,6 +73,16 @@ class TestParsing:
             parse_potential("x1 )", 1)
         with pytest.raises(PotentialSyntaxError):
             parse_potential("foo(x1)", 1)
+        for text, message, offset in (("(x1", "expected ')'", 3),
+                                      ("sin(x1", "expected ')'", 6),
+                                      ("powr(x1 2, 3)", "expected ','", 8),
+                                      ("1.2.3", "bad numeric literal", 0),
+                                      ("powr(x1, 1/2, 3)", "expected an integer literal", 8)):
+            with pytest.raises(PotentialSyntaxError, match=re.escape(message)) as exc:
+                parse_potential(text, 1)
+            assert exc.value.offset == offset
+        with pytest.raises(ValueError, match="dimension"):
+            parse_potential("x1", 0)
         # a zero base under a negative exponent, also once the base folds to 0
         for text in ("0^(-1) + x1", "(1-1)^(-2)*x1"):
             with pytest.raises(PotentialSyntaxError) as exc:
