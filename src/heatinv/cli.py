@@ -365,41 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--format", choices=("json", "csv", "text"),
                         default="text")
     report.add_argument("--output", help="write output to a file instead of stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("local", parents=[report],
-                       help="symbolic heat-invariant densities")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--order", type=int, required=True, help=ORDER_HELP)
-    p.set_defaults(func=cmd_local)
-
-    p = sub.add_parser("alpha", parents=[report], help="regularized-trace densities")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--epsilon", required=True,
-                   help='decay rate as an exact rational, e.g. "1/3"')
-    p.add_argument("--order", type=int, required=True, help=ORDER_HELP)
-    p.set_defaults(func=cmd_alpha)
-
-    p = sub.add_parser("coeffs", parents=[report],
-                       help="numeric heat invariants and b_j")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--potential", required=True, help=POTENTIAL_HELP)
-    p.add_argument("--order", type=int, required=True, help=ORDER_HELP)
-    p.add_argument("--box", type=float, help="quadrature box half-width")
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser("regtrace", parents=[report], help="numeric alpha_j and beta_j")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--epsilon", required=True,
-                   help='decay rate as an exact rational, e.g. "1/3"')
-    p.add_argument("--potential", required=True, help=POTENTIAL_HELP)
-    p.add_argument("--order", type=int, required=True, help=ORDER_HELP)
-    p.add_argument("--box", type=float, help="quadrature box half-width")
-    p.set_defaults(func=cmd_regtrace)
-
-    verify = sub.add_parser("verify", help="numerical verification suites")
-    suites = verify.add_subparsers(dest="suite", required=True)
-    options = {
+    # the options of the commands, each required but --box, and those of the
+    # verify suites, none required
+    command_options = {
+        "--dim": dict(type=int, required=True),
+        "--epsilon": dict(required=True,
+                          help='decay rate as an exact rational, e.g. "1/3"'),
+        "--potential": dict(required=True, help=POTENTIAL_HELP),
+        "--order": dict(type=int, required=True, help=ORDER_HELP),
+        "--box": dict(type=float, help="quadrature box half-width"),
+    }
+    suite_options = {
         "--dim": dict(type=int, default=1),
         "--order": dict(type=int, default=3),
         "--epsilon": dict(),
@@ -409,14 +385,28 @@ def build_parser() -> argparse.ArgumentParser:
         "--paths": dict(type=int, default=100_000),
         "--steps": dict(type=int, default=BridgeSampler.steps),
     }
-    for name, func, flags in (
-            ("routes", verify_routes, ("--dim", "--order", "--epsilon")),
-            ("fk", verify_fk, ("--dim", "--potential", "--t", "--seed",
-                               "--paths", "--steps")),
-            ("trace", verify_trace, ("--potential",)),
-            ("taylor", verify_taylor, ("--order", "--seed"))):
-        p = suites.add_parser(name, parents=[report])
-        for flag in flags:
+    sub = parser.add_subparsers(dest="command", required=True)
+    group, options = sub, command_options
+    for name, func, flags, summary in (
+            ("local", cmd_local, "--dim --order", "symbolic heat-invariant densities"),
+            ("alpha", cmd_alpha, "--dim --epsilon --order", "regularized-trace densities"),
+            ("coeffs", cmd_coeffs, "--dim --potential --order --box",
+             "numeric heat invariants and b_j"),
+            ("regtrace", cmd_regtrace, "--dim --epsilon --potential --order --box",
+             "numeric alpha_j and beta_j"),
+            ("verify", None, "", "numerical verification suites"),
+            ("routes", verify_routes, "--dim --order --epsilon", None),
+            ("fk", verify_fk, "--dim --potential --t --seed --paths --steps", None),
+            ("trace", verify_trace, "--potential", None),
+            ("taylor", verify_taylor, "--order --seed", None)):
+        if func is None:  # the entries after it are verify's suites
+            group = sub.add_parser(name, help=summary).add_subparsers(
+                dest="suite", required=True)
+            options = suite_options
+            continue
+        p = group.add_parser(name, parents=[report],
+                             **({} if summary is None else {"help": summary}))
+        for flag in flags.split():
             p.add_argument(flag, **options[flag])
         p.set_defaults(func=func)
     return parser

@@ -2,20 +2,25 @@
 
 Grammar (standard precedence, left-associative binary operators):
 
-    expr    := term (("+" | "-") term)*
-    term    := unary (("*" | "/") unary)*
-    unary   := "-" unary | power
-    power   := atom ("^" exponent)?          exponent must fold to an integer
-    atom    := number | "pi" | variable | call | "(" expr ")"
-    call    := name "(" expr ("," expr)* ")"
+    expr     := term (("+" | "-") term)*
+    term     := unary (("*" | "/") unary)*
+    unary    := "-" unary | power
+    power    := atom ("^" unary)?          the exponent must fold to an integer
+    atom     := number | "pi" | variable | call | "(" expr ")"
+    call     := function "(" expr ")" | "powr" "(" expr "," expr "," expr ")"
+    number   := digits ("." digits?)? | "." digits
+    variable := "x" digits                 x1..xn
 
-Variables are x1..xn.  Functions: exp, sin, cos, tanh, sqrt, and
-powr(base, p, q) for the rational power base^(p/q) with base > 0 at
-evaluation time.  `^` takes integer exponents only; rational powers must go
+Digits are the ASCII digits 0-9.  Functions: exp, sin, cos, tanh, sqrt,
+and powr(base, p, q) for the rational power base^(p/q) with base > 0 at
+evaluation time, whose p and q must fold to integers with q > 0.  `^` takes
+integer exponents only, such as x1^-2 or x1^(1+1); rational powers must go
 through powr, which keeps symbolic differentiation total.
 
-ASTs are immutable.  A difference a - b is stored as a + (-b), which IEEE 754
-evaluates to the same float.  Every number comes from one walk of the AST on
+ASTs are immutable.  A sum, product or quotient is one node,
+Binary(op, left, right), whose op is the parser's symbol "+", "*" or "/";
+a difference a - b is stored as a + (-b), which IEEE 754 evaluates to the
+same float.  Every number comes from one walk of the AST on
 numpy arrays: a truncated multivariate Taylor pass in which each node stores
 and multiplies only the coefficients that can be nonzero.  Its one entry is
 `taylor_derivatives`, which gives D^nu V; `evaluate_array`, and `evaluate` on
@@ -40,8 +45,6 @@ from ._lazy import np
 from .diffpoly import MultiIndex, multi_index_factorial, multi_indices_below
 
 DERIVATIVE_CAP = 12
-
-FUNCTIONS = ("exp", "sin", "cos", "tanh", "sqrt")
 
 
 class PotentialSyntaxError(ValueError):
@@ -84,19 +87,8 @@ class Var(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
+class Binary(Expr):
+    op: str  # a key of BINARY: "+", "*" or "/"
     left: Expr
     right: Expr
 
@@ -157,7 +149,7 @@ def _add(a: Expr, b: Expr) -> Expr:
         return b
     if b == ZERO:
         return a
-    return Add(a, b)
+    return Binary("+", a, b)
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
@@ -173,7 +165,7 @@ def _mul(a: Expr, b: Expr) -> Expr:
         return b
     if b == ONE:
         return a
-    return Mul(a, b)
+    return Binary("*", a, b)
 
 
 def _div(a: Expr, b: Expr) -> Expr:
@@ -184,7 +176,7 @@ def _div(a: Expr, b: Expr) -> Expr:
             return a
     if a == ZERO and not (isinstance(b, Const) and b.value == 0):
         return ZERO
-    return Div(a, b)
+    return Binary("/", a, b)
 
 
 def _neg(a: Expr) -> Expr:
@@ -205,18 +197,37 @@ def _pow(a: Expr, k: int) -> Expr:
     return Pow(a, k)
 
 
+# The binary operators, by the symbol the parser reads, one precedence level
+# per line, loosest first: the level, the smart constructor the parser builds
+# with, and the _TaylorPlan operation that _taylor applies to a Binary node of
+# that op.  "-" builds a "+" node over a Neg, so it has no operation of its own
+BINARY = {"+": (0, _add, "add"), "-": (0, _sub, None),
+          "*": (1, _mul, "mul"), "/": (1, _div, "div")}
+
+# The functions of one argument, by the name the parser reads: the _TaylorPlan
+# operation that gives a Call's series from its argument's support, and that
+# operation's further arguments
+FUNCTIONS = {"exp": ("exp",), "sin": ("sin_cos", 0), "cos": ("sin_cos", 1),
+             "tanh": ("tanh",), "sqrt": ("real_power", 0.5, True)}
+
+
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
 
+def _digits(text: str) -> bool:
+    """Whether text is one or more of 0-9: str.isdigit alone also takes
+    other scripts' digits, which int() reads, and superscripts."""
+    return text.isascii() and text.isdigit()
+
+
 class _Parser:
     """Recursive descent.  Each rule returns its tree with its height as
     written, one above its highest operand's (leaves are 1); `a - b` counts
-    one level, though it is stored as Add(a, Neg(b))."""
+    one level, though it is stored as Binary("+", a, Neg(b))."""
 
-    # the binary operators of each precedence level, loosest first
-    BINARY = ({"+": _add, "-": _sub}, {"*": _mul, "/": _div})
+    LEVELS = 1 + max(level for level, _, _ in BINARY.values())
 
     def __init__(self, src: str, dim: int):
         self.src = src
@@ -265,15 +276,15 @@ class _Parser:
         return e
 
     def expr(self, level: int = 0) -> tuple[Expr, int]:
-        """A left-associative chain of BINARY[level]'s operators over the
-        next level's chains; below the last level, over unary()."""
-        if level == len(self.BINARY):
+        """A left-associative chain of the BINARY operators of precedence
+        `level` over the next level's chains; below the last level, over
+        unary()."""
+        if level == self.LEVELS:
             return self.unary()
-        ops = self.BINARY[level]
         e = self.expr(level + 1)
-        while (op := self.peek()) in ops:
+        while (op := self.peek()) in BINARY and BINARY[op][0] == level:
             self.pos += 1
-            e = self.node(ops[op], self.pos - 1, e, self.expr(level + 1))
+            e = self.node(BINARY[op][1], self.pos - 1, e, self.expr(level + 1))
         return e
 
     def unary(self) -> tuple[Expr, int]:
@@ -309,7 +320,7 @@ class _Parser:
 
     def number(self) -> Expr:
         start = self.pos
-        while self.pos < len(self.src) and (self.src[self.pos].isdigit()
+        while self.pos < len(self.src) and (_digits(self.src[self.pos])
                                             or self.src[self.pos] == "."):
             self.pos += 1
         text = self.src[start:self.pos]
@@ -333,14 +344,14 @@ class _Parser:
             e = self.expr()
             self.expect(")")
             return e
-        if ch.isdigit() or ch == ".":
+        if _digits(ch) or ch == ".":
             return self.number(), 1
         if ch.isalpha() or ch == "_":
             at = self.pos
             name = self.identifier()
             if name == "pi":
                 return Pi(), 1
-            if name.startswith("x") and name[1:].isdigit():
+            if name.startswith("x") and _digits(name[1:]):
                 index = int(name[1:])
                 if not 1 <= index <= self.dim:
                     self.pos = at
@@ -395,13 +406,14 @@ def _d(e: Expr, axis: int) -> Expr:
         return ZERO
     if isinstance(e, Var):
         return ONE if e.index == axis else ZERO
-    if isinstance(e, Add):
-        return _add(_d(e.left, axis), _d(e.right, axis))
-    if isinstance(e, Mul):
-        return _add(_mul(_d(e.left, axis), e.right), _mul(e.left, _d(e.right, axis)))
-    if isinstance(e, Div):
-        num = _sub(_mul(_d(e.left, axis), e.right), _mul(e.left, _d(e.right, axis)))
-        return _div(num, _pow(e.right, 2))
+    if isinstance(e, Binary):
+        a, b = e.left, e.right
+        if e.op == "+":
+            return _add(_d(a, axis), _d(b, axis))
+        if e.op == "*":
+            return _add(_mul(_d(a, axis), b), _mul(a, _d(b, axis)))
+        num = _sub(_mul(_d(a, axis), b), _mul(a, _d(b, axis)))
+        return _div(num, _pow(b, 2))
     if isinstance(e, Neg):
         return _neg(_d(e.arg, axis))
     if isinstance(e, Pow):
@@ -720,11 +732,10 @@ def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray]):
     if isinstance(e, Neg):
         support, u = _taylor(e.arg, plan, coords)
         return support, [np.negative(x, out=x) for x in u]
-    if isinstance(e, (Add, Mul, Div)):
+    if isinstance(e, Binary):
         su, u = _taylor(e.left, plan, coords)
         sv, v = _taylor(e.right, plan, coords)
-        op = plan.add if isinstance(e, Add) else plan.mul if isinstance(e, Mul) else plan.div
-        support, kernel = op(su, sv)
+        support, kernel = getattr(plan, BINARY[e.op][2])(su, sv)
         return support, kernel(u, v)
     if isinstance(e, Pow):
         su, u = _taylor(e.base, plan, coords)
@@ -734,16 +745,8 @@ def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray]):
         support, kernel = plan.real_power(su, e.num / e.den, False)
     elif isinstance(e, Call):
         su, u = _taylor(e.arg, plan, coords)
-        if e.name == "exp":
-            support, kernel = plan.exp(su)
-        elif e.name in ("sin", "cos"):
-            support, kernel = plan.sin_cos(su, e.name == "cos")
-        elif e.name == "tanh":
-            support, kernel = plan.tanh(su)
-        elif e.name == "sqrt":
-            support, kernel = plan.real_power(su, 0.5, True)
-        else:
-            raise TypeError(f"unknown function {e.name!r}")
+        op, *args = FUNCTIONS[e.name]
+        support, kernel = getattr(plan, op)(su, *args)
     else:
         raise TypeError(f"unknown node {e!r}")
     return support, kernel(u)

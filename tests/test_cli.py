@@ -432,22 +432,33 @@ SUITE_OPTIONS = {
     "trace": ("--potential",),
     "taylor": ("--order", "--seed"),
 }
+COMMAND_OPTIONS = {
+    "local": ("--dim", "--order"),
+    "alpha": ("--dim", "--epsilon", "--order"),
+    "coeffs": ("--dim", "--potential", "--order", "--box"),
+    "regtrace": ("--dim", "--epsilon", "--potential", "--order", "--box"),
+}
 OPTION_VALUES = {"--dim": "2", "--order": "2", "--epsilon": "1/2",
                  "--potential": "x1", "--t": "9.5", "--seed": "4", "--paths": "3",
-                 "--steps": "8", "--matrix-dim": "4"}
+                 "--steps": "8", "--box": "2.5", "--matrix-dim": "4"}
 UNREAD = [("verify", suite, flag, value)
           for suite, reads in SUITE_OPTIONS.items()
           for flag, value in OPTION_VALUES.items() if flag not in reads]
 
 
 class TestOptions:
-    @pytest.mark.parametrize("suite", SUITE_OPTIONS)
+    @pytest.mark.parametrize("suite", [*SUITE_OPTIONS, *COMMAND_OPTIONS])
     def test_suite_reads_its_options(self, suite):
-        argv = [x for flag in SUITE_OPTIONS[suite] for x in (flag, OPTION_VALUES[flag])]
-        args, unread = build_parser().parse_known_args(["verify", suite, *argv])
+        """Each verify suite and each command reads exactly its options."""
+        flags = SUITE_OPTIONS.get(suite) or COMMAND_OPTIONS[suite]
+        command = ["verify", suite] if suite in SUITE_OPTIONS else [suite]
+        argv = [x for flag in flags for x in (flag, OPTION_VALUES[flag])]
+        args, unread = build_parser().parse_known_args([*command, *argv])
         assert unread == []
-        for flag in SUITE_OPTIONS[suite]:
+        for flag in flags:
             assert str(getattr(args, flag[2:].replace("-", "_"))) == OPTION_VALUES[flag]
+        assert {k for k in vars(args) if k not in ("command", "suite", "func")} == {
+            "format", "output", *(flag[2:] for flag in flags)}
 
     @pytest.mark.parametrize("argv", UNREAD + [
         ("local", "--dim", "1", "--order", "1", "--foo"),

@@ -52,7 +52,7 @@ class TestParsing:
             assert evaluate(again, (x,)) == evaluate(e, (x,))
 
     def test_difference_is_stored_as_a_sum(self):
-        """a - b is Add(a, Neg(b)), folded like any sum and negation."""
+        """a - b is Binary("+", a, Neg(b)), folded like any sum and negation."""
         assert parse_potential("x1 - x2", 2) == parse_potential("x1 + (-x2)", 2)
         assert parse_potential("x1 - -x2", 2) == parse_potential("x1 + x2", 2)
         assert parse_potential("x1 - 0", 1) == parse_potential("x1", 1)
@@ -158,6 +158,19 @@ class TestParsing:
             parse_potential("x3", 2)
         e = parse_potential("x2", 2)
         assert evaluate(e, (0.0, 5.0)) == 5.0
+
+    @pytest.mark.parametrize("text,message", [
+        ("x1\u00b2", "unknown identifier"),       # superscript two
+        ("x\u0661", "unknown identifier"),        # Arabic-Indic one
+        ("\u0661\u0662*x1", "expected a number"),  # Arabic-Indic twelve
+    ], ids=["superscript", "variable index", "literal"])
+    def test_only_ascii_digits(self, text, message):
+        """Digits are 0-9: str.isdigit takes other scripts' digits, which
+        int() read as x1 and 12, and superscripts, which it refused with a
+        bare ValueError."""
+        with pytest.raises(PotentialSyntaxError, match=message) as exc:
+            parse_potential(text, 1)
+        assert exc.value.offset == 0
 
     def test_powr_denominator_positive(self):
         with pytest.raises(PotentialSyntaxError):
