@@ -17,6 +17,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 
 from ._lazy import np
 from .potentials import PotentialExpr, evaluate_array
@@ -66,9 +67,9 @@ class BridgeSampler:
     `steps` must be even: the even grid points of a path are the coarse path
     of steps/2 intervals that fk_diagonal's Richardson estimate reads.
 
-    The paths come in fixed-size chunks, each with its own seed (chunks).
-    fill writes the next paths of a chunk's stream into the caller's
-    buffers, as fk_diagonal does tile by tile; blocks yields each chunk whole.
+    The paths come in chunk_count fixed-size chunks, each seeded by chunk(k).
+    fill writes the next paths of a chunk's stream into the caller's buffers,
+    as fk_diagonal does tile by tile; blocks yields each chunk whole.
     """
 
     seed: int = 0
@@ -87,16 +88,18 @@ class BridgeSampler:
                 f"steps must be even (the coarse path takes every other point),"
                 f" got {self.steps}")
 
-    def chunks(self) -> list[tuple[np.random.SeedSequence, int]]:
-        """(seed, path count) of each fixed-size chunk.
+    @property
+    def chunk_count(self) -> int:
+        return -(-self.paths // _CHUNK)
 
-        The seed sequence is split per chunk, so the stream of paths is
-        independent of any consumer-side parallel partitioning.
+    def chunk(self, k: int) -> tuple[np.random.SeedSequence, int]:
+        """(seed, path count) of chunk k, 0 <= k < chunk_count.
+
+        The seed is the k-th child SeedSequence(seed).spawn would give, so the
+        stream of paths is independent of any consumer-side partitioning.
         """
-        n_chunks = (self.paths + _CHUNK - 1) // _CHUNK
-        children = np.random.SeedSequence(self.seed).spawn(n_chunks)
-        return [(child, min(_CHUNK, self.paths - k * _CHUNK))
-                for k, child in enumerate(children)]
+        return (np.random.SeedSequence(self.seed, spawn_key=(k,)),
+                min(_CHUNK, self.paths - k * _CHUNK))
 
     def fill(self, rng: np.random.Generator, path: np.ndarray,
              work: np.ndarray) -> None:
@@ -125,7 +128,7 @@ class BridgeSampler:
         uniform times of a path, 0 and 1 included, and block the chunk's
         bridges in fresh arrays, shape (count, steps+1, dim), as fill draws
         them from a generator of the chunk's seed."""
-        for child, count in self.chunks():
+        for child, count in map(self.chunk, range(self.chunk_count)):
             block = np.empty((count, self.steps + 1, self.dim))
             self.fill(np.random.default_rng(child), block, np.empty_like(block))
             yield np.linspace(0.0, 1.0, self.steps + 1), block
@@ -143,9 +146,9 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
     and w_coarse the same over the even grid points (steps/2 intervals):
     the trapezoid rule's O(h^2) time-discretization bias cancels, leaving
     O(h^4) (Talay & Tubaro 1990).  Returns (estimate, standard error) of
-    these weights.  A weight that overflows makes the mean or its second
-    moment non-finite, which raises FloatingPointError.  One path has no
-    spread to estimate, so fewer than 2 paths raise ValueError.
+    these weights.  A weight that overflows a chunk's moments or those of
+    all the paths raises FloatingPointError.  One path has no spread to
+    estimate, so fewer than 2 paths raise ValueError.
 
     The calling thread and worker_count() - 1 helper threads each take the
     next chunk in order until none is left.  Each worker allocates its
@@ -154,10 +157,11 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
     takes.  A chunk is drawn and evaluated in the fewest tiles of at most
     _TILE_POINTS path points, of equal size but for a smaller last one, so a
     worker never holds a chunk's paths; a path of more than _TILE_POINTS
-    points is a tile of its own.  The chunks' statistics are merged in chunk
-    order, so the result does not depend on the thread count.  An exception
-    in a chunk stops every worker at its next chunk and is raised here once
-    all have finished.
+    points is a tile of its own.  Each chunk's count c, mean m and M2 go into
+    exact totals N = sum c, S = sum c m, Q = sum (M2 + c m^2), rounded once:
+    the result depends on neither the chunks' finishing order nor the thread
+    count, and memory not on `paths`.  An exception in a chunk stops every
+    worker at its next chunk and is raised here once all have finished.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -171,19 +175,19 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
     prefactor = (4.0 * math.pi * t) ** (-n / 2)
     steps = sampler.steps
     most = max(1, _TILE_POINTS // ((steps + 1) * n))  # paths a tile may hold
-    threads = worker_count()
+    threads = min(worker_count(), sampler.chunk_count)
 
     def tile_of(count):
         """Paths per tile of a chunk of `count` paths."""
         return -(-count // -(-count // most))
 
-    def chunk_stats(chunk, path_buf, work_buf, weights_buf, coarse_buf):
-        child, count = chunk
+    def chunk_stats(k, path_buf, work_buf, weights_buf, coarse_buf):
+        child, count = sampler.chunk(k)
         rng = np.random.default_rng(child)
         tile = tile_of(count)
         weights, coarse = weights_buf[:count], coarse_buf[:count]
         # an overflow in the weights shows as a non-finite mean or M2, which
-        # the caller checks once the chunks are merged
+        # is refused below, before the chunk reaches the totals
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, count, tile):
                 sums = weights[start:start + tile]
@@ -216,18 +220,21 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
             weights -= w0
             offset = weights.mean()
             weights -= offset
-            return (count, float(w0 + offset),
-                    float(np.square(weights, out=weights).sum()))
+            mean, m2 = w0 + offset, np.square(weights, out=weights).sum()
+        if not np.isfinite([mean, m2]).all():
+            raise FloatingPointError(
+                f"Feynman-Kac weights overflow: mean {mean}, second moment {m2}")
+        mean = Fraction(mean)  # exact, as are the terms of the totals
+        return count, count * mean, Fraction(m2) + count * mean * mean
 
-    # chunks() loads numpy in this thread, so that no worker is the first to
-    # touch the lazy module (see _lazy)
-    chunks = sampler.chunks()
-    tile_shape = (max(tile_of(count) for _, count in chunks), steps + 1, n)
-    width = chunks[0][1]  # the first chunk is the longest
-    stats = [None] * len(chunks)
-    order = iter(range(len(chunks)))
+    # chunk() loads numpy in this thread before any helper starts (see _lazy);
+    # the last chunk's tile may be the larger: 992 paths at 32 steps, not 820
+    width, last = sampler.chunk(0)[1], sampler.chunk(sampler.chunk_count - 1)[1]
+    tile_shape = (max(tile_of(width), tile_of(last)), steps + 1, n)
+    order = iter(range(sampler.chunk_count))
     lock = threading.Lock()
     failures = []  # (chunk index, exception) of each chunk that raised
+    totals = [0, 0, 0]  # N, S and Q
 
     def work():
         """Take the next chunk until none is left or a worker has failed,
@@ -241,12 +248,13 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
                     k = next(order, None)
                 if k is None:
                     return
-                stats[k] = chunk_stats(chunks[k], *scratch)
+                moments = chunk_stats(k, *scratch)
+                with lock:
+                    totals[:] = [a + b for a, b in zip(totals, moments)]
         except BaseException as exc:
             failures.append((k, exc))
 
-    helpers = [threading.Thread(target=work)
-               for _ in range(min(threads, len(chunks)) - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
     for helper in helpers:
         helper.start()
     work()
@@ -256,19 +264,12 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
         # chunks are taken in order, so the first chunk that raises always
         # runs: its exception is the one a serial run raises
         raise min(failures, key=lambda failure: failure[0])[1]
-    # Chan, Golub & LeVeque (1983) pairwise update, in chunk order
-    count, mean, m2 = stats[0]
-    for c, m, q in stats[1:]:
-        total = count + c
-        delta = m - mean
-        mean += delta * c / total
-        m2 += q + delta * delta * count * c / total
-        count = total
-    if not (math.isfinite(mean) and math.isfinite(m2)):
-        raise FloatingPointError(
-            f"Feynman-Kac weights overflow: mean {mean}, second moment {m2}")
-    stderr = math.sqrt(m2 / count / count)
-    return prefactor * mean, prefactor * stderr
+    N, S, Q = totals
+    try:  # the mean S/N and M2/N^2 = (Q N - S^2)/N^3, each rounded once
+        mean, var = float(S / N), float((Q * N - S * S) / N ** 3)
+    except OverflowError:
+        raise FloatingPointError("Feynman-Kac weights overflow float64") from None
+    return prefactor * mean, prefactor * math.sqrt(var)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +397,6 @@ def relative_heat_trace_1d(potential: PotentialExpr, t,
 @dataclass
 class FitReport:
     coefficients: np.ndarray          # c_1 .. c_J
-    condition_number: float
     residual_norm: float
 
     def coefficient(self, j: int) -> float:
@@ -408,9 +408,9 @@ def fit_expansion(samples: list[tuple[float, float]], n: int, J: int) -> FitRepo
 
         value(t) = (4 pi t)^(-n/2) * sum_(j=1)^J c_j t^j.
 
-    The (4 pi t)^(-n/2) prefactor is divided out first.  Reports the design
-    matrix condition number; raises on rank deficiency, and on a t that is
-    not positive and finite or a value that is not finite.
+    The (4 pi t)^(-n/2) prefactor is divided out first.  Raises on rank
+    deficiency, and on a t that is not positive and finite or a value that
+    is not finite.
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
@@ -426,12 +426,10 @@ def fit_expansion(samples: list[tuple[float, float]], n: int, J: int) -> FitRepo
         raise ValueError("t values must be distinct")
     g = values / (4.0 * math.pi * ts) ** (-n / 2)
     design = np.vander(ts, J + 1, increasing=True)[:, 1:]  # columns t^1..t^J
-    cond = float(np.linalg.cond(design))
     coeffs, _, rank, _ = np.linalg.lstsq(design, g, rcond=None)
     if rank < J:
         raise ValueError(f"rank-deficient fit: rank {rank} < {J}")
-    return FitReport(coefficients=coeffs, condition_number=cond,
-                     residual_norm=float(np.linalg.norm(g - design @ coeffs)))
+    return FitReport(coeffs, float(np.linalg.norm(g - design @ coeffs)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import operator
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,9 @@ import pytest
 
 from heatinv.diffpoly import DiffPoly
 from heatinv import numeric
-from heatinv.invariants import alpha_density, heat_invariant_binomial
+from heatinv.halfint import gamma_half_integer
+from heatinv.invariants import (alpha_density, heat_invariant_binomial,
+                                monomial_decay_weight)
 from heatinv.numeric import (EVAL_CHUNK, QUAD_TOL, QuadratureConfig,
                              QuadratureError, _gk_rule, b_from_a,
                              beta_from_alpha, box_tail_1d, coefficient_table,
@@ -238,6 +242,109 @@ class TestExactGaussianIntegrals:
         value, err = integrate_density(density, parse_potential(text, n), n,
                                        QuadratureConfig(half_width=6.0))
         assert abs(value - exact) <= err
+
+
+def _algebraic_pieces(density: DiffPoly, s: Fraction) -> dict:
+    """`density` for V = (1+|x|^2)^(-s) as {(b, c): q}, the sum of the pieces
+    q x^b (1+|x|^2)^(-c).  Each derivative follows
+    d_i [x^b (1+r^2)^(-c)] = b_i x^(b-e_i) (1+r^2)^(-c) - 2c x^(b+e_i) (1+r^2)^(-c-1),
+    and a product of pieces adds their b and their c."""
+    n = density.dim
+    out = defaultdict(int)
+    for mono, coeff in density.terms.items():
+        product = {((0,) * n, 0): coeff}
+        for nu in mono:
+            jet = {((0,) * n, s): 1}
+            for axis, order in enumerate(nu):
+                e = tuple(int(i == axis) for i in range(n))
+                for _ in range(order):
+                    nxt = defaultdict(int)
+                    for (b, c), q in jet.items():
+                        nxt[tuple(map(operator.add, b, e)), c + 1] -= 2 * c * q
+                        if b[axis]:
+                            nxt[tuple(map(operator.sub, b, e)), c] += b[axis] * q
+                    jet = nxt
+            nxt = defaultdict(int)
+            for ((b1, c1), q1), ((b2, c2), q2) in itertools.product(
+                    product.items(), jet.items()):
+                nxt[tuple(map(operator.add, b1, b2)), c1 + c2] += q1 * q2
+            product = nxt
+        for key, q in product.items():
+            out[key] += q
+    return {key: q for key, q in out.items() if q}
+
+
+def _algebraic_pairs(density: DiffPoly, s: Fraction) -> dict[int, Fraction] | None:
+    """The whole-space integral of `density` for V = (1+|x|^2)^(-s), 2s an
+    integer, as exact pairs {k: q_k}, the integral being sum_k q_k pi^(k/2);
+    None when it is not integrable.
+
+    int_(R^n) x^(2a) (1+|x|^2)^(-c) dx = prod_i Gamma(a_i+1/2)
+    Gamma(c-|a|-n/2) / Gamma(c) (Gradshteyn & Ryzhik 3.251), finite exactly
+    when c - |a| > n/2, and a piece odd in some x_i integrates to 0.  Every
+    piece of a monomial decays like the monomial, so the test on the pieces
+    is monomial_decay_weight > n at epsilon = 2s.  Every Gamma is at a
+    half-integer, so halfint.gamma_half_integer gives each one exactly."""
+    n = density.dim
+    pairs = defaultdict(int)
+    for (b, c), q in _algebraic_pieces(density, s).items():
+        if 2 * c - sum(b) <= n:
+            return None
+        if any(e % 2 for e in b):
+            continue
+        gammas = [gamma_half_integer(e + 1) for e in b]
+        gammas.append(gamma_half_integer(int(2 * c) - sum(b) - n))
+        den_q, den_k = gamma_half_integer(int(2 * c))
+        k = sum(g[1] for g in gammas) - den_k
+        pairs[k] += q * math.prod(g[0] for g in gammas) / den_q
+    return {k: q for k, q in pairs.items() if q}
+
+
+class TestExactAlgebraicIntegrals:
+    """The exact whole-space integrals of a_j for the long-range potentials
+    (1+|x|^2)^(-s), against values derived by hand."""
+
+    @pytest.mark.parametrize("n,s,k,values", [
+        (1, Fraction(1), 2, [-1, Fraction(1, 4), Fraction(-1, 12), Fraction(31, 960),
+                             Fraction(-561, 35840)]),
+        (2, Fraction(3, 2), 2, [-2, Fraction(1, 4), Fraction(-37, 336)]),
+        (3, Fraction(2), 4, [-1, Fraction(1, 16), Fraction(-31, 768)]),
+    ])
+    def test_hand_values(self, n, s, k, values):
+        # int a_j = q pi^(k/2): -pi, pi/4, ... for 1/(1+x1^2)
+        for j, q in enumerate(values, start=1):
+            assert _algebraic_pairs(heat_invariant_binomial(j, n).density, s) == {k: q}
+
+    def test_integrability_boundary(self):
+        # a_1 = -V: (1+x1^2)^(-1/2) decays like 1/|x1| and is log-divergent,
+        # (1+x1^2)^(-1) is not
+        a1 = heat_invariant_binomial(1, 1).density
+        assert _algebraic_pairs(a1, Fraction(1, 2)) is None
+        assert _algebraic_pairs(a1, Fraction(1)) == {2: -1}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_refusals_follow_the_decay_weight(self, n):
+        # epsilon = 2s per V factor plus one per derivative order
+        for s, j in itertools.product([Fraction(k, 2) for k in range(1, 5)], [1, 2, 3]):
+            density = heat_invariant_binomial(j, n).density
+            weight = min(monomial_decay_weight(mono, 2 * s) for mono in density.terms)
+            assert (_algebraic_pairs(density, s) is None) == (weight <= n)
+
+    @pytest.mark.parametrize("n,text,s,j", [
+        (1, "powr(1+x1^2,-1,2)", Fraction(1, 2), 4),
+        (1, "1/(1+x1^2)", Fraction(1), 5),
+        (2, "powr(1+x1^2+x2^2,-3,2)", Fraction(3, 2), 3),
+    ])
+    def test_pieces_are_the_density_of_the_parsed_potential(self, n, text, s, j):
+        """The ruler integrates the density of the potential the CLI parses."""
+        density = heat_invariant_binomial(j, n).density
+        pieces = _algebraic_pieces(density, s)
+        for point in [(0.0,) * n, (0.3, -1.7)[:n], (2.5, 0.4)[:n]]:
+            r2 = sum(x * x for x in point)
+            exact = sum(float(q) * math.prod(x ** e for x, e in zip(point, b))
+                        * (1 + r2) ** -float(c) for (b, c), q in pieces.items())
+            value = evaluate_density(density, parse_potential(text, n), point)
+            assert value == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
 def _record_calls(monkeypatch):

@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -17,6 +19,31 @@ from heatinv.oracles import (BridgeSampler, TraceGrid, _contour_nodes, _expm,
 from heatinv.potentials import PotentialEvalError, evaluate_array, parse_potential
 
 GAUSSIAN = parse_potential("exp(-x1^2)", 1)
+
+
+def _fresh_array_reference(x, t, sampler):
+    """fk_diagonal's (estimate, standard error) for exp(-|x|^2), by
+    rng.normal + cumsum + pin + np.trapezoid on fresh whole-chunk arrays,
+    with the Richardson weight of the fine grid and its even points."""
+    weights = []
+    for k in range(sampler.chunk_count):
+        child, count = sampler.chunk(k)
+        incr = np.random.default_rng(child).normal(
+            scale=math.sqrt(1.0 / sampler.steps),
+            size=(count, sampler.steps, sampler.dim))
+        w = np.concatenate([np.zeros((count, 1, sampler.dim)),
+                            np.cumsum(incr, axis=1)], axis=1)
+        s = np.linspace(0.0, 1.0, sampler.steps + 1)
+        bridge = w - s[None, :, None] * w[:, -1:, :]
+        values = np.exp(-sum((xi + math.sqrt(2 * t) * bridge[:, :, i]) ** 2
+                             for i, xi in enumerate(x)))
+        fine = np.exp(-t * np.trapezoid(values, s, axis=1))
+        coarse = np.exp(-t * np.trapezoid(values[:, ::2], s[::2], axis=1))
+        weights.append((4 * fine - coarse) / 3)
+    weights = np.concatenate(weights)
+    prefactor = (4 * math.pi * t) ** (-len(x) / 2)
+    return (prefactor * weights.mean(),
+            prefactor * weights.std() / math.sqrt(len(weights)))
 
 
 class TestBridgeSampler:
@@ -47,13 +74,24 @@ class TestBridgeSampler:
 
     def test_chunk_draws_match_blocks(self):
         sampler = BridgeSampler(seed=5, paths=9000)
-        chunks = sampler.chunks()
+        chunks = [sampler.chunk(k) for k in range(sampler.chunk_count)]
         assert [count for _, count in chunks] == [4096, 4096, 808]
         for (child, count), (s, block) in zip(chunks, sampler.blocks(), strict=True):
             assert np.array_equal(s, np.linspace(0.0, 1.0, sampler.steps + 1))
             fresh = np.empty((count, sampler.steps + 1, sampler.dim))
             sampler.fill(np.random.default_rng(child), fresh, np.empty_like(fresh))
             assert np.array_equal(block, fresh)
+
+    def test_chunk_seed_is_the_spawned_child(self):
+        """chunk(k) makes the k-th child of SeedSequence(seed).spawn without
+        spawning the ones before it, so every stream is the spawned one."""
+        sampler = BridgeSampler(seed=5, paths=60 * 4096 - 7)
+        assert sampler.chunk_count == 60
+        children = np.random.SeedSequence(5).spawn(60)
+        for k, child in enumerate(children):
+            seed, _ = sampler.chunk(k)
+            assert (seed.entropy, seed.spawn_key) == (child.entropy, child.spawn_key)
+            assert np.array_equal(seed.generate_state(8), child.generate_state(8))
 
     @pytest.mark.parametrize("value,field", [
         (value, field) for field in ("steps", "paths", "dim") for value in (0, -5)
@@ -98,37 +136,46 @@ class TestFeynmanKac:
         threaded = fk_diagonal(GAUSSIAN, (0.0,), 0.05, sampler)
         assert serial == threaded
 
+    def test_more_threads_than_cores_fold_every_chunk_once(self, monkeypatch):
+        """Eight workers on short chunks, switching threads every
+        microsecond: a lost or doubled update of the totals would move the
+        result away from the serial one."""
+        sampler = BridgeSampler(seed=3, steps=4, paths=64 * 4096 + 5)
+        serial = fk_diagonal(GAUSSIAN, (0.2,), 0.05, sampler)
+        monkeypatch.setattr(oracles.os, "cpu_count", lambda: 8)
+        monkeypatch.setenv("HEATINV_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = fk_diagonal(GAUSSIAN, (0.2,), 0.05, sampler)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
     @pytest.mark.parametrize("potential,x", [
         (GAUSSIAN, (0.3,)),
         (parse_potential("exp(-x1^2-x2^2)", 2), (0.3, -0.2)),
     ])
     def test_matches_fresh_array_reference(self, potential, x):
-        """The tiled in-place pipeline against rng.normal + cumsum + pin +
-        np.trapezoid on fresh whole-chunk arrays, with the Richardson weight
-        of the fine grid and its even points; 9000 paths leave an 808-path
-        last chunk."""
-        t = 0.05
+        """The tiled in-place pipeline against the fresh-array reference;
+        9000 paths leave an 808-path last chunk."""
         sampler = BridgeSampler(seed=4, steps=100, paths=9000, dim=len(x))
-        weights = []
-        for child, count in sampler.chunks():
-            incr = np.random.default_rng(child).normal(
-                scale=math.sqrt(1.0 / sampler.steps),
-                size=(count, sampler.steps, sampler.dim))
-            w = np.concatenate([np.zeros((count, 1, sampler.dim)),
-                                np.cumsum(incr, axis=1)], axis=1)
-            s = np.linspace(0.0, 1.0, sampler.steps + 1)
-            bridge = w - s[None, :, None] * w[:, -1:, :]
-            values = np.exp(-sum((xi + math.sqrt(2 * t) * bridge[:, :, i]) ** 2
-                                 for i, xi in enumerate(x)))
-            fine = np.exp(-t * np.trapezoid(values, s, axis=1))
-            coarse = np.exp(-t * np.trapezoid(values[:, ::2], s[::2], axis=1))
-            weights.append((4 * fine - coarse) / 3)
-        weights = np.concatenate(weights)
-        prefactor = (4 * math.pi * t) ** (-len(x) / 2)
-        est, se = fk_diagonal(potential, x, t, sampler)
-        assert est == pytest.approx(prefactor * weights.mean(), rel=1e-13, abs=0)
-        assert se == pytest.approx(prefactor * weights.std() / math.sqrt(len(weights)),
-                                   rel=1e-13, abs=0)
+        est, se = fk_diagonal(potential, x, 0.05, sampler)
+        ref_est, ref_se = _fresh_array_reference(x, 0.05, sampler)
+        assert est == pytest.approx(ref_est, rel=1e-13, abs=0)
+        assert se == pytest.approx(ref_se, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_last_chunk_with_the_largest_tile(self, threads, monkeypatch):
+        """At 32 steps a tile holds at most 992 paths: a 4096-path chunk is
+        cut into tiles of 820, but a 992-path last chunk is one tile of 992,
+        so the buffers must fit the last chunk's tile, not the first's."""
+        monkeypatch.setenv("HEATINV_THREADS", threads)
+        sampler = BridgeSampler(seed=4, steps=32, paths=4096 + 992)
+        est, se = fk_diagonal(GAUSSIAN, (0.3,), 0.05, sampler)
+        ref_est, ref_se = _fresh_array_reference((0.3,), 0.05, sampler)
+        assert est == pytest.approx(ref_est, rel=1e-13, abs=0)
+        assert se == pytest.approx(ref_se, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("text,x", [("exp(-x1^2)", 0.0),
                                         ("2*sin(x1)*exp(-x1^2)", 0.3)])
@@ -229,6 +276,41 @@ class TestFeynmanKac:
         assert peaks[2048] < 2 * 2 ** 20
         assert peaks[2048] <= 1.5 * peaks[64]
 
+    def test_memory_does_not_grow_with_paths(self, monkeypatch):
+        """No state of a call grows with the path count: no seed per chunk
+        made up front, no statistics per chunk kept for a merge.  Bridges
+        of zeros and V = 0 keep the 2 * 10^6-path call to about a second."""
+        monkeypatch.setattr(BridgeSampler, "fill",
+                            lambda self, rng, path, work: path.fill(0.0))
+        monkeypatch.setenv("HEATINV_THREADS", "1")
+        zero = parse_potential("0 * x1", 1)
+        fk_diagonal(zero, (0.0,), 0.05, BridgeSampler(seed=1, paths=100))  # warm-up
+        peaks = {}
+        for paths in (10 ** 5, 2 * 10 ** 6):
+            tracemalloc.start()
+            try:
+                fk_diagonal(zero, (0.0,), 0.05, BridgeSampler(seed=1, paths=paths))
+                peaks[paths] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2 * 10 ** 6] - peaks[10 ** 5] <= 100_000
+
+    def test_numpy_first_loaded_by_a_threaded_call(self):
+        """numpy is loaded lazily, and the lazy loader is not thread-safe on
+        first access before Python 3.12: fk_diagonal touches it in the
+        calling thread before any helper starts."""
+        code = ("import sys\n"
+                "from heatinv.oracles import BridgeSampler, fk_diagonal\n"
+                "from heatinv.potentials import parse_potential\n"
+                "v = parse_potential('exp(-x1^2)', 1)\n"
+                "assert not [m for m in sys.modules if m.startswith('numpy.')]\n"
+                "print(fk_diagonal(v, (0.0,), 0.05, BridgeSampler(seed=1, paths=20000)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, HEATINV_THREADS="2"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(
+            fk_diagonal(GAUSSIAN, (0.0,), 0.05, BridgeSampler(seed=1, paths=20000)))
+
     def test_back_to_back_calls_agree(self):
         sampler = BridgeSampler(seed=2, steps=32, paths=9000)
         assert fk_diagonal(GAUSSIAN, (0.1,), 0.05, sampler) == \
@@ -241,6 +323,17 @@ class TestFeynmanKac:
         pole = parse_potential("1/(x1-0.3)", 1)
         with pytest.raises(FloatingPointError, match="overflow"):
             fk_diagonal(pole, (0.0,), 0.05, BridgeSampler(steps=64, paths=9000))
+
+    def test_overflowing_total_raises(self, monkeypatch):
+        """Every path of chunk k stays at the constant k, so each chunk's
+        weights are equal and finite, but chunk 1's, about 1e295, are so far
+        from chunk 0's that the variance of the mean overflows: the rounding
+        of the exact totals raises FloatingPointError, not OverflowError."""
+        monkeypatch.setattr(BridgeSampler, "fill", lambda self, rng, path, work:
+                            path.fill(rng.bit_generator.seed_seq.spawn_key[0]))
+        with pytest.raises(FloatingPointError, match="overflow"):
+            fk_diagonal(parse_potential("-43000 * x1", 1), (0.0,), 0.05,
+                        BridgeSampler(paths=8192))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
