@@ -52,6 +52,9 @@ _FACTORS: dict[PrimeMonomial, tuple[int, ...]] = {1: ()}  # key -> its primes
 
 # perm -> {prime: prime of the axis-relabeled jet}, over every registered jet
 _AXIS_IMAGES: dict[tuple[int, ...], dict[int, int]] = {}
+# perm -> {key: key of the axis-relabeled monomial}, over the keys permuted so
+# far: the diagonals that h_power_diagonal permutes share most of their keys
+_KEY_IMAGES: dict[tuple[int, ...], dict[PrimeMonomial, PrimeMonomial]] = {}
 
 
 def _jet_prime(nu: MultiIndex) -> int:
@@ -229,10 +232,16 @@ class DiffPoly:
     def permute_axes(self, perm: tuple[int, ...]) -> "DiffPoly":
         """Relabel coordinate axes: entry i of each multi-index moves to
         position perm[i]."""
-        image = _axis_images(tuple(perm)).__getitem__
-        return DiffPoly._from_ints(
-            self.dim, {prod(map(image, _factors(mono))): c
-                       for mono, c in self._num.items()}, self._den)
+        perm = tuple(perm)
+        image = _axis_images(perm).__getitem__
+        images = _KEY_IMAGES.setdefault(perm, {})
+        num = {}
+        for mono, c in self._num.items():
+            key = images.get(mono)
+            if key is None:
+                key = images[mono] = prod(map(image, _factors(mono)))
+            num[key] = c
+        return DiffPoly._from_ints(self.dim, num, self._den)
 
     # -- queries -----------------------------------------------------------
 

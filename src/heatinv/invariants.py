@@ -14,6 +14,15 @@ and for the regularized densities alpha_j:
   * "subtracted" - a_j minus a finite binomial correction sum,
   * "tail_sum"   - the truncated X_m sum that survives the subtraction.
 
+What two routes check is their term expansions.  Once _combine has merged
+equal keys, the binomial and operator lists are the same (p, alpha) -> q
+map at every order up to the CLI's caps, n = 1..8, and so are the
+subtracted and tail-sum lists in the middle regime (tests/test_invariants.py
+compares the maps without building a DiffPoly).  Both routes then sum the
+same diagonals, so their equal densities say nothing about
+h_power_diagonal itself; only the tests' comparison with the transport
+recursion of jets.py checks it from outside.
+
 One memoized diagonal carries the work: h_power_diagonal, the z-constant
 term of H^p z^alpha, a recursion over p whose steps are each one
 DiffPoly.combination.  Each route only lists its terms as
@@ -33,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import comb, factorial
 from operator import add
 
@@ -175,14 +183,28 @@ def _operator_terms(j: int, n: int, first_m: int):
             yield key, q / factorial(m)
 
 
-def _combine(n: int, items) -> DiffPoly:
-    """sum q * h_power_diagonal(n, p, alpha) over ((p, alpha), q) items,
-    equal keys merged as rationals first, so shared terms cancel as scalars."""
+def _subtracted_terms(j: int, n: int, depth: int):
+    """((p, alpha), coefficient) items of the middle-regime alpha_j: those
+    of a_j, then the binomial correction with upper entry depth-j+1, negated."""
+    yield from _binomial_terms(j, n, j)
+    for key, q in _binomial_terms(j, n, depth - j + 1):
+        yield key, -q
+
+
+def _merged(items) -> dict:
+    """The ((p, alpha) -> q) map of ((p, alpha), q) items: equal keys merged
+    as rationals, zero sums dropped."""
     acc: dict = {}
     for key, q in items:
         acc[key] = acc.get(key, 0) + q
+    return {key: q for key, q in acc.items() if q}
+
+
+def _combine(n: int, items) -> DiffPoly:
+    """sum q * h_power_diagonal(n, p, alpha) over ((p, alpha), q) items,
+    equal keys merged as rationals first, so shared terms cancel as scalars."""
     return DiffPoly.combination(n, ((h_power_diagonal(n, *key), q)
-                                    for key, q in acc.items() if q))
+                                    for key, q in _merged(items).items()))
 
 
 def heat_invariant_binomial(j: int, n: int) -> InvariantResult:
@@ -237,8 +259,7 @@ def alpha_density(j: int, n: int, epsilon: Fraction) -> InvariantResult:
     elif regime == "tail":
         density = heat_invariant_binomial(j, n).density
     else:
-        correction = ((key, -q) for key, q in _binomial_terms(j, n, depth - j + 1))
-        density = _combine(n, chain(_binomial_terms(j, n, j), correction))
+        density = _combine(n, _subtracted_terms(j, n, depth))
     return InvariantResult(j, density, "subtracted", epsilon)
 
 

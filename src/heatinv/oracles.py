@@ -18,6 +18,7 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ._lazy import np
 from .potentials import PotentialExpr, evaluate_array
@@ -69,7 +70,8 @@ class BridgeSampler:
 
     The paths come in chunk_count fixed-size chunks, each seeded by chunk(k).
     fill writes the next paths of a chunk's stream into the caller's buffers,
-    as fk_diagonal does tile by tile; blocks yields each chunk whole.
+    as fk_diagonal does tile by tile; blocks yields each chunk whole.  Both
+    read the time grid `times`, built once per sampler.
     """
 
     seed: int = 0
@@ -87,6 +89,13 @@ class BridgeSampler:
             raise ValueError(
                 f"steps must be even (the coarse path takes every other point),"
                 f" got {self.steps}")
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """The steps+1 uniform times of a path, 0 and 1 included, read-only."""
+        s = np.linspace(0.0, 1.0, self.steps + 1)
+        s.flags.writeable = False
+        return s
 
     @property
     def chunk_count(self) -> int:
@@ -109,7 +118,9 @@ class BridgeSampler:
 
         Generator.standard_normal fills its output in order, so consecutive
         calls on one chunk's generator draw the same paths as one call for
-        the whole chunk, however the chunk is cut."""
+        the whole chunk, however the chunk is cut.  The bridge is pinned with
+        the sampler's `times`, built once, and path[:, 0] = 0 is written on
+        every call, so any buffer of the shape serves."""
         count = len(path)
         # the increments fill the front of `work` in C order, as rng.normal
         # would lay out a fresh (count, steps, dim) array: the stream is fixed
@@ -119,19 +130,18 @@ class BridgeSampler:
         incr *= math.sqrt(1.0 / self.steps)
         path[:, 0] = 0.0
         np.cumsum(incr, axis=1, out=path[:, 1:])
-        s = np.linspace(0.0, 1.0, self.steps + 1)
-        np.multiply(s[None, :, None], path[:, -1:], out=work)
+        np.multiply(self.times[None, :, None], path[:, -1:], out=work)
         path -= work
 
     def blocks(self):
-        """Yield (s, block) for each chunk, in chunk order: s the steps+1
-        uniform times of a path, 0 and 1 included, and block the chunk's
-        bridges in fresh arrays, shape (count, steps+1, dim), as fill draws
-        them from a generator of the chunk's seed."""
+        """Yield (times, block) for each chunk, in chunk order: the
+        sampler's read-only `times`, and block the chunk's bridges in fresh
+        arrays, shape (count, steps+1, dim), as fill draws them from a
+        generator of the chunk's seed."""
         for child, count in map(self.chunk, range(self.chunk_count)):
             block = np.empty((count, self.steps + 1, self.dim))
             self.fill(np.random.default_rng(child), block, np.empty_like(block))
-            yield np.linspace(0.0, 1.0, self.steps + 1), block
+            yield self.times, block
 
 
 def fk_diagonal(potential: PotentialExpr, x, t: float,
@@ -154,7 +164,11 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
     next chunk in order until none is left.  Each worker allocates its
     scratch once per call: two tile buffers sized to the call's largest tile
     and the fine and coarse weights of one chunk, reused for every chunk it
-    takes.  A chunk is drawn and evaluated in the fewest tiles of at most
+    takes.  The second tile buffer holds the tile's coordinates, one plane
+    per axis, handed over to evaluate_array, whose Taylor pass computes V in
+    them: exp(-|x|^2) allocates no array per tile, and a repeated variable,
+    a constant or an exponent that is not a power of two each adds one.  A
+    chunk is drawn and evaluated in the fewest tiles of at most
     _TILE_POINTS path points, of equal size but for a smaller last one, so a
     worker never holds a chunk's paths; a path of more than _TILE_POINTS
     points is a tile of its own.  Each chunk's count c, mean m and M2 go into
@@ -193,12 +207,12 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
                 sums = weights[start:start + tile]
                 path, work = path_buf[:len(sums)], work_buf[:len(sums)]
                 sampler.fill(rng, path, work)
-                # one contiguous (paths, steps+1) plane per axis, which
-                # evaluate_array reads without a copy
+                # one contiguous (paths, steps+1) plane per axis, handed
+                # over to the Taylor pass, which computes V in these planes
                 coords = work.reshape(n, len(sums), steps + 1)
                 np.multiply(path.transpose(2, 0, 1), scale, out=coords)
                 coords += np.reshape(x, (n, 1, 1))
-                values = evaluate_array(potential, list(coords))
+                values = evaluate_array(potential, list(coords), overwrite_coords=True)
                 # trapezoid sums on the fine grid and on its even points
                 ends = (values[:, 0] + values[:, -1]) / 2
                 np.sum(values, axis=1, out=sums)

@@ -524,8 +524,12 @@ class _TaylorPlan:
     and a list with one 1-D array per row of it.  Each operation takes its
     operands' supports and returns the support of its result with a kernel:
     a function from the operands' lists to the result's, which reads only
-    the terms whose factors are both stored, in table order, and may reuse
-    its operands' arrays."""
+    the terms whose factors are both stored, in table order.  A kernel owns
+    its operands' arrays (see _taylor) and computes in one wherever no later
+    step reads it: a sum in its first operand's rows, a negation in its
+    operand's, exp, tanh, sin, cos and a quotient in row 0 of their argument
+    or numerator, and, on one row, a product in its first factor and a power
+    or sqrt in its base."""
 
     def __init__(self, nus: tuple[MultiIndex, ...]):
         closure = set()
@@ -558,6 +562,8 @@ class _TaylorPlan:
 
     @_shared
     def mul(self, su: tuple, sv: tuple):
+        if su == sv == (0,):  # one row: the product takes u's array
+            return (0,), lambda u, v: [np.multiply(u[0], v[0], out=u[0])]
         iu, iv = _at(su), _at(sv)
         sw, steps = [], []
         for k, (_, terms) in enumerate(self.table):
@@ -581,7 +587,7 @@ class _TaylorPlan:
                 steps.append((iu.get(k), pairs))
 
         def kernel(u, v):
-            w = [u[0] / v[0]]
+            w = [np.divide(u[0], v[0], out=u[0])]  # no later row reads u_0
             for a, pairs in steps:
                 if not pairs:
                     row = u[a] / v[0]
@@ -620,6 +626,19 @@ class _TaylorPlan:
                 sbase, mul = self.mul(sbase, sbase)
                 steps.append((False, mul))
 
+        if su == (0,):
+            # one row: the same products, computed in u's array, but for a
+            # base that the result still holds, which is squared into a new one
+            def single(u):
+                out, base = None, u[0]
+                for to_out, _ in steps:
+                    if not to_out:
+                        base = np.multiply(base, base, out=None if base is out else base)
+                    else:
+                        out = base if out is None else np.multiply(out, base, out=out)
+                return [out]
+            return sw, single
+
         def kernel(u):
             out = base = u
             for to_out, mul in steps:
@@ -652,7 +671,9 @@ class _TaylorPlan:
         sw, steps = self._recurrence(su, lambda gi, order: (r + 1.0) * gi - order)
 
         def kernel(u):
-            w = [np.sqrt(u[0]) if sqrt else np.where(u[0] > 0.0, u[0] ** r, np.nan)]
+            # every later row reads u_0; with none, sqrt takes its array
+            w = [np.sqrt(u[0], out=None if steps else u[0]) if sqrt
+                 else np.where(u[0] > 0.0, u[0] ** r, np.nan)]
             for order, pairs in steps:
                 row = _dot((s * u[a], w[b]) for s, a, b in pairs)
                 row /= order * u[0]
@@ -666,7 +687,7 @@ class _TaylorPlan:
         sw, steps = self._recurrence(su, lambda gi, order: gi / order)
 
         def kernel(u):
-            w = [np.exp(u[0])]
+            w = [np.exp(u[0], out=u[0])]  # the recurrence reads no u_0
             for _, pairs in steps:
                 w.append(_dot((s * u[a], w[b]) for s, a, b in pairs))
             return w
@@ -679,7 +700,12 @@ class _TaylorPlan:
         sw, steps = self._recurrence(su, lambda gi, order: gi / order)
 
         def kernel(u):
-            s, c = [np.sin(u[0])], [np.cos(u[0])]
+            # the part returned takes u_0's array, which the recurrence does
+            # not read; the other part is needed only by the recurrence
+            sin_cos = (np.sin, np.cos)
+            other = sin_cos[1 - part](u[0]) if steps else None
+            mine = sin_cos[part](u[0], out=u[0])
+            s, c = ([mine], [other]) if part == 0 else ([other], [mine])
             for _, pairs in steps:
                 du = [(f * u[a], b) for f, a, b in pairs]
                 s.append(_dot((d, c[b]) for d, b in du))
@@ -703,8 +729,8 @@ class _TaylorPlan:
                 steps.append((wpairs, qpairs))
 
         def kernel(u):
-            w = [np.tanh(u[0])]
-            q = [1.0 - w[0] ** 2]
+            w = [np.tanh(u[0], out=u[0])]  # the recurrence reads no u_0
+            q = [1.0 - w[0] ** 2] if steps else []
             for wpairs, qpairs in steps:
                 if wpairs:
                     w.append(_dot((f * u[a], q[b]) for f, a, b in wpairs))
@@ -719,32 +745,58 @@ def _taylor_plan(nus: tuple[MultiIndex, ...]) -> _TaylorPlan:
     return _TaylorPlan(nus)
 
 
-def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray]):
+def _occurrences(e: Expr, counts: list[int]) -> list[int]:
+    """counts, with counts[i] raised by the number of x_i leaves of e's tree."""
+    if isinstance(e, Var):
+        counts[e.index] += 1
+    elif isinstance(e, Binary):
+        _occurrences(e.right, _occurrences(e.left, counts))
+    elif isinstance(e, (Neg, Call)):
+        _occurrences(e.arg, counts)
+    elif isinstance(e, (Pow, Powr)):
+        _occurrences(e.base, counts)
+    return counts
+
+
+def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray], unread):
     """The series of e at the points of `coords`: its support and its
-    stored rows, new arrays held by the caller alone."""
+    stored rows, arrays held by the caller alone.
+
+    `unread` is None when the coordinate arrays stay the caller's, and
+    otherwise counts, per axis, the x_i leaves the walk has yet to reach:
+    the last one takes coords[i] itself, every other one a copy.
+
+    The walk is a tree walk, so a subtree shared in the AST, as in a
+    `differentiate` result, is walked once per path to it and every series
+    returned here is held by exactly one parent.  Kernels rely on that when
+    they write into their operands' arrays; a memo of shared nodes would have
+    to hand out copies."""
     if isinstance(e, (Const, Pi)):
         return (0,), [np.full(len(coords[0]), math.pi if isinstance(e, Pi) else float(e.value))]
     if isinstance(e, Var):
+        x = coords[e.index]
+        if unread is not None:
+            unread[e.index] -= 1
+        if unread is None or unread[e.index]:
+            x = x.copy()
         unit = plan.unit_rows[e.index]
-        if unit is None:
-            return (0,), [coords[e.index].copy()]
-        return (0, unit), [coords[e.index].copy(), np.ones(len(coords[0]))]
+        return ((0,), [x]) if unit is None else ((0, unit), [x, np.ones(len(x))])
     if isinstance(e, Neg):
-        support, u = _taylor(e.arg, plan, coords)
+        support, u = _taylor(e.arg, plan, coords, unread)
         return support, [np.negative(x, out=x) for x in u]
     if isinstance(e, Binary):
-        su, u = _taylor(e.left, plan, coords)
-        sv, v = _taylor(e.right, plan, coords)
+        su, u = _taylor(e.left, plan, coords, unread)
+        sv, v = _taylor(e.right, plan, coords, unread)
         support, kernel = getattr(plan, BINARY[e.op][2])(su, sv)
         return support, kernel(u, v)
     if isinstance(e, Pow):
-        su, u = _taylor(e.base, plan, coords)
+        su, u = _taylor(e.base, plan, coords, unread)
         support, kernel = plan.power(su, e.exponent)
     elif isinstance(e, Powr):
-        su, u = _taylor(e.base, plan, coords)
+        su, u = _taylor(e.base, plan, coords, unread)
         support, kernel = plan.real_power(su, e.num / e.den, False)
     elif isinstance(e, Call):
-        su, u = _taylor(e.arg, plan, coords)
+        su, u = _taylor(e.arg, plan, coords, unread)
         op, *args = FUNCTIONS[e.name]
         support, kernel = getattr(plan, op)(su, *args)
     else:
@@ -759,22 +811,31 @@ def evaluate(e: PotentialExpr, point) -> float:
     return float(taylor_derivatives(e, [zero], [float(x) for x in point])[zero])
 
 
-def evaluate_array(e: PotentialExpr, coords: list[np.ndarray]) -> np.ndarray:
+def evaluate_array(e: PotentialExpr, coords: list[np.ndarray], *,
+                   overwrite_coords: bool = False) -> np.ndarray:
     """Values on numpy coordinate arrays (one per axis, broadcast together):
-    the order-0 Taylor pass.  Non-finite entries raise PotentialEvalError, by
-    the rule in the module docstring."""
+    the order-0 Taylor pass, with overwrite_coords as in taylor_derivatives.
+    Non-finite entries raise PotentialEvalError, by the rule in the module
+    docstring."""
     zero = (0,) * e.dim
-    return taylor_derivatives(e, [zero], coords)[zero]
+    return taylor_derivatives(e, [zero], coords, overwrite_coords=overwrite_coords)[zero]
 
 
-def taylor_derivatives(e: PotentialExpr, nus,
-                       coords: list[np.ndarray]) -> dict[MultiIndex, np.ndarray]:
+def taylor_derivatives(e: PotentialExpr, nus, coords: list[np.ndarray], *,
+                       overwrite_coords: bool = False) -> dict[MultiIndex, np.ndarray]:
     """D^nu V for every nu in `nus` at the nodes given by `coords` (one
     array per axis, broadcast together), from one truncated Taylor pass over
     the AST.  This is the one Taylor entry: evaluate and evaluate_array are
     its nu = 0 case.  No derivative tree is built, so the cost grows with the
     number of Taylor coefficients rather than with the size of D^nu V.
-    Errors follow the rule in the module docstring."""
+    Errors follow the rule in the module docstring.
+
+    overwrite_coords=True hands the coordinate arrays, which must not share
+    memory, over to the pass: the last x_i leaf it walks computes in coords[i]
+    rather than in a copy, so the arrays' contents are undefined afterwards
+    and a returned array may be one of them.  With the kernels' writes into
+    their operands, exp(-x1^2-x2^2) at order 0 on same-shape contiguous float
+    arrays then allocates no array.  The values are the same either way."""
     nus = tuple(sorted(set(nus)))
     if any(len(nu) != e.dim for nu in nus):
         raise ValueError(f"multi-indices {nus} have wrong length for dimension {e.dim}")
@@ -786,8 +847,9 @@ def taylor_derivatives(e: PotentialExpr, nus,
     coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
     shape = coords[0].shape
     flat = [c.ravel() for c in coords]
+    unread = _occurrences(e.root, [0] * e.dim) if overwrite_coords else None
     with np.errstate(all="ignore"):
-        support, series = _taylor(e.root, plan, flat)
+        support, series = _taylor(e.root, plan, flat, unread)
     at = _at(support)
     out = {}
     for nu in nus:

@@ -10,10 +10,12 @@ from math import factorial
 
 import pytest
 
+from heatinv.cli import MAX_ORDER
 from heatinv.diffpoly import DiffPoly
-from heatinv.invariants import (_combine, _xm_terms, alpha_density,
-                                alpha_density_tail_sum, alpha_regime,
-                                heat_invariant_binomial,
+from heatinv.invariants import (_binomial_terms, _combine, _merged,
+                                _operator_terms, _subtracted_terms, _xm_terms,
+                                alpha_density, alpha_density_tail_sum,
+                                alpha_regime, heat_invariant_binomial,
                                 heat_invariant_operator_sum,
                                 monomial_decay_weight, regularization_depth)
 from heatinv.jets import transport_jets
@@ -57,6 +59,31 @@ class TestRouteEquivalence:
     def test_binomial_equals_operator_sum(self, j, n):
         assert (heat_invariant_binomial(j, n).density
                 == heat_invariant_operator_sum(j, n).density)
+
+    @pytest.mark.parametrize("n", sorted(MAX_ORDER))
+    def test_term_maps_agree_before_any_diagonal(self, n):
+        """The binomial and operator term lists merge to the same
+        (p, alpha) -> q map at every order up to the CLI's cap, with no
+        DiffPoly built: the two routes agree as term expansions, so their
+        equal densities do not check h_power_diagonal itself."""
+        for j in range(1, MAX_ORDER[n] + 1):
+            assert (_merged(_binomial_terms(j, n, j))
+                    == _merged(_operator_terms(j, n, j))), j
+
+    @pytest.mark.parametrize("eps", ["1", "1/2", "1/3", "2/3", "1/4"])
+    def test_middle_term_maps_agree_before_any_diagonal(self, eps):
+        """The same for the subtracted and the tail-sum lists of alpha_j at
+        every middle-regime order up to the cap, n = 1..8."""
+        eps, cases = Fraction(eps), 0
+        for n, cap in MAX_ORDER.items():
+            depth = regularization_depth(n, eps)
+            for j in range(1, cap + 1):
+                if alpha_regime(j, n, eps) != "middle":
+                    continue
+                cases += 1
+                assert (_merged(_subtracted_terms(j, n, depth))
+                        == _merged(_operator_terms(j, n, depth + 1))), (n, j)
+        assert cases
 
 
 class TestOperatorFamilyDiagonals:

@@ -276,6 +276,24 @@ class TestFeynmanKac:
         assert peaks[2048] < 2 * 2 ** 20
         assert peaks[2048] <= 1.5 * peaks[64]
 
+    def test_tiles_allocate_within_the_scratch(self, monkeypatch):
+        """Each worker evaluates V in its own coordinate buffer, so at two
+        threads the traced peak of exp(-x1^2) stays within the two workers'
+        scratch (two 820-path tiles and a chunk's two weight arrays each)
+        plus one tile per worker for numpy's own transients.  A Taylor pass
+        on copies adds two tiles per worker: about 2.3 MB against 1.0 MB."""
+        monkeypatch.setenv("HEATINV_THREADS", "2")
+        sampler = BridgeSampler(seed=1, steps=32, paths=8 * 4096)
+        fk_diagonal(GAUSSIAN, (0.0,), 0.05, sampler)  # warm-up
+        tracemalloc.start()
+        try:
+            fk_diagonal(GAUSSIAN, (0.0,), 0.05, sampler)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tile = 820 * 33 * 8
+        assert peak <= 2 * (3 * tile + 2 * 4096 * 8)
+
     def test_memory_does_not_grow_with_paths(self, monkeypatch):
         """No state of a call grows with the path count: no seed per chunk
         made up front, no statistics per chunk kept for a merge.  Bridges

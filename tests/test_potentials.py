@@ -433,3 +433,71 @@ class TestTaylorBits:
         for nu in sorted(got):
             h.update(np.ascontiguousarray(got[nu]).tobytes())
         assert h.hexdigest() == self.DIGEST
+
+    def test_bits_with_coordinates_handed_over(self):
+        """Handing the coordinate arrays over lets the pass compute in them;
+        every array keeps the digest above."""
+        gx, gy = np.meshgrid(np.linspace(-1.3, 1.1, 7), np.linspace(-0.9, 1.4, 5))
+        nus = [nu for nu in itertools.product(range(5), repeat=2) if sum(nu) <= 4]
+        got = taylor_derivatives(parse_potential(self.SRC, 2), nus, [gx, gy],
+                                 overwrite_coords=True)
+        h = hashlib.sha256()
+        for nu in sorted(got):
+            h.update(np.ascontiguousarray(got[nu]).tobytes())
+        assert h.hexdigest() == self.DIGEST
+
+
+class TestHandedOverCoordinates:
+    """overwrite_coords=True lets the Taylor pass compute in the caller's
+    coordinate arrays.  Each case reaches kernels that write into their
+    operands: exp, tanh, sin, cos, a quotient, powers of one row and of
+    several, sqrt and products; several repeat a variable, whose last
+    occurrence alone may take the caller's array."""
+
+    CASES = ["exp(-x1^2-x2^2)", "x1*exp(-x1^2)", "exp(-x1^2)*cos(x1)",
+             "2*sin(x1)*exp(-x2^2)", "tanh(x1)/(2+sin(x2))", "cos(x1*x2)^3",
+             "x1^-2 + sqrt(1+x2^2)", "(x1 + x2)^5 - x2^4 * x1", "1/(1+x1^2)",
+             "powr(1+x2^2,-1,3)*x1*x2"]
+    ORDERS = [[(0, 0)], [(0, 0), (1, 0), (0, 2), (2, 1)]]
+
+    @staticmethod
+    def coords():
+        gx, gy = np.meshgrid(np.linspace(-1.3, 1.1, 9), np.linspace(0.4, 1.4, 6))
+        return [gx, gy]
+
+    @pytest.mark.parametrize("nus", ORDERS)
+    @pytest.mark.parametrize("src", CASES)
+    def test_arrays_not_handed_over_are_unchanged(self, src, nus):
+        e, coords = parse_potential(src, 2), self.coords()
+        kept = [c.copy() for c in coords]
+        taylor_derivatives(e, nus, coords)
+        evaluate_array(e, coords)
+        for c, k in zip(coords, kept):
+            assert c.tobytes() == k.tobytes()
+
+    @pytest.mark.parametrize("nus", ORDERS)
+    @pytest.mark.parametrize("src", CASES)
+    def test_values_are_bitwise_those_of_the_copies(self, src, nus):
+        e = parse_potential(src, 2)
+        want = taylor_derivatives(e, nus, self.coords())
+        got = taylor_derivatives(e, nus, self.coords(), overwrite_coords=True)
+        assert sorted(got) == sorted(want)
+        for nu in want:
+            assert got[nu].tobytes() == want[nu].tobytes(), nu
+        values = evaluate_array(e, self.coords(), overwrite_coords=True)
+        assert values.tobytes() == want[(0, 0)].tobytes()
+
+    def test_the_last_occurrence_computes_in_the_caller_array(self):
+        """In x1*exp(-x1^2) the first x1 is a copy and the second the
+        caller's array, which ends up holding exp(-x1^2); in exp(-x1^2) at
+        order 0 the value itself is the caller's array."""
+        x = np.linspace(-1.0, 1.0, 5)
+        e = parse_potential("x1*exp(-x1^2)", 1)
+        got = evaluate_array(e, [x.copy()])
+        handed = x.copy()
+        assert evaluate_array(e, [handed], overwrite_coords=True).tobytes() == got.tobytes()
+        assert handed.tobytes() == np.exp(-x ** 2).tobytes()
+        handed = x.copy()
+        values = evaluate_array(parse_potential("exp(-x1^2)", 1), [handed],
+                                overwrite_coords=True)
+        assert np.shares_memory(values, handed)
