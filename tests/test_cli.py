@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output formats, determinism, exit codes."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -655,3 +656,54 @@ class TestProcessLevel:
         code, out, _ = run_cli("--version")
         assert code == 0
         assert out.strip()
+
+
+class TestProcessEntry:
+    """`cli.run()` is the process entry: it exits with `main()`'s code and
+    freezes the heap on the way out, so shutdown's cyclic collections find
+    nothing to traverse."""
+
+    def test_heap_is_frozen_at_exit(self):
+        # atexit hooks run after run() has raised SystemExit
+        code = ("import atexit, gc, sys\n"
+                "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+                "sys.argv = ['heatinv', '--version']\n"
+                "from heatinv.cli import run\n"
+                "run()\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [cli.__version__, "True"]
+
+    def test_main_leaves_the_heap_collectable(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["local", "--dim", "1", "--order", "2"]) == 0
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        capsys.readouterr()
+        assert gc.get_freeze_count() == frozen
+
+    def test_large_report_reaches_pipe_and_file_whole(self, capsys, tmp_path):
+        argv = ("local", "--dim", "3", "--order", "7", "--format", "json")
+        assert main(list(argv)) == 0
+        expected = capsys.readouterr().out
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        assert out == expected
+        json.loads(out)
+        path = tmp_path / "report.json"
+        code, out, err = run_cli(*argv, "--output", str(path))
+        assert (code, out, err) == (0, "", "")
+        assert path.read_text() == expected
+
+    @pytest.mark.parametrize("argv,status", [
+        (("verify", "fk", "--steps", "7"), 2),
+        (("coeffs", "--dim", "1", "--potential", "1/x1", "--order", "1"), 3),
+    ], ids=["usage", "numeric"])
+    def test_exit_codes_keep_their_messages(self, capsys, argv, status):
+        assert main(list(argv)) == status
+        expected = capsys.readouterr()
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (status, expected.out)
+        assert err == expected.err
+        assert err.startswith("error:" if status == 2 else "numeric failure:")
