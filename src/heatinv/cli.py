@@ -11,17 +11,20 @@ Each command and suite takes only the options it reads; any other argument
 is a usage error.  A report's CSV is built from the rows of its JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
-failure.  The decay rate epsilon is accepted only as an exact rational
-string such as "1/3", so the subtraction depth N = floor(n/epsilon) is
+failure.  The decay rate epsilon is accepted only as p or p/q in ASCII
+digits, such as "1/3", so the subtraction depth N = floor(n/epsilon) is
 unambiguous.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import gc
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -75,12 +78,12 @@ class UsageError(Exception):
 
 
 def _parse_epsilon(text: str) -> Fraction:
-    if "." in text:
+    if not (text.isascii() and all(part.isdigit() for part in text.split("/", 1))):
         raise UsageError(
             f"epsilon must be an exact rational such as 1/3, got {text!r}")
     try:
         eps = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise UsageError(f"bad epsilon {text!r}: {exc}") from exc
     if not 0 < eps <= 1:
         raise UsageError(f"epsilon must lie in (0, 1], got {eps}")
@@ -110,9 +113,9 @@ def _csv_field(column: str, value) -> str:
 
 def _emit(args, payload: dict, rows: list[dict], columns: tuple[str, ...],
           text: str):
-    """Write one report as the JSON payload, as the CSV of `rows` (which the
-    payload holds), or as `text`.  The CSV always quotes `density`, and any
-    other field that holds a comma."""
+    """Write one report, to `--output` or stdout, as the JSON payload, as the
+    CSV of `rows` (which the payload holds), or as `text`.  The CSV always
+    quotes `density`, and any other field that holds a comma."""
     if args.format == "json":
         out = json.dumps(payload, indent=2)
     elif args.format == "csv":
@@ -121,14 +124,16 @@ def _emit(args, payload: dict, rows: list[dict], columns: tuple[str, ...],
                            for row in rows])
     else:
         out = text
-    if not args.output:
-        print(out)
-        return
     try:
-        with open(args.output, "w") as fh:
+        if not (args.output or sys.stdout):  # fd 1 was closed at start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        with (open(args.output, "w") if args.output
+              else contextlib.nullcontext(sys.stdout)) as fh:
             fh.write(out + "\n")
+            fh.flush()
     except OSError as exc:
-        raise UsageError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
+        raise UsageError(f"cannot write {args.output or 'stdout'}:"
+                         f" {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +145,9 @@ def cmd_local(args) -> int:
     _check_order(args.order, args.dim)
     rows = []
     for j in range(1, args.order + 1):
-        binomial_route = heat_invariant_binomial(j, args.dim)
-        operator_route = heat_invariant_operator_sum(j, args.dim)
-        rows.append({
-            "j": j,
-            "density": binomial_route.density.to_text(),
-            "routes_agree": binomial_route.density == operator_route.density,
-        })
+        density = heat_invariant_binomial(j, args.dim).density
+        agree = density == heat_invariant_operator_sum(j, args.dim).density
+        rows.append({"j": j, "density": density.to_text(), "routes_agree": agree})
     text = "\n".join(f'a_{r["j"]}: {r["density"]}'
                      + ("" if r["routes_agree"] else "   [ROUTE MISMATCH]")
                      for r in rows)
@@ -181,8 +182,7 @@ def _emit_table(args, density) -> int:
     row j's invariant.  The quadrature is checked before any density is
     built."""
     potential = parse_potential(args.potential, args.dim)
-    config = (QuadratureConfig() if args.box is None
-              else QuadratureConfig(half_width=args.box))
+    config = QuadratureConfig(half_width=args.box)
     check_quadrature(args.dim, config)
     invariants = [density(j) for j in range(1, args.order + 1)]
     table = coefficient_table(invariants, potential, args.dim, config)
@@ -219,24 +219,21 @@ def _report(args, checks: list[dict]) -> int:
 
 def verify_routes(args) -> int:
     _check_order(args.order, args.dim)
-    checks = []
-    for j in range(1, args.order + 1):
-        agree = (heat_invariant_binomial(j, args.dim).density
-                 == heat_invariant_operator_sum(j, args.dim).density)
-        checks.append({"name": f"density_routes_j{j}_n{args.dim}",
-                       "target": "equal", "observed": "equal" if agree else "different",
-                       "tolerance": "exact", "pass": agree})
+    orders = range(1, args.order + 1)
+    # (name, one route, the other, the arguments of both)
+    routes = [(f"density_routes_j{j}_n{args.dim}", heat_invariant_binomial,
+               heat_invariant_operator_sum, (j, args.dim)) for j in orders]
     if args.epsilon:
         eps = _parse_epsilon(args.epsilon)
-        for j in range(1, args.order + 1):
-            if alpha_regime(j, args.dim, eps) != "middle":
-                continue
-            agree = (alpha_density(j, args.dim, eps).density
-                     == alpha_density_tail_sum(j, args.dim, eps).density)
-            checks.append({"name": f"alpha_routes_j{j}_n{args.dim}_eps{eps}",
-                           "target": "equal",
-                           "observed": "equal" if agree else "different",
-                           "tolerance": "exact", "pass": agree})
+        routes += [(f"alpha_routes_j{j}_n{args.dim}_eps{eps}", alpha_density,
+                    alpha_density_tail_sum, (j, args.dim, eps))
+                   for j in orders if alpha_regime(j, args.dim, eps) == "middle"]
+    checks = []
+    for name, route, other, key in routes:
+        agree = route(*key).density == other(*key).density
+        checks.append({"name": name, "target": "equal",
+                       "observed": "equal" if agree else "different",
+                       "tolerance": "exact", "pass": agree})
     return _report(args, checks)
 
 
@@ -305,10 +302,10 @@ def verify_trace(args) -> int:
     report = fit_expansion(samples, 1, 4)
     # the targets integrate over the box the trace is taken on
     config = QuadratureConfig(half_width=grid.half_width)
-    a1, _ = integrate_density(heat_invariant_binomial(1, 1).density, potential, 1, config)
-    a2, _ = integrate_density(heat_invariant_binomial(2, 1).density, potential, 1, config)
     checks = []
-    for j, target, tol in ((1, a1, 0.02), (2, a2, 0.10)):
+    for j, tol in ((1, 0.02), (2, 0.10)):
+        target, _ = integrate_density(heat_invariant_binomial(j, 1).density,
+                                      potential, 1, config)
         observed = report.coefficient(j)
         ok = abs(observed - target) <= tol * abs(target)
         checks.append({"name": f"trace_fit_c{j}", "target": target,
@@ -374,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help='decay rate as an exact rational, e.g. "1/3"'),
         "--potential": dict(required=True, help=POTENTIAL_HELP),
         "--order": dict(type=int, required=True, help=ORDER_HELP),
-        "--box": dict(type=float, help="quadrature box half-width"),
+        "--box": dict(type=float, default=QuadratureConfig.half_width,
+                      help="quadrature box half-width"),
     }
     suite_options = {
         "--dim": dict(type=int, default=1),
@@ -430,17 +428,18 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     """Process entry of the `heatinv` script and `python -m heatinv.cli`.
-
-    Runs `main()` and exits with its code.  On the way out every object is
-    frozen (`gc.freeze`): the interpreter's shutdown collections would
-    otherwise traverse every object the imports left tracked (about 22k
-    after a numpy command), and a process that is about to end gains
-    nothing from them.  Objects are still freed by reference count, and `atexit`, thread
-    joins, the final flush of stdout and the exit code are unchanged.
-    Library callers of `main()` keep a collecting heap.
-    """
+    Exits with `main()`'s code and freezes every object (`gc.freeze`), so the
+    shutdown collections skip the ~22k objects numpy's import leaves.  A stdout
+    that refused the report goes to the null device: the final flush does not
+    fail again (exit 120).  `main()` keeps a collecting heap and every fd."""
     try:
-        sys.exit(main())
+        code = main()
+        try:
+            if sys.stdout:
+                sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(code)
     finally:
         gc.freeze()
 

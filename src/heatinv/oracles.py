@@ -92,7 +92,11 @@ class BridgeSampler:
 
     @cached_property
     def times(self) -> np.ndarray:
-        """The steps+1 uniform times of a path, 0 and 1 included, read-only."""
+        """The steps+1 uniform times of a path, 0 and 1 included, read-only.
+
+        Built once per sampler: rebuilt on every `fill`, the grid made
+        `verify fk --paths 200000` at 2 threads take 0.305 s -> 0.344 s on a
+        2-CPU VM (slower in 18 of 20 alternating runs, output unchanged)."""
         s = np.linspace(0.0, 1.0, self.steps + 1)
         s.flags.writeable = False
         return s
@@ -192,7 +196,11 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
     threads = min(worker_count(), sampler.chunk_count)
 
     def tile_of(count):
-        """Paths per tile of a chunk of `count` paths."""
+        """Paths per tile of a chunk of `count` paths: the fewest tiles, of
+        near-equal size.  Tiles of `most` paths with a ragged last one need
+        larger buffers: `verify fk --paths 200000` at 2 threads peaked at
+        36.74 -> 37.02 MB on a 2-CPU VM, higher in 20 of 20 alternating
+        runs."""
         return -(-count // -(-count // most))
 
     def chunk_stats(k, path_buf, work_buf, weights_buf, coarse_buf):
@@ -242,7 +250,8 @@ def fk_diagonal(potential: PotentialExpr, x, t: float,
         return count, count * mean, Fraction(m2) + count * mean * mean
 
     # chunk() loads numpy in this thread before any helper starts (see _lazy);
-    # the last chunk's tile may be the larger: 992 paths at 32 steps, not 820
+    # the last chunk's tile may be the larger: 992 paths at 32 steps, not 820.
+    # The buffers hold the larger of the two tiles, not `most` paths (tile_of)
     width, last = sampler.chunk(0)[1], sampler.chunk(sampler.chunk_count - 1)[1]
     tile_shape = (max(tile_of(width), tile_of(last)), steps + 1, n)
     order = iter(range(sampler.chunk_count))

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: output formats, determinism, exit codes."""
 
 import csv
+import errno
 import gc
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -60,10 +62,15 @@ class TestAlpha:
         assert ("alpha_3 [middle]: -1/4*D[1]V^2 - 1/3*D[2]V*V + 3/20*D[4]V"
                 in out)
 
-    def test_float_epsilon_rejected(self, capsys):
-        assert main(["alpha", "--dim", "1", "--epsilon", "0.3",
+    @pytest.mark.parametrize("epsilon", ["0.3", "1e-1", "1_0/30", "\u0661/\u0663"],
+                             ids=["decimal", "exponent", "underscore", "arabic-indic"])
+    def test_float_epsilon_rejected(self, epsilon, capsys):
+        """Only p or p/q in ASCII digits: Fraction() would read the others
+        as 1/10, 1/3 and 1/3."""
+        assert main(["alpha", "--dim", "1", "--epsilon", epsilon,
                      "--order", "2"]) == 2
-        assert "exact rational" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: epsilon must be an exact rational such as 1/3, got {epsilon!r}\n")
 
     def test_out_of_range_epsilon_rejected(self, capsys):
         assert main(["alpha", "--dim", "1", "--epsilon", "3/2",
@@ -707,3 +714,54 @@ class TestProcessEntry:
         assert (code, out) == (status, expected.out)
         assert err == expected.err
         assert err.startswith("error:" if status == 2 else "numeric failure:")
+
+    @pytest.mark.parametrize("target", [
+        "closed pipe", "/dev/full", "closed stdout", "--output /dev/full",
+        "--output directory"])
+    def test_failed_write_is_one_usage_error(self, target, tmp_path):
+        """A report that cannot be written exits 2 with one stderr line,
+        whatever the target, and a dead stdout does not fail again at the
+        interpreter's final flush."""
+        if "/dev/full" in target and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        cmd = [sys.executable, "-m", "heatinv.cli", "local", "--dim", "1", "--order", "2"]
+        if target == "closed pipe":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            stdout, reason = os.fdopen(write_end, "w"), "stdout: Broken pipe"
+        elif target == "/dev/full":
+            stdout, reason = open("/dev/full", "w"), "stdout: No space left on device"
+        elif target == "closed stdout":
+            # started with fd 1 closed, so sys.stdout is None
+            cmd = ["sh", "-c", 'exec "$@" >&-', "sh", *cmd]
+            stdout, reason = open(os.devnull, "w"), "stdout: Bad file descriptor"
+        elif target == "--output /dev/full":
+            cmd += ["--output", "/dev/full"]
+            stdout, reason = open(os.devnull, "w"), "/dev/full: No space left on device"
+        else:
+            cmd += ["--output", str(tmp_path)]
+            with pytest.raises(OSError) as refused:
+                open(tmp_path, "w")
+            stdout, reason = open(os.devnull, "w"), f"{tmp_path}: {refused.value.strerror}"
+        # stdout buffered, as by default, so a refused report is still in its
+        # buffer when the interpreter flushes it at exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with stdout:
+            proc = subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                                  env=env)
+        assert (proc.returncode, proc.stderr) == (2, f"error: cannot write {reason}\n")
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["full", "closed"])
+    def test_main_reports_a_refused_stdout_and_keeps_fd_1(self, closed, capsys,
+                                                          monkeypatch):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        before = os.fstat(1)
+        monkeypatch.setattr(sys, "stdout", None if closed else Full())
+        assert main(["local", "--dim", "1", "--order", "2"]) == 2
+        after = os.fstat(1)
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+        reason = os.strerror(errno.EBADF if closed else errno.ENOSPC)
+        assert capsys.readouterr().err == f"error: cannot write stdout: {reason}\n"
