@@ -124,16 +124,30 @@ def _emit(args, payload: dict, rows: list[dict], columns: tuple[str, ...],
                            for row in rows])
     else:
         out = text
+    _write(args.output or sys.stdout, out + "\n")
+
+
+def _write(target, text: str):
+    """Write and flush `text` to `target`: a path, or stdout or stderr (None
+    when its fd was closed at start-up).  Any OSError becomes the usage error
+    `cannot write <path|stdout|stderr>: <reason>`."""
+    name = (target if isinstance(target, str)
+            else "stdout" if target is sys.stdout else "stderr")
     try:
-        if not (args.output or sys.stdout):  # fd 1 was closed at start-up
+        if target is None:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        with (open(args.output, "w") if args.output
-              else contextlib.nullcontext(sys.stdout)) as fh:
-            fh.write(out + "\n")
+        with (open(target, "w") if isinstance(target, str)
+              else contextlib.nullcontext(target)) as fh:
+            fh.write(text)
             fh.flush()
     except OSError as exc:
-        raise UsageError(f"cannot write {args.output or 'stdout'}:"
-                         f" {exc.strerror or exc}") from exc
+        raise UsageError(f"cannot write {name}: {exc.strerror or exc}") from exc
+
+
+def _complain(line: str):
+    # a stderr that refuses the line leaves the exit code as the only report
+    with contextlib.suppress(UsageError):
+        _write(sys.stderr, line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +344,8 @@ def verify_taylor(args) -> int:
                        "target": f"[{lo}, {hi}]", "observed": report.slope,
                        "tolerance": "slope window", "pass": bool(ok)})
     grid = np.linspace(-3.0, 3.0, TAYLOR_MATRIX_DIM)
-    h0_mat, h_mat = discretized_schrodinger_1d(np.exp(-grid ** 2), 1.0)
+    h0_mat, h_mat = discretized_schrodinger_1d(
+        evaluate_array(parse_potential("exp(-x1^2)", 1), [grid]), 1.0)
     for m in range(args.order + 1):
         deviation = taylor_family_matches_operator_family(h0_mat, h_mat, m)
         checks.append({"name": f"taylor_family_equals_operator_family_m{m}",
@@ -353,8 +368,19 @@ ORDER_HELP = ("max j: at most "
               + ", ".join(f"{cap} for n={n}" for n, cap in MAX_ORDER.items()))
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, whose own writes (help and version to stdout, usage
+    errors to stderr) go through `_write`: a refused one is a usage error,
+    not an OSError that Python 3.11 drops or that stays in the buffer until
+    the interpreter's final flush.  Subparsers take the parser's class."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            _write(file, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="heatinv",
         description="Heat invariants and regularized-trace coefficients of"
                     " -Laplacian + V, exactly and numerically.")
@@ -412,17 +438,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args, unread = build_parser().parse_known_args(argv)
     try:
+        args, unread = build_parser().parse_known_args(argv)
         if unread:
             raise UsageError(f"unrecognized arguments: {' '.join(unread)}")
         return args.func(args)
     except (QuadratureError, PotentialEvalError, ArithmeticError) as exc:
         # before ValueError, which PotentialEvalError subclasses
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        _complain(f"numeric failure: {exc}")
         return EXIT_NUMERIC
     except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return EXIT_USAGE
 
 
@@ -430,15 +456,17 @@ def run() -> None:
     """Process entry of the `heatinv` script and `python -m heatinv.cli`.
     Exits with `main()`'s code and freezes every object (`gc.freeze`), so the
     shutdown collections skip the ~22k objects numpy's import leaves.  A stdout
-    that refused the report goes to the null device: the final flush does not
-    fail again (exit 120).  `main()` keeps a collecting heap and every fd."""
+    or stderr that refused a write goes to the null device: the final flush
+    does not fail again (exit 120).  `main()` keeps a collecting heap and
+    every fd."""
     try:
         code = main()
-        try:
-            if sys.stdout:
-                sys.stdout.flush()
-        except OSError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                if stream:
+                    stream.flush()
+            except OSError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         sys.exit(code)
     finally:
         gc.freeze()

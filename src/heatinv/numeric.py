@@ -145,7 +145,10 @@ def _apply_rules(f, centers: np.ndarray, halves: np.ndarray):
     volume = np.prod(halves, axis=1)
     kronrod = volume * _contract(values, [gk_kronrod] * n)
     gauss = volume * _contract(values, [gk_gauss] * n)
-    # the axis along which swapping Kronrod for Gauss moves the estimate most
+    # the axis along which swapping Kronrod for Gauss moves the estimate most.
+    # Bisecting the longest axis instead gives the same cells on isotropic
+    # Gaussians, but 2.5 to 8 times the cells, and the time, where V varies
+    # faster along one axis (exp(-x1^2-x2^2-16*x3^2): 211 -> 947 cells)
     per_axis = [np.abs(kronrod - volume * _contract(
         values, [gk_gauss if b == a else gk_kronrod for b in range(n)]))
         for a in range(n)]

@@ -604,14 +604,14 @@ class _TaylorPlan:
 
     @_shared
     def power(self, su: tuple, k: int):
-        # repeated multiplication, exact at a zero base; k is never 0 or 1,
+        # square-and-multiply, exact at a zero base; k is never 0 or 1,
         # which _pow folds
         if k < 0:
             sp, positive = self.power(su, -k)
             sw, divide = self.div((0,), sp)
             return sw, lambda u: divide([np.ones(len(u[0]))], positive(u))
-        # the square-and-multiply steps: (True, mul) sets out = out * base,
-        # (True, None) out = base, and (False, mul) base = base * base
+        # the steps: (True, mul) sets out = out * base, (True, None)
+        # out = base, and (False, mul) base = base * base
         steps, sw, sbase = [], None, su
         while k:
             if k & 1:
@@ -626,24 +626,13 @@ class _TaylorPlan:
                 sbase, mul = self.mul(sbase, sbase)
                 steps.append((False, mul))
 
-        if su == (0,):
-            # one row: the same products, computed in u's array, but for a
-            # base that the result still holds, which is squared into a new one
-            def single(u):
-                out, base = None, u[0]
-                for to_out, _ in steps:
-                    if not to_out:
-                        base = np.multiply(base, base, out=None if base is out else base)
-                    else:
-                        out = base if out is None else np.multiply(out, base, out=out)
-                return [out]
-            return sw, single
-
         def kernel(u):
-            out = base = u
+            # a product may compute in its first factor (one row does), so a
+            # base that the result still holds is squared as a copy
+            out, base = None, u
             for to_out, mul in steps:
                 if not to_out:
-                    base = mul(base, base)
+                    base = mul([b.copy() for b in base] if base is out else base, base)
                 else:
                     out = base if mul is None else mul(out, base)
             return out

@@ -665,6 +665,13 @@ class TestProcessLevel:
         assert out.strip()
 
 
+class _FullStdout(io.StringIO):
+    """A stdout on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 class TestProcessEntry:
     """`cli.run()` is the process entry: it exits with `main()`'s code and
     freezes the heap on the way out, so shutdown's cyclic collections find
@@ -715,16 +722,21 @@ class TestProcessEntry:
         assert err == expected.err
         assert err.startswith("error:" if status == 2 else "numeric failure:")
 
-    @pytest.mark.parametrize("target", [
-        "closed pipe", "/dev/full", "closed stdout", "--output /dev/full",
-        "--output directory"])
-    def test_failed_write_is_one_usage_error(self, target, tmp_path):
-        """A report that cannot be written exits 2 with one stderr line,
-        whatever the target, and a dead stdout does not fail again at the
-        interpreter's final flush."""
+    @pytest.mark.parametrize("argv,target,unbuffered", [
+        *[pytest.param(("local", "--dim", "1", "--order", "2"), target, False, id=target)
+          for target in ("closed pipe", "/dev/full", "closed stdout",
+                         "--output /dev/full", "--output directory")],
+        *[pytest.param((flag,), target, unbuffered,
+                       id=f"{flag} {target}{' unbuffered' if unbuffered else ''}")
+          for flag in ("--help", "--version") for target in ("closed pipe", "/dev/full")
+          for unbuffered in (False, True)]])
+    def test_failed_write_is_one_usage_error(self, argv, target, unbuffered, tmp_path):
+        """A report, help or version text that cannot be written exits 2 with
+        one stderr line, whatever the target, and a dead stdout does not fail
+        again at the interpreter's final flush."""
         if "/dev/full" in target and not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
-        cmd = [sys.executable, "-m", "heatinv.cli", "local", "--dim", "1", "--order", "2"]
+        cmd = [sys.executable, "-m", "heatinv.cli", *argv]
         if target == "closed pipe":
             read_end, write_end = os.pipe()
             os.close(read_end)
@@ -744,22 +756,43 @@ class TestProcessEntry:
                 open(tmp_path, "w")
             stdout, reason = open(os.devnull, "w"), f"{tmp_path}: {refused.value.strerror}"
         # stdout buffered, as by default, so a refused report is still in its
-        # buffer when the interpreter flushes it at exit
+        # buffer when the interpreter flushes it at exit; or unbuffered, so
+        # the write itself fails
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         with stdout:
             proc = subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, text=True,
                                   env=env)
         assert (proc.returncode, proc.stderr) == (2, f"error: cannot write {reason}\n")
 
+    @pytest.mark.parametrize("argv,status", [
+        (("local", "--bogus"), 2),
+        (("local", "--dim", "1", "--order", "2", "--bogus"), 2),
+        (("coeffs", "--dim", "1", "--potential", "1/x1", "--order", "1"), 3),
+    ], ids=["argparse", "usage", "numeric"])
+    def test_failure_into_a_full_stderr_keeps_its_exit_code(self, argv, status):
+        """A message that stderr refuses is dropped, not raised: the exit
+        code is the whole report."""
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "heatinv.cli", *argv],
+                                  stdout=subprocess.PIPE, stderr=full, text=True)
+        assert (proc.returncode, proc.stdout) == (status, "")
+
+    @pytest.mark.parametrize("argv", [["--version"], ["verify", "fk", "--help"]])
+    def test_main_reports_refused_argparse_output(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _FullStdout())
+        assert main(argv) == 2
+        reason = os.strerror(errno.ENOSPC)
+        assert capsys.readouterr().err == f"error: cannot write stdout: {reason}\n"
+
     @pytest.mark.parametrize("closed", [False, True], ids=["full", "closed"])
     def test_main_reports_a_refused_stdout_and_keeps_fd_1(self, closed, capsys,
                                                           monkeypatch):
-        class Full(io.StringIO):
-            def write(self, text):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
         before = os.fstat(1)
-        monkeypatch.setattr(sys, "stdout", None if closed else Full())
+        monkeypatch.setattr(sys, "stdout", None if closed else _FullStdout())
         assert main(["local", "--dim", "1", "--order", "2"]) == 2
         after = os.fstat(1)
         assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)

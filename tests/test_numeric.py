@@ -300,6 +300,21 @@ def _algebraic_pairs(density: DiffPoly, s: Fraction) -> dict[int, Fraction] | No
     return {k: q for k, q in pairs.items() if q}
 
 
+def _reflectionless_pairs(l: int, j: int) -> dict[int, Fraction]:
+    """The whole-line integral of a_j for the reflectionless well
+    V = -l(l+1) sech^2 x, as exact pairs in the form of _algebraic_pairs:
+    a rational, {0: q}.
+
+    V reflects nothing and its bound states sit at -m^2, m = 1..l (Poschl &
+    Teller 1933), so Tr(e^(-tH) - e^(-tH0)) = sum_m e^(m^2 t) erf(m sqrt t).
+    Expanding e^(x^2) erf x = (2/sqrt pi) sum_k 2^k x^(2k+1)/(2k+1)!! and
+    matching (4 pi t)^(-1/2) sum_j t^j int a_j gives
+    int a_j = sum_(m=1..l) 2^(j+1) m^(2j-1) / (2j-1)!!."""
+    double_factorial = math.prod(range(1, 2 * j, 2))
+    return {0: sum(Fraction(2 ** (j + 1) * m ** (2 * j - 1), double_factorial)
+                   for m in range(1, l + 1))}
+
+
 class TestExactAlgebraicIntegrals:
     """The exact whole-space integrals of a_j for the long-range potentials
     (1+|x|^2)^(-s), against values derived by hand."""
@@ -345,6 +360,34 @@ class TestExactAlgebraicIntegrals:
                         * (1 + r2) ** -float(c) for (b, c), q in pieces.items())
             value = evaluate_density(density, parse_potential(text, n), point)
             assert value == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+class TestReflectionlessRuler:
+    """Quadrature of a_1..a_10, the 1-D order cap, against the reflectionless
+    well's exact integrals.  At --box 20 the tail past the box, about
+    4 l(l+1) e^(-40) for a_1, is far below the error target; rows at the
+    default box, which the tail outweighs, are left out."""
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_rows_lie_within_their_error(self, l):
+        invariants = [heat_invariant_binomial(j, 1) for j in range(1, 11)]
+        table = coefficient_table(invariants,
+                                  parse_potential(f"-{l * (l + 1)}*(1-tanh(x1)^2)", 1),
+                                  1, QuadratureConfig(half_width=20.0))
+        for row in table["rows"]:
+            j = row["j"]
+            exact = float(_reflectionless_pairs(l, j)[0])
+            assert abs(row["value"] - exact) <= row["err"]
+            # b_j is a_j times a constant, so its error is that constant times err
+            assert row["b_or_beta"] == pytest.approx(
+                b_from_a(exact, j, 1), rel=1e-12, abs=abs(b_from_a(row["err"], j, 1)))
+
+    def test_first_integrals_by_hand(self):
+        # int a_1 = -int V = l(l+1) int sech^2 = 2 l(l+1); a_2 = V^2/2 - V''/6
+        # integrates to l^2 (l+1)^2 int sech^4 / 2 = 2/3 l^2 (l+1)^2
+        for l in (1, 2, 3):
+            assert _reflectionless_pairs(l, 1) == {0: 2 * l * (l + 1)}
+            assert _reflectionless_pairs(l, 2) == {0: Fraction(2, 3) * (l * (l + 1)) ** 2}
 
 
 def _record_calls(monkeypatch):

@@ -367,6 +367,20 @@ class TestRelativeTrace:
         fine = relative_heat_trace_1d(GAUSSIAN, t, TraceGrid(points=4000))
         assert coarse == pytest.approx(fine, abs=5e-4)
 
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_reflectionless_well_against_its_exact_trace(self, l):
+        """-l(l+1) sech^2 x has bound states at -m^2, m = 1..l, and reflects
+        nothing, so its relative trace is sum_m e^(m^2 t) erf(m sqrt t).  The
+        grid's error is O(h^2): doubling the points quarters it."""
+        potential = parse_potential(f"-{l * (l + 1)}*(1-tanh(x1)^2)", 1)
+        ts = np.array([0.02, 0.05, 0.1, 0.2, 0.5, 1.0])
+        exact = sum(np.exp(m * m * ts) * np.array([math.erf(m * math.sqrt(t)) for t in ts])
+                    for m in range(1, l + 1))
+        coarse = relative_heat_trace_1d(potential, ts, TraceGrid(points=4000)) - exact
+        fine = relative_heat_trace_1d(potential, ts, TraceGrid(points=8001)) - exact
+        assert np.all(np.abs(coarse / exact) < 1e-3)
+        assert np.all((3.9 <= coarse / fine) & (coarse / fine <= 4.1))
+
     def test_sign_for_positive_potential(self):
         # positive potential raises all eigenvalues, lowering the trace
         assert relative_heat_trace_1d(GAUSSIAN, 0.1) < 0
