@@ -269,9 +269,10 @@ def verify_fk(args) -> int:
     # Far from 1, a power of t raises OverflowError and a product overflows
     # to inf: such a t is refused too
     try:
+        powers = [a[j - 1] * args.t ** j for j in (1, 2, 3)]
         terms = 1.0
-        for j in (1, 2, 3):
-            terms += a[j - 1] * args.t ** j
+        for term in powers:
+            terms += term
         prefactor = (4 * math.pi * args.t) ** (-args.dim / 2)
         target = prefactor * terms
         omitted = abs(prefactor * a[3] * args.t ** 4)
@@ -285,6 +286,13 @@ def verify_fk(args) -> int:
         raise UsageError(
             f"t = {args.t} is too small: the kernel prefactor"
             f" (4 pi t)^(-n/2) at n = {args.dim} overflows float64")
+    # where 1 + a_1 t + a_2 t^2 + a_3 t^3 rounds to 1 but a term is nonzero,
+    # every path weight rounds to 1 too, and the suite would compare the
+    # free kernel with itself; with every a_j zero the check is exact
+    if terms == 1.0 and any(powers):
+        raise UsageError(
+            f"t = {args.t} is too small: 1 + a_1 t + a_2 t^2 + a_3 t^3 rounds"
+            " to 1, so the check would test nothing")
     window = FK_MAX_WINDOW * abs(target)
     if omitted >= window:
         raise UsageError(

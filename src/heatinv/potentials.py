@@ -441,10 +441,18 @@ def _d(e: Expr, axis: int) -> Expr:
     raise TypeError(f"unknown node {e!r}")
 
 
+def _multi_index(nu, dim: int) -> MultiIndex:
+    """nu, if it is a multi-index in dimension dim: a tuple of dim
+    non-negative ints; ValueError otherwise."""
+    if not (isinstance(nu, tuple) and len(nu) == dim
+            and all(type(a) is int and a >= 0 for a in nu)):
+        raise ValueError(f"multi-index {nu!r} is not a tuple of {dim} non-negative ints")
+    return nu
+
+
 def differentiate(e: PotentialExpr, nu: MultiIndex) -> PotentialExpr:
     """Exact symbolic derivative D^nu of the potential."""
-    if len(nu) != e.dim:
-        raise ValueError(f"multi-index {nu} has wrong length for dimension {e.dim}")
+    _multi_index(nu, e.dim)
     if sum(nu) > DERIVATIVE_CAP:
         raise DerivativeCapError(
             f"derivative order {sum(nu)} exceeds the cap {DERIVATIVE_CAP}")
@@ -468,17 +476,18 @@ def differentiate(e: PotentialExpr, nu: MultiIndex) -> PotentialExpr:
 #
 #     alpha_i w_alpha = sum_(0 < g <= alpha) g_i u_g w_(alpha - g).
 #
-# A node stores only its support: the rows of S that can be nonzero at some
-# point.  Row 0 is always stored; x_i adds e_i; a sum holds the union of
+# A node's series is a dict from the rows of S that can be nonzero at some
+# point, in ascending order, to one 1-D array each; its keys are its
+# support.  Row 0 is always stored; x_i adds e_i; a sum holds the union of
 # its operands' rows, a product the sums of their rows that lie in S, and a
-# recurrence the rows its sums reach from its argument's rows.  An
-# operation's support and row pairs are worked out once per S and operand
-# supports, and it forms only the products whose factors are both stored,
-# in table order.  Each term it leaves out is an exact zero times a finite
-# number, unless that number is infinite or NaN, where the product would
-# have been NaN; so a stored row is the float of the full sum up to the sign
-# of an exact zero, and a requested row outside the support reads +0.0.
-# Plain values are the case S = {0}: one row, and no recurrence steps.
+# recurrence the sums in S of its argument's rows.  An operation's support
+# and row pairs are worked out once per S and operand supports, and it forms
+# only the products whose factors are both stored, in table order.  Each
+# term it leaves out is an exact zero times a finite number, unless that
+# number is infinite or NaN, where the product would have been NaN; so a
+# stored row is the float of the full sum up to the sign of an exact zero,
+# and a requested row outside the support reads +0.0.  Plain values are the
+# case S = {0}: one row, and no recurrence steps.
 
 
 def _dot(factors) -> np.ndarray:
@@ -492,14 +501,10 @@ def _dot(factors) -> np.ndarray:
     return out
 
 
-def _at(support: tuple[int, ...]) -> dict[int, int]:
-    """Each row of a support mapped to its position in the stored rows."""
-    return {k: i for i, k in enumerate(support)}
-
-
 def _shared(op):
     """Work a plan operation out once per plan and arguments: every node
-    with operands of the same supports shares its support and kernel."""
+    with operands of the same supports, the tuples of their series' rows,
+    shares its support and kernel."""
     def shared(plan, *args):
         key = (op.__name__, *args)
         found = plan.kernels.get(key)
@@ -515,21 +520,21 @@ class _TaylorPlan:
 
     One table drives every operation.  Its row k, for alpha = the k-th index
     of S, holds alpha_i along the first axis i with alpha_i > 0 (0 at
-    alpha = 0) and one term (g_i, g, alpha - g) per g <= alpha, as row
-    positions, g = 0 first.  All of them give the Cauchy product
+    alpha = 0) and one term (g_i, g, alpha - g) per g <= alpha, as rows,
+    g = 0 first.  All of them give the Cauchy product
     (u v)_alpha = sum_(g <= alpha) u_g v_(alpha - g); all but the first give
     the recurrence sums over 0 < g <= alpha above.
 
-    A node's series is its support, the tuple of rows that can be nonzero,
-    and a list with one 1-D array per row of it.  Each operation takes its
-    operands' supports and returns the support of its result with a kernel:
-    a function from the operands' lists to the result's, which reads only
-    the terms whose factors are both stored, in table order.  A kernel owns
-    its operands' arrays (see _taylor) and computes in one wherever no later
-    step reads it: a sum in its first operand's rows, a negation in its
-    operand's, exp, tanh, sin, cos and a quotient in row 0 of their argument
-    or numerator, and, on one row, a product in its first factor and a power
-    or sqrt in its base."""
+    A node's series is a dict {row: 1-D array} over the rows that can be
+    nonzero, in ascending order.  Each operation takes its operands'
+    supports, the tuples of those rows, and returns the support of its
+    result with a kernel: a function from the operands' dicts to the
+    result's, which reads only the terms whose factors are both stored, in
+    table order.  A kernel owns its operands' arrays (see _taylor) and
+    computes in one wherever no later step reads it: a sum in its first
+    operand's rows, a negation in its operand's, exp, tanh, sin, cos and a
+    quotient in row 0 of their argument or numerator, and, on one row, a
+    product in its first factor and a power or sqrt in its base."""
 
     def __init__(self, nus: tuple[MultiIndex, ...]):
         closure = set()
@@ -549,58 +554,69 @@ class _TaylorPlan:
                 for g in multi_indices_below(alpha)]))
         self.kernels = {}
 
+    def _pairs(self, k: int, left, right, first: int = 0):
+        """The terms (g_i, g, alpha - g) of row k, from its first-th on,
+        whose row g is in `left` and row alpha - g in `right`."""
+        return [(gi, g, c) for gi, g, c in self.table[k][1][first:]
+                if g in left and c in right]
+
     @_shared
     def add(self, su: tuple, sv: tuple):
         sw = tuple(sorted(set(su) | set(sv)))
-        iu, iv = _at(su), _at(sv)
-        steps = [(iu.get(k), iv.get(k)) for k in sw]
 
         def kernel(u, v):
-            return [v[b] if a is None else u[a] if b is None
-                    else np.add(u[a], v[b], out=u[a]) for a, b in steps]
+            return {k: v[k] if k not in u else u[k] if k not in v
+                    else np.add(u[k], v[k], out=u[k]) for k in sw}
         return sw, kernel
 
     @_shared
     def mul(self, su: tuple, sv: tuple):
         if su == sv == (0,):  # one row: the product takes u's array
-            return (0,), lambda u, v: [np.multiply(u[0], v[0], out=u[0])]
-        iu, iv = _at(su), _at(sv)
-        sw, steps = [], []
-        for k, (_, terms) in enumerate(self.table):
-            pairs = [(iu[g], iv[c]) for _, g, c in terms if g in iu and c in iv]
-            if pairs:
-                sw.append(k)
-                steps.append(pairs)
+            return (0,), lambda u, v: {0: np.multiply(u[0], v[0], out=u[0])}
+        su, sv = set(su), set(sv)
+        steps = [(k, pairs) for k in range(len(self.table))
+                 if (pairs := self._pairs(k, su, sv))]
 
         def kernel(u, v):
-            return [_dot((u[a], v[b]) for a, b in pairs) for pairs in steps]
-        return tuple(sw), kernel
+            return {k: _dot((u[g], v[c]) for _, g, c in pairs) for k, pairs in steps}
+        return tuple(k for k, _ in steps), kernel
+
+    def _recurrence(self, su: tuple, scale, seed: tuple = ()):
+        """Support of w and its steps for a recurrence
+        alpha_i w_alpha = sum_(0 < g <= alpha) (...) u_g w_(alpha - g), with
+        the rows of `seed` stored too: per row k after row 0, k, alpha_i and
+        the triples (scale(g_i, alpha_i), g, alpha - g) whose u_g and
+        w_(alpha - g) are both stored.  By induction on the order, w's rows
+        are the sums in S of row 0 or a row of seed and rows of u."""
+        su, sw, steps = set(su), {0: None}, []
+        for k, (order, _) in enumerate(self.table[1:], 1):
+            pairs = self._pairs(k, su, sw, 1)
+            if pairs or k in seed:
+                sw[k] = None
+                steps.append((k, order, [(scale(gi, order), g, c) for gi, g, c in pairs]))
+        return tuple(sw), steps
 
     @_shared
     def div(self, su: tuple, sv: tuple):
-        # v w = u: w_alpha = (u_alpha - sum_(0 < g <= alpha) v_g w_(alpha - g)) / v_0
-        iu, iv, iw, steps = _at(su), _at(sv), {0: 0}, []
-        for k, (_, terms) in enumerate(self.table[1:], 1):
-            pairs = [(iv[g], iw[c]) for _, g, c in terms[1:] if g in iv and c in iw]
-            if pairs or k in iu:
-                iw[k] = len(iw)
-                steps.append((iu.get(k), pairs))
+        # v w = u: w_alpha = (u_alpha - sum_(0 < g <= alpha) v_g w_(alpha - g)) / v_0,
+        # whose sums are unscaled
+        sw, steps = self._recurrence(sv, lambda gi, order: None, su)
 
         def kernel(u, v):
-            w = [np.divide(u[0], v[0], out=u[0])]  # no later row reads u_0
-            for a, pairs in steps:
+            w = {0: np.divide(u[0], v[0], out=u[0])}  # no later row reads u_0
+            for k, _, pairs in steps:
                 if not pairs:
-                    row = u[a] / v[0]
+                    row = u[k] / v[0]
                 else:
-                    row = _dot((v[g], w[c]) for g, c in pairs)
-                    if a is None:
-                        np.negative(row, out=row)
+                    row = _dot((v[g], w[c]) for _, g, c in pairs)
+                    if k in u:
+                        np.subtract(u[k], row, out=row)
                     else:
-                        np.subtract(u[a], row, out=row)
+                        np.negative(row, out=row)
                     row /= v[0]
-                w.append(row)
+                w[k] = row
             return w
-        return tuple(iw), kernel
+        return sw, kernel
 
     @_shared
     def power(self, su: tuple, k: int):
@@ -609,7 +625,7 @@ class _TaylorPlan:
         if k < 0:
             sp, positive = self.power(su, -k)
             sw, divide = self.div((0,), sp)
-            return sw, lambda u: divide([np.ones(len(u[0]))], positive(u))
+            return sw, lambda u: divide({0: np.ones(len(u[0]))}, positive(u))
         # the steps: (True, mul) sets out = out * base, (True, None)
         # out = base, and (False, mul) base = base * base
         steps, sw, sbase = [], None, su
@@ -632,25 +648,12 @@ class _TaylorPlan:
             out, base = None, u
             for to_out, mul in steps:
                 if not to_out:
-                    base = mul([b.copy() for b in base] if base is out else base, base)
+                    base = mul({k: b.copy() for k, b in base.items()}
+                               if base is out else base, base)
                 else:
                     out = base if mul is None else mul(out, base)
             return out
         return sw, kernel
-
-    def _recurrence(self, su: tuple, scale):
-        """Support of w and its steps for a recurrence
-        alpha_i w_alpha = sum_(0 < g <= alpha) (...) u_g w_(alpha - g): per
-        row after row 0, alpha_i and the triples (scale(g_i, alpha_i), u row,
-        w row) whose u_g and w_(alpha - g) are both stored."""
-        iu, iw, steps = _at(su), {0: 0}, []
-        for k, (order, terms) in enumerate(self.table[1:], 1):
-            pairs = [(scale(gi, order), iu[g], iw[c])
-                     for gi, g, c in terms[1:] if g in iu and c in iw]
-            if pairs:
-                iw[k] = len(iw)
-                steps.append((order, pairs))
-        return tuple(iw), steps
 
     @_shared
     def real_power(self, su: tuple, r: float, sqrt: bool):
@@ -661,12 +664,12 @@ class _TaylorPlan:
 
         def kernel(u):
             # every later row reads u_0; with none, sqrt takes its array
-            w = [np.sqrt(u[0], out=None if steps else u[0]) if sqrt
-                 else np.where(u[0] > 0.0, u[0] ** r, np.nan)]
-            for order, pairs in steps:
+            w = {0: np.sqrt(u[0], out=None if steps else u[0]) if sqrt
+                 else np.where(u[0] > 0.0, u[0] ** r, np.nan)}
+            for k, order, pairs in steps:
                 row = _dot((s * u[a], w[b]) for s, a, b in pairs)
                 row /= order * u[0]
-                w.append(row)
+                w[k] = row
             return w
         return sw, kernel
 
@@ -676,9 +679,9 @@ class _TaylorPlan:
         sw, steps = self._recurrence(su, lambda gi, order: gi / order)
 
         def kernel(u):
-            w = [np.exp(u[0], out=u[0])]  # the recurrence reads no u_0
-            for _, pairs in steps:
-                w.append(_dot((s * u[a], w[b]) for s, a, b in pairs))
+            w = {0: np.exp(u[0], out=u[0])}  # the recurrence reads no u_0
+            for k, _, pairs in steps:
+                w[k] = _dot((s * u[a], w[b]) for s, a, b in pairs)
             return w
         return sw, kernel
 
@@ -694,39 +697,33 @@ class _TaylorPlan:
             sin_cos = (np.sin, np.cos)
             other = sin_cos[1 - part](u[0]) if steps else None
             mine = sin_cos[part](u[0], out=u[0])
-            s, c = ([mine], [other]) if part == 0 else ([other], [mine])
-            for _, pairs in steps:
+            s, c = ({0: mine}, {0: other}) if part == 0 else ({0: other}, {0: mine})
+            for k, _, pairs in steps:
                 du = [(f * u[a], b) for f, a, b in pairs]
-                s.append(_dot((d, c[b]) for d, b in du))
+                s[k] = _dot((d, c[b]) for d, b in du)
                 row = _dot((d, s[b]) for d, b in du)
-                c.append(np.negative(row, out=row))
+                c[k] = np.negative(row, out=row)
             return (s, c)[part]
         return sw, kernel
 
     @_shared
     def tanh(self, su: tuple):
-        # d_i w = (1 - w^2) d_i u, with q = 1 - w^2 built alongside w
-        iu, iw, iq, steps = _at(su), {0: 0}, {0: 0}, []
-        for k, (order, terms) in enumerate(self.table[1:], 1):
-            wpairs = [(gi / order, iu[g], iq[c])
-                      for gi, g, c in terms[1:] if g in iu and c in iq]
-            if wpairs:
-                iw[k] = len(iw)
-            qpairs = [(iw[g], iw[c]) for _, g, c in terms if g in iw and c in iw]
-            if qpairs:  # as a stored w row gives the pairs (0, alpha) and (alpha, 0)
-                iq[k] = len(iq)
-                steps.append((wpairs, qpairs))
+        # d_i w = (1 - w^2) d_i u, with q = 1 - w^2 built alongside w.  q's
+        # rows are w's: those are the sums in S of u's rows, a set closed
+        # under the Cauchy square
+        sw, steps = self._recurrence(su, lambda gi, order: gi / order)
+        rows = set(sw)
+        qsteps = [self._pairs(k, rows, rows) for k, _, _ in steps]
 
         def kernel(u):
-            w = [np.tanh(u[0], out=u[0])]  # the recurrence reads no u_0
-            q = [1.0 - w[0] ** 2] if steps else []
-            for wpairs, qpairs in steps:
-                if wpairs:
-                    w.append(_dot((f * u[a], q[b]) for f, a, b in wpairs))
-                row = _dot((w[a], w[b]) for a, b in qpairs)
-                q.append(np.negative(row, out=row))
+            w = {0: np.tanh(u[0], out=u[0])}  # the recurrence reads no u_0
+            q = {0: 1.0 - w[0] ** 2} if steps else {}
+            for (k, _, pairs), qpairs in zip(steps, qsteps):
+                w[k] = _dot((f * u[a], q[b]) for f, a, b in pairs)
+                row = _dot((w[g], w[c]) for _, g, c in qpairs)
+                q[k] = np.negative(row, out=row)
             return w
-        return tuple(iw), kernel
+        return sw, kernel
 
 
 @lru_cache(maxsize=64)
@@ -747,9 +744,9 @@ def _occurrences(e: Expr, counts: list[int]) -> list[int]:
     return counts
 
 
-def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray], unread):
-    """The series of e at the points of `coords`: its support and its
-    stored rows, arrays held by the caller alone.
+def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray], unread) -> dict:
+    """The series of e at the points of `coords`: a dict from each row of
+    its support to that row's array, arrays held by the caller alone.
 
     `unread` is None when the coordinate arrays stay the caller's, and
     otherwise counts, per axis, the x_i leaves the walk has yet to reach:
@@ -761,7 +758,7 @@ def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray], unread):
     they write into their operands' arrays; a memo of shared nodes would have
     to hand out copies."""
     if isinstance(e, (Const, Pi)):
-        return (0,), [np.full(len(coords[0]), math.pi if isinstance(e, Pi) else float(e.value))]
+        return {0: np.full(len(coords[0]), math.pi if isinstance(e, Pi) else float(e.value))}
     if isinstance(e, Var):
         x = coords[e.index]
         if unread is not None:
@@ -769,28 +766,27 @@ def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray], unread):
         if unread is None or unread[e.index]:
             x = x.copy()
         unit = plan.unit_rows[e.index]
-        return ((0,), [x]) if unit is None else ((0, unit), [x, np.ones(len(x))])
+        return {0: x} if unit is None else {0: x, unit: np.ones(len(x))}
     if isinstance(e, Neg):
-        support, u = _taylor(e.arg, plan, coords, unread)
-        return support, [np.negative(x, out=x) for x in u]
+        u = _taylor(e.arg, plan, coords, unread)
+        return {k: np.negative(x, out=x) for k, x in u.items()}
     if isinstance(e, Binary):
-        su, u = _taylor(e.left, plan, coords, unread)
-        sv, v = _taylor(e.right, plan, coords, unread)
-        support, kernel = getattr(plan, BINARY[e.op][2])(su, sv)
-        return support, kernel(u, v)
+        u = _taylor(e.left, plan, coords, unread)
+        v = _taylor(e.right, plan, coords, unread)
+        return getattr(plan, BINARY[e.op][2])(tuple(u), tuple(v))[1](u, v)
     if isinstance(e, Pow):
-        su, u = _taylor(e.base, plan, coords, unread)
-        support, kernel = plan.power(su, e.exponent)
+        u = _taylor(e.base, plan, coords, unread)
+        _, kernel = plan.power(tuple(u), e.exponent)
     elif isinstance(e, Powr):
-        su, u = _taylor(e.base, plan, coords, unread)
-        support, kernel = plan.real_power(su, e.num / e.den, False)
+        u = _taylor(e.base, plan, coords, unread)
+        _, kernel = plan.real_power(tuple(u), e.num / e.den, False)
     elif isinstance(e, Call):
-        su, u = _taylor(e.arg, plan, coords, unread)
+        u = _taylor(e.arg, plan, coords, unread)
         op, *args = FUNCTIONS[e.name]
-        support, kernel = getattr(plan, op)(su, *args)
+        _, kernel = getattr(plan, op)(tuple(u), *args)
     else:
         raise TypeError(f"unknown node {e!r}")
-    return support, kernel(u)
+    return kernel(u)
 
 
 def evaluate(e: PotentialExpr, point) -> float:
@@ -825,9 +821,7 @@ def taylor_derivatives(e: PotentialExpr, nus, coords: list[np.ndarray], *,
     and a returned array may be one of them.  With the kernels' writes into
     their operands, exp(-x1^2-x2^2) at order 0 on same-shape contiguous float
     arrays then allocates no array.  The values are the same either way."""
-    nus = tuple(sorted(set(nus)))
-    if any(len(nu) != e.dim for nu in nus):
-        raise ValueError(f"multi-indices {nus} have wrong length for dimension {e.dim}")
+    nus = tuple(sorted({_multi_index(nu, e.dim) for nu in nus}))
     if len(coords) != e.dim:
         raise ValueError(f"{len(coords)} coordinate arrays for dimension {e.dim}")
     if not nus:
@@ -838,15 +832,13 @@ def taylor_derivatives(e: PotentialExpr, nus, coords: list[np.ndarray], *,
     flat = [c.ravel() for c in coords]
     unread = _occurrences(e.root, [0] * e.dim) if overwrite_coords else None
     with np.errstate(all="ignore"):
-        support, series = _taylor(e.root, plan, flat, unread)
-    at = _at(support)
+        series = _taylor(e.root, plan, flat, unread)
     out = {}
     for nu in nus:
-        row = at.get(plan.pos[nu])
-        if row is None:  # structurally zero
+        values = series.get(plan.pos[nu])
+        if values is None:  # structurally zero
             out[nu] = np.zeros(shape)
             continue
-        values = series[row]
         scale = multi_index_factorial(nu)
         if scale != 1:
             values *= scale  # each nu has its own row

@@ -295,6 +295,33 @@ class TestVerify:
         t4_term = (4 * math.pi * 0.05) ** -0.5 * (547 / 840) * 0.05 ** 4
         assert check["tolerance"] - t4_term < deviation <= check["tolerance"]
 
+    @pytest.mark.parametrize("t", ["1e-300", "1e-20"])
+    def test_fk_t_below_the_expansion_is_a_usage_error(self, capsys, monkeypatch, t):
+        # for exp(-x1^2), 1 - t rounds to 1 at these t, and so does every
+        # path weight: the suite would compare the free kernel with itself.
+        # The refusal comes before any path is drawn
+        def no_paths(*_):
+            raise AssertionError("fk_diagonal called")
+        monkeypatch.setattr(cli, "fk_diagonal", no_paths)
+        assert main(["verify", "fk", "--paths", "2000", "--t", t]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: t = {float(t)} is too small: 1 + a_1 t + a_2 t^2"
+                       " + a_3 t^3 rounds to 1, so the check would test nothing\n")
+
+    def test_fk_t_below_the_expansion_is_exact_at_a_zero_potential(self, capsys):
+        # every a_j is 0 there, so the target and every weight are exact
+        assert main(["verify", "fk", "--paths", "2000", "--t", "1e-300",
+                     "--potential", "0"]) == 0
+        assert capsys.readouterr().out.startswith("[PASS] fk_vs_3term_expansion")
+
+    def test_fk_prefactor_overflow_comes_before_the_small_t_refusal(self, capsys):
+        assert main(["verify", "fk", "--paths", "100", "--t", "1e-300",
+                     "--dim", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: t = 1e-300 is too small: the kernel prefactor")
+        assert err.count("\n") == 1
+
     def test_fk_tolerance_is_3_stderr_plus_the_t4_term(self, capsys):
         # a_4 in one dimension is V^4/24 - V^2 V''/12 - V V'^2/12 + V''^2/40
         # + V' V'''/30 + V V''''/60 - V^(6)/840.  For V = exp(-x^2) at 0,

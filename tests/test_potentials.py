@@ -9,12 +9,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatinv.potentials import (DERIVATIVE_CAP, NESTING_BUDGET,
                                 DerivativeCapError, Expr, PotentialEvalError,
-                                PotentialSyntaxError, differentiate, evaluate,
-                                evaluate_array, parse_potential,
-                                taylor_derivatives)
+                                PotentialSyntaxError, _TaylorPlan,
+                                differentiate, evaluate, evaluate_array,
+                                parse_potential, taylor_derivatives)
 
 
 def _height(expr) -> int:
@@ -232,6 +234,67 @@ class TestDifferentiation:
         e = parse_potential("exp(-x1^2)", 1)
         with pytest.raises(DerivativeCapError):
             differentiate(e, (DERIVATIVE_CAP + 1,))
+
+
+class TestMultiIndices:
+    """A multi-index is a tuple of dim non-negative ints, in both entries:
+    (-1,) used to give V itself from differentiate and an IndexError from
+    taylor_derivatives, and (1.5,) a TypeError."""
+
+    @pytest.mark.parametrize("nu", [(-1,), (1.5,), (1, 0), (), [1], (np.int64(1),)],
+                             ids=["negative", "float", "long", "empty", "list", "numpy"])
+    def test_both_entries_refuse_it_by_name(self, nu):
+        e = parse_potential("exp(-x1^2)", 1)
+        message = re.escape(f"multi-index {nu!r} is not a tuple of 1 non-negative ints")
+        with pytest.raises(ValueError, match=message):
+            differentiate(e, nu)
+        with pytest.raises(ValueError, match=message):
+            taylor_derivatives(e, [(0,), nu], [np.array([0.5])])
+
+
+@st.composite
+def _plans_and_supports(draw):
+    """A plan over a random downward closure and two operand supports of
+    it, each holding row 0 as every series does."""
+    dim = draw(st.integers(1, 3))
+    nus = draw(st.lists(st.tuples(*[st.integers(0, 3)] * dim), min_size=1, max_size=3))
+    plan = _TaylorPlan(tuple(nus))
+    support = st.sets(st.sampled_from(range(len(plan.table)))).map(
+        lambda rows: tuple(sorted(rows | {0})))
+    return plan, draw(support), draw(support)
+
+
+class TestTaylorSupports:
+    """Each plan operation returns the support its rule sets, worked out
+    here on the multi-indices themselves: a recurrence reaches exactly the
+    sums in S of its argument's rows, a set closed under the Cauchy square,
+    so tanh's q = 1 - w^2 has w's rows."""
+
+    @given(_plans_and_supports())
+    @settings(max_examples=150, deadline=None)
+    def test_each_operation_returns_its_rule(self, case):
+        plan, su, sv = case
+        index = {k: alpha for alpha, k in plan.pos.items()}
+
+        def sums(left, right):
+            return {plan.pos[alpha] for g in left for c in right
+                    if (alpha := tuple(a + b for a, b in zip(index[g], index[c]))) in plan.pos}
+
+        def reached(seed, steps):
+            rows = set(seed) | {0}
+            while more := sums(rows, set(steps) - {0}) - rows:
+                rows |= more
+            return tuple(sorted(rows))
+
+        assert plan.add(su, sv)[0] == tuple(sorted(set(su) | set(sv)))
+        assert plan.mul(su, sv)[0] == tuple(sorted(sums(su, sv)))
+        assert plan.power(su, 3)[0] == tuple(sorted(sums(sums(su, su), su)))
+        for op, *args in [("exp",), ("sin_cos", 0), ("sin_cos", 1), ("tanh",),
+                          ("real_power", 0.5, True), ("real_power", -1 / 6, False)]:
+            assert getattr(plan, op)(su, *args)[0] == reached((0,), su), op
+        assert plan.div(su, sv)[0] == reached(su, sv)
+        sw = plan.tanh(su)[0]
+        assert plan.mul(sw, sw)[0] == sw
 
 
 class TestEvaluation:
