@@ -301,6 +301,12 @@ def verify_fk(args) -> int:
             f" of the target ({abs(target):.3g})")
     estimate, stderr = fk_diagonal(potential, x, args.t, sampler)
     tolerance = 3 * stderr + omitted
+    # a window narrower than the target's float spacing leaves rounding to
+    # decide the check; a zero one is exact, as at a zero potential
+    if 0 < tolerance < math.ulp(target):
+        raise UsageError(
+            f"t = {args.t} is too small: the tolerance {tolerance:.3g} is below"
+            f" the float spacing of the target, {math.ulp(target):.3g}")
     ok = tolerance < window and abs(estimate - target) <= tolerance
     return _report(args, [{
         "name": "fk_vs_3term_expansion", "target": target,

@@ -206,9 +206,11 @@ BINARY = {"+": (0, _add, "add"), "-": (0, _sub, None),
 
 # The functions of one argument, by the name the parser reads: the _TaylorPlan
 # operation that gives a Call's series from its argument's support, and that
-# operation's further arguments
-FUNCTIONS = {"exp": ("exp",), "sin": ("sin_cos", 0), "cos": ("sin_cos", 1),
-             "tanh": ("tanh",), "sqrt": ("real_power", 0.5, True)}
+# operation's further arguments.  exp, sin, cos and tanh share chain_rule,
+# which builds f'(u) alongside the result on the rows the result reads
+FUNCTIONS = {"exp": ("chain_rule", "exp"), "sin": ("chain_rule", "sin"),
+             "cos": ("chain_rule", "cos"), "tanh": ("chain_rule", "tanh"),
+             "sqrt": ("real_power", 0.5, True)}
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +478,11 @@ def differentiate(e: PotentialExpr, nu: MultiIndex) -> PotentialExpr:
 #
 #     alpha_i w_alpha = sum_(0 < g <= alpha) g_i u_g w_(alpha - g).
 #
+# exp, sin, cos and tanh are one chain-rule operation: d_i w = q d_i u with
+# q = f'(u), a series built alongside w (exp's q is w itself).  Row alpha of
+# w reads q only at the rows alpha - g of lower order, so q is formed on the
+# rows some step reads, and not on the rest.
+#
 # A node's series is a dict from the rows of S that can be nonzero at some
 # point, in ascending order, to one 1-D array each; its keys are its
 # support.  Row 0 is always stored; x_i adds e_i; a sum holds the union of
@@ -490,15 +497,16 @@ def differentiate(e: PotentialExpr, nu: MultiIndex) -> PotentialExpr:
 # case S = {0}: one row, and no recurrence steps.
 
 
-def _dot(factors) -> np.ndarray:
+def _dot(factors, negate: bool = False) -> np.ndarray:
     """The sum of x * y over the (x, y) row pairs of `factors`, as a new
-    row: the first product, then the rest added to it in order."""
+    row: the first product, then the rest added to it in order, and the
+    whole negated in place if `negate`."""
     factors = iter(factors)
     x, y = next(factors)
     out = x * y
     for x, y in factors:
         out += x * y
-    return out
+    return np.negative(out, out=out) if negate else out
 
 
 def _shared(op):
@@ -532,9 +540,10 @@ class _TaylorPlan:
     result's, which reads only the terms whose factors are both stored, in
     table order.  A kernel owns its operands' arrays (see _taylor) and
     computes in one wherever no later step reads it: a sum in its first
-    operand's rows, a negation in its operand's, exp, tanh, sin, cos and a
-    quotient in row 0 of their argument or numerator, and, on one row, a
-    product in its first factor and a power or sqrt in its base."""
+    operand's rows, a negation in its operand's, the chain rule (exp, sin,
+    cos and tanh) and a quotient in row 0 of their argument or numerator,
+    and, on one row, a product in its first factor and a power or sqrt in
+    its base."""
 
     def __init__(self, nus: tuple[MultiIndex, ...]):
         closure = set()
@@ -608,11 +617,9 @@ class _TaylorPlan:
                 if not pairs:
                     row = u[k] / v[0]
                 else:
-                    row = _dot((v[g], w[c]) for _, g, c in pairs)
+                    row = _dot(((v[g], w[c]) for _, g, c in pairs), k not in u)
                     if k in u:
                         np.subtract(u[k], row, out=row)
-                    else:
-                        np.negative(row, out=row)
                     row /= v[0]
                 w[k] = row
             return w
@@ -674,54 +681,39 @@ class _TaylorPlan:
         return sw, kernel
 
     @_shared
-    def exp(self, su: tuple):
-        # d_i w = w d_i u
+    def chain_rule(self, su: tuple, name: str):
+        # w = f(u) for f = exp, sin, cos or tanh, with q = f'(u):
+        #     w_alpha = sum_(0 < g <= alpha) (g_i / alpha_i) u_g q_(alpha - g).
+        # exp: q is w.  tanh: q = 1 - w^2, the Cauchy square over w's rows.
+        # sin, cos: q = cos u, -sin u, whose rows are
+        # -sum (g_i / alpha_i) u_g w_(alpha - g); cos stores sin u = -q and
+        # negates its finished sums rather than their terms, so an exact zero
+        # keeps its sign.  q is formed only on the rows some step reads
         sw, steps = self._recurrence(su, lambda gi, order: gi / order)
+        read = {c for _, _, pairs in steps for _, _, c in pairs}
+        rows, trig = set(sw), name in ("sin", "cos")
+        square = ({k: self._pairs(k, rows, rows) for k in read if k}
+                  if name == "tanh" else {})
 
         def kernel(u):
-            w = {0: np.exp(u[0], out=u[0])}  # the recurrence reads no u_0
+            # w_0 takes u_0's array, which no step reads; sin and cos form q_0
+            # from it first
+            q = {0: (np.sin if name == "cos" else np.cos)(u[0])} if trig and 0 in read else {}
+            w = {0: getattr(np, name)(u[0], out=u[0])}
+            if name == "exp":
+                q = w
+            elif name == "tanh" and 0 in read:
+                q[0] = 1.0 - w[0] ** 2
             for k, _, pairs in steps:
-                w[k] = _dot((s * u[a], w[b]) for s, a, b in pairs)
-            return w
-        return sw, kernel
-
-    @_shared
-    def sin_cos(self, su: tuple, part: int):
-        # d_i sin u = cos u d_i u, d_i cos u = -sin u d_i u; both series
-        # reach the same rows, since both hold row 0.  part 0 is sin, 1 cos
-        sw, steps = self._recurrence(su, lambda gi, order: gi / order)
-
-        def kernel(u):
-            # the part returned takes u_0's array, which the recurrence does
-            # not read; the other part is needed only by the recurrence
-            sin_cos = (np.sin, np.cos)
-            other = sin_cos[1 - part](u[0]) if steps else None
-            mine = sin_cos[part](u[0], out=u[0])
-            s, c = ({0: mine}, {0: other}) if part == 0 else ({0: other}, {0: mine})
-            for k, _, pairs in steps:
-                du = [(f * u[a], b) for f, a, b in pairs]
-                s[k] = _dot((d, c[b]) for d, b in du)
-                row = _dot((d, s[b]) for d, b in du)
-                c[k] = np.negative(row, out=row)
-            return (s, c)[part]
-        return sw, kernel
-
-    @_shared
-    def tanh(self, su: tuple):
-        # d_i w = (1 - w^2) d_i u, with q = 1 - w^2 built alongside w.  q's
-        # rows are w's: those are the sums in S of u's rows, a set closed
-        # under the Cauchy square
-        sw, steps = self._recurrence(su, lambda gi, order: gi / order)
-        rows = set(sw)
-        qsteps = [self._pairs(k, rows, rows) for k, _, _ in steps]
-
-        def kernel(u):
-            w = {0: np.tanh(u[0], out=u[0])}  # the recurrence reads no u_0
-            q = {0: 1.0 - w[0] ** 2} if steps else {}
-            for (k, _, pairs), qpairs in zip(steps, qsteps):
-                w[k] = _dot((f * u[a], q[b]) for f, a, b in pairs)
-                row = _dot((w[g], w[c]) for _, g, c in qpairs)
-                q[k] = np.negative(row, out=row)
+                if trig:  # each scaled term f u_g is read twice, so it is held
+                    du = [(f * u[a], c) for f, a, c in pairs]
+                    w[k] = _dot(((d, q[c]) for d, c in du), name == "cos")
+                    if k in read:
+                        q[k] = _dot(((d, w[c]) for d, c in du), name == "sin")
+                else:
+                    w[k] = _dot((f * u[a], q[c]) for f, a, c in pairs)
+                    if k in square:
+                        q[k] = _dot(((w[g], w[c]) for _, g, c in square[k]), True)
             return w
         return sw, kernel
 

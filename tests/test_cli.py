@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -314,6 +315,34 @@ class TestVerify:
         assert main(["verify", "fk", "--paths", "2000", "--t", "1e-300",
                      "--potential", "0"]) == 0
         assert capsys.readouterr().out.startswith("[PASS] fk_vs_3term_expansion")
+
+    @pytest.mark.parametrize("t,paths", [("1e-7", "20000"), ("1e-8", "20000"),
+                                         ("1e-12", "2000"), ("1e-16", "2000")])
+    def test_fk_tolerance_below_the_target_spacing_is_a_usage_error(self, capsys, t, paths):
+        # the expansion does not round to 1 at these t, but the tolerance,
+        # 3 standard errors plus the a_4 t^4 term, is narrower than one float
+        # step of the target, so rounding alone would pass the check
+        assert main(["verify", "fk", "--paths", paths, "--t", t]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        tolerance, spacing = re.fullmatch(
+            rf"error: t = {float(t)} is too small: the tolerance (\S+) is below the"
+            r" float spacing of the target, (\S+)\n", err).groups()
+        assert 0 < float(tolerance) < float(spacing)
+
+    @pytest.mark.parametrize("argv,exact", [(["--t", "1e-6"], False), ([], False),
+                                            (["--potential", "0", "--t", "1e-12"], True)])
+    def test_fk_tolerance_above_the_target_spacing_or_zero_is_checked(self, capsys, argv,
+                                                                      exact):
+        # at t = 1e-6 the window is about 32 float steps of the target; at a
+        # zero potential it is exactly 0, and the check is exact
+        assert main(["verify", "fk", "--paths", "20000", "--format", "json", *argv]) == 0
+        check = json.loads(capsys.readouterr().out)["checks"][0]
+        assert check["pass"]
+        if exact:
+            assert check["tolerance"] == 0.0 and check["observed"] == check["target"]
+        else:
+            assert check["tolerance"] > 16 * math.ulp(check["target"])
 
     def test_fk_prefactor_overflow_comes_before_the_small_t_refusal(self, capsys):
         assert main(["verify", "fk", "--paths", "100", "--t", "1e-300",

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatinv import potentials
 from heatinv.potentials import (DERIVATIVE_CAP, NESTING_BUDGET,
                                 DerivativeCapError, Expr, PotentialEvalError,
                                 PotentialSyntaxError, _TaylorPlan,
@@ -289,11 +290,12 @@ class TestTaylorSupports:
         assert plan.add(su, sv)[0] == tuple(sorted(set(su) | set(sv)))
         assert plan.mul(su, sv)[0] == tuple(sorted(sums(su, sv)))
         assert plan.power(su, 3)[0] == tuple(sorted(sums(sums(su, su), su)))
-        for op, *args in [("exp",), ("sin_cos", 0), ("sin_cos", 1), ("tanh",),
+        for op, *args in [("chain_rule", "exp"), ("chain_rule", "sin"),
+                          ("chain_rule", "cos"), ("chain_rule", "tanh"),
                           ("real_power", 0.5, True), ("real_power", -1 / 6, False)]:
             assert getattr(plan, op)(su, *args)[0] == reached((0,), su), op
         assert plan.div(su, sv)[0] == reached(su, sv)
-        sw = plan.tanh(su)[0]
+        sw = plan.chain_rule(su, "tanh")[0]
         assert plan.mul(sw, sw)[0] == sw
 
 
@@ -508,6 +510,68 @@ class TestTaylorBits:
         for nu in sorted(got):
             h.update(np.ascontiguousarray(got[nu]).tobytes())
         assert h.hexdigest() == self.DIGEST
+
+
+class TestTaylorBitsDeeper:
+    """sha256 of every taylor_derivatives array, as TestTaylorBits, past its
+    reach: |nu| <= 10 at n = 1 and |nu| <= 3 at n = 3, on potentials that
+    run the chain rule of exp, sin, cos and tanh on rows of every order.
+    The digests were recorded before those four functions shared one plan
+    operation."""
+
+    CASES = {
+        "n1": ("sin(x1)*cos(2*x1) + tanh(x1/2) - exp(-x1^2)", 1, 10,
+               "d524b62f6ba3b691da31c6504d7b0a61b6aaec0674c972147f3b2fd230ae7084"),
+        "n3": ("cos(x1*x2)*tanh(x3) + sin(x1+x2+x3)*exp(-x2^2)", 3, 3,
+               "0f4783daaf7e48e90c5f5702d31a717b670ad6f003bdbf3ae89c73bf47bd6df0"),
+    }
+
+    @staticmethod
+    def coords(n):
+        if n == 1:
+            return [np.linspace(-1.3, 1.1, 11)]
+        return list(np.meshgrid(np.linspace(-1.3, 1.1, 5), np.linspace(-0.9, 1.4, 4),
+                                np.linspace(-0.7, 0.8, 3)))
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bits(self, case, overwrite):
+        src, n, order, digest = self.CASES[case]
+        nus = [nu for nu in itertools.product(range(order + 1), repeat=n)
+               if sum(nu) <= order]
+        got = taylor_derivatives(parse_potential(src, n), nus, self.coords(n),
+                                 overwrite_coords=overwrite)
+        h = hashlib.sha256()
+        for nu in sorted(got):
+            h.update(np.ascontiguousarray(got[nu]).tobytes())
+        assert h.hexdigest() == digest
+
+
+class TestChainRuleRows:
+    """The chain rule forms its series q = f'(u) only on the rows that a
+    step of w reads, which are all of lower order than the top: the
+    products `_dot` forms in one pass at n = 2, |nu| <= 4.  Building q on
+    every row of w took 99 for tanh(x1*x2), 40 for sin(x1+x2) and 56 for
+    cos(x1*x2); exp's q is w itself, so its count does not move."""
+
+    @pytest.mark.parametrize("src,products", [
+        ("tanh(x1*x2)", 64), ("sin(x1+x2)", 32), ("cos(x1*x2)", 45),
+        ("exp(-x1^2-x2^2)", 40)])
+    def test_products_formed(self, src, products, monkeypatch):
+        dot, count = potentials._dot, [0]
+
+        def counting(factors, *rest):
+            def each():
+                for pair in factors:
+                    count[0] += 1
+                    yield pair
+            return dot(each(), *rest)
+
+        monkeypatch.setattr(potentials, "_dot", counting)
+        rng = np.random.default_rng(0)
+        nus = [nu for nu in itertools.product(range(5), repeat=2) if sum(nu) <= 4]
+        taylor_derivatives(parse_potential(src, 2), nus, [rng.uniform(-1, 1, 8) for _ in range(2)])
+        assert count[0] == products
 
 
 class TestHandedOverCoordinates:
