@@ -20,13 +20,15 @@ through powr, which keeps symbolic differentiation total.
 ASTs are immutable.  A sum, product or quotient is one node,
 Binary(op, left, right), whose op is the parser's symbol "+", "*" or "/";
 a difference a - b is stored as a + (-b), which IEEE 754 evaluates to the
-same float.  Every number comes from one walk of the AST on
-numpy arrays: a truncated multivariate Taylor pass in which each node stores
-and multiplies only the coefficients that can be nonzero.  Its one entry is
-`taylor_derivatives`, which gives D^nu V; `evaluate_array`, and `evaluate` on
-one point, are views of its order-0 case.  `differentiate` builds the exact
-symbolic D^nu V tree, with light constant folding; it serves as the
-independent reference for Taylor mode.
+same float.  Every node of one operand is Unary(op, arg, params): negation
+"-", an integer power "^" with params (k,), powr with params (p, q), or the
+function whose name is its op, with no params.  Every number comes from one
+walk of the AST on numpy arrays: a truncated multivariate Taylor pass in
+which each node stores and multiplies only the coefficients that can be
+nonzero.  Its one entry is `taylor_derivatives`, which gives D^nu V;
+`evaluate_array`, and `evaluate` on one point, are views of its order-0
+case.  `differentiate` builds the exact symbolic D^nu V tree, with light
+constant folding; it serves as the independent reference for Taylor mode.
 One error rule holds for every evaluation: a non-positive powr base gives NaN,
 and a non-finite final value raises PotentialEvalError.  Nothing else raises
 it, so a finite value is accepted even where an intermediate one is infinite,
@@ -94,27 +96,10 @@ class Binary(Expr):
 
 
 @dataclass(frozen=True)
-class Neg(Expr):
+class Unary(Expr):
+    op: str  # a key of UNARY: "-", "^", "powr" or a function name
     arg: Expr
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Powr(Expr):
-    base: Expr
-    num: int
-    den: int
-
-
-@dataclass(frozen=True)
-class Call(Expr):
-    name: str
-    arg: Expr
+    params: tuple[int, ...] = ()  # (k,) for "^", (p, q) for "powr"
 
 
 @dataclass(frozen=True)
@@ -137,7 +122,7 @@ CONST_POWER_BITS = 4096
 # the parser nests at most this many levels deep (every "(", function
 # argument, unary minus and exponent opens one) and returns trees at most
 # this high as written.  A subtraction counts one level, but its
-# subtrahend's stored Neg can add one more per subtraction, so a stored tree
+# subtrahend's negation can add one more per subtraction, so a stored tree
 # stays below 2 * NESTING_BUDGET levels, far from Python's recursion limit
 NESTING_BUDGET = 100
 
@@ -182,9 +167,9 @@ def _div(a: Expr, b: Expr) -> Expr:
 def _neg(a: Expr) -> Expr:
     if isinstance(a, Const):
         return Const(-a.value)
-    if isinstance(a, Neg):
+    if isinstance(a, Unary) and a.op == "-":
         return a.arg
-    return Neg(a)
+    return Unary("-", a)
 
 
 def _pow(a: Expr, k: int) -> Expr:
@@ -194,23 +179,25 @@ def _pow(a: Expr, k: int) -> Expr:
         return a
     if isinstance(a, Const):
         return Const(a.value ** k)
-    return Pow(a, k)
+    return Unary("^", a, (k,))
 
 
 # The binary operators, by the symbol the parser reads, one precedence level
 # per line, loosest first: the level, the smart constructor the parser builds
 # with, and the _TaylorPlan operation that _taylor applies to a Binary node of
-# that op.  "-" builds a "+" node over a Neg, so it has no operation of its own
+# that op.  "-" builds "+" over a negation, so it has no operation of its own
 BINARY = {"+": (0, _add, "add"), "-": (0, _sub, None),
           "*": (1, _mul, "mul"), "/": (1, _div, "div")}
 
-# The functions of one argument, by the name the parser reads: the _TaylorPlan
-# operation that gives a Call's series from its argument's support, and that
-# operation's further arguments.  exp, sin, cos and tanh share chain_rule,
-# which builds f'(u) alongside the result on the rows the result reads
-FUNCTIONS = {"exp": ("chain_rule", "exp"), "sin": ("chain_rule", "sin"),
-             "cos": ("chain_rule", "cos"), "tanh": ("chain_rule", "tanh"),
-             "sqrt": ("real_power", 0.5, True)}
+# The ops of a Unary node: from its params, the _TaylorPlan operation that
+# gives its series from its argument's support, and that operation's further
+# arguments.  exp, sin, cos and tanh share chain_rule, which builds f'(u)
+# alongside the result on the rows the result reads.  Every key but "-" and
+# "^" is a name the parser reads before "("
+UNARY = {"-": lambda: ("neg",), "^": lambda k: ("power", k),
+         "powr": lambda p, q: ("real_power", p / q, False),
+         "sqrt": lambda: ("real_power", 0.5, True),
+         **{f: lambda f=f: ("chain_rule", f) for f in ("exp", "sin", "cos", "tanh")}}
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +214,7 @@ def _digits(text: str) -> bool:
 class _Parser:
     """Recursive descent.  Each rule returns its tree with its height as
     written, one above its highest operand's (leaves are 1); `a - b` counts
-    one level, though it is stored as Binary("+", a, Neg(b))."""
+    one level, though it is stored as Binary("+", a, Unary("-", b))."""
 
     LEVELS = 1 + max(level for level, _, _ in BINARY.values())
 
@@ -359,23 +346,19 @@ class _Parser:
                     self.pos = at
                     self.error(f"variable {name} out of range for dimension {self.dim}")
                 return Var(index - 1), 1
-            if name == "powr":
+            if name in UNARY:  # powr or a function
                 self.expect("(")
-                base = self.expr()
-                self.expect(",")
-                p = self.int_literal()
-                self.expect(",")
-                q = self.int_literal()
+                arg, params = self.expr(), ()
+                if name == "powr":
+                    self.expect(",")
+                    p = self.int_literal()
+                    self.expect(",")
+                    params = (p, self.int_literal())
                 self.expect(")")
-                if q <= 0:
+                if params and params[1] <= 0:
                     self.pos = at
                     self.error("powr denominator must be a positive integer")
-                return self.node(lambda b: Powr(b, p, q), at, base)
-            if name in FUNCTIONS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return self.node(lambda a: Call(name, a), at, arg)
+                return self.node(lambda a: Unary(name, a, params), at, arg)
             self.pos = at
             self.error(f"unknown identifier {name!r}")
         self.error("expected a number, variable, function, or '('")
@@ -416,29 +399,29 @@ def _d(e: Expr, axis: int) -> Expr:
             return _add(_mul(_d(a, axis), b), _mul(a, _d(b, axis)))
         num = _sub(_mul(_d(a, axis), b), _mul(a, _d(b, axis)))
         return _div(num, _pow(b, 2))
-    if isinstance(e, Neg):
-        return _neg(_d(e.arg, axis))
-    if isinstance(e, Pow):
-        inner = _d(e.base, axis)
-        return _mul(_mul(Const(Fraction(e.exponent)), _pow(e.base, e.exponent - 1)), inner)
-    if isinstance(e, Powr):
-        inner = _d(e.base, axis)
-        factor = _mul(Const(Fraction(e.num, e.den)), Powr(e.base, e.num - e.den, e.den))
-        return _mul(factor, inner)
-    if isinstance(e, Call):
-        inner = _d(e.arg, axis)
-        if e.name == "exp":
-            outer = Call("exp", e.arg)
-        elif e.name == "sin":
-            outer = Call("cos", e.arg)
-        elif e.name == "cos":
-            outer = _neg(Call("sin", e.arg))
-        elif e.name == "tanh":
-            outer = _sub(ONE, _pow(Call("tanh", e.arg), 2))
-        elif e.name == "sqrt":
-            return _div(inner, _mul(Const(Fraction(2)), Call("sqrt", e.arg)))
+    if isinstance(e, Unary):
+        # the rules by op, kept apart from UNARY as an independent reference
+        u, inner = e.arg, _d(e.arg, axis)
+        if e.op == "-":
+            return _neg(inner)
+        if e.op == "sqrt":
+            return _div(inner, _mul(Const(Fraction(2)), e))
+        if e.op == "^":
+            k, = e.params
+            outer = _mul(Const(Fraction(k)), _pow(u, k - 1))
+        elif e.op == "powr":
+            p, q = e.params
+            outer = _mul(Const(Fraction(p, q)), Unary("powr", u, (p - q, q)))
+        elif e.op == "exp":
+            outer = e
+        elif e.op == "sin":
+            outer = Unary("cos", u)
+        elif e.op == "cos":
+            outer = _neg(Unary("sin", u))
+        elif e.op == "tanh":
+            outer = _sub(ONE, _pow(e, 2))
         else:
-            raise TypeError(f"unknown function {e.name!r}")
+            raise TypeError(f"unknown op {e.op!r}")
         return _mul(outer, inner)
     raise TypeError(f"unknown node {e!r}")
 
@@ -568,6 +551,10 @@ class _TaylorPlan:
         whose row g is in `left` and row alpha - g in `right`."""
         return [(gi, g, c) for gi, g, c in self.table[k][1][first:]
                 if g in left and c in right]
+
+    @_shared
+    def neg(self, su: tuple):
+        return su, lambda u: {k: np.negative(x, out=x) for k, x in u.items()}
 
     @_shared
     def add(self, su: tuple, sv: tuple):
@@ -723,22 +710,26 @@ def _taylor_plan(nus: tuple[MultiIndex, ...]) -> _TaylorPlan:
     return _TaylorPlan(nus)
 
 
+def _operands(e: Expr) -> tuple[Expr, ...]:
+    """The operands of a node, left to right; none for a leaf."""
+    if isinstance(e, Binary):
+        return e.left, e.right
+    return (e.arg,) if isinstance(e, Unary) else ()
+
+
 def _occurrences(e: Expr, counts: list[int]) -> list[int]:
     """counts, with counts[i] raised by the number of x_i leaves of e's tree."""
     if isinstance(e, Var):
         counts[e.index] += 1
-    elif isinstance(e, Binary):
-        _occurrences(e.right, _occurrences(e.left, counts))
-    elif isinstance(e, (Neg, Call)):
-        _occurrences(e.arg, counts)
-    elif isinstance(e, (Pow, Powr)):
-        _occurrences(e.base, counts)
+    for a in _operands(e):
+        _occurrences(a, counts)
     return counts
 
 
 def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray], unread) -> dict:
     """The series of e at the points of `coords`: a dict from each row of
-    its support to that row's array, arrays held by the caller alone.
+    its support to that row's array, arrays held by the caller alone.  A
+    node's op names its plan operation in BINARY or UNARY.
 
     `unread` is None when the coordinate arrays stay the caller's, and
     otherwise counts, per axis, the x_i leaves the walk has yet to reach:
@@ -759,26 +750,15 @@ def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray], unread) -> dic
             x = x.copy()
         unit = plan.unit_rows[e.index]
         return {0: x} if unit is None else {0: x, unit: np.ones(len(x))}
-    if isinstance(e, Neg):
-        u = _taylor(e.arg, plan, coords, unread)
-        return {k: np.negative(x, out=x) for k, x in u.items()}
     if isinstance(e, Binary):
         u = _taylor(e.left, plan, coords, unread)
         v = _taylor(e.right, plan, coords, unread)
         return getattr(plan, BINARY[e.op][2])(tuple(u), tuple(v))[1](u, v)
-    if isinstance(e, Pow):
-        u = _taylor(e.base, plan, coords, unread)
-        _, kernel = plan.power(tuple(u), e.exponent)
-    elif isinstance(e, Powr):
-        u = _taylor(e.base, plan, coords, unread)
-        _, kernel = plan.real_power(tuple(u), e.num / e.den, False)
-    elif isinstance(e, Call):
+    if isinstance(e, Unary):
         u = _taylor(e.arg, plan, coords, unread)
-        op, *args = FUNCTIONS[e.name]
-        _, kernel = getattr(plan, op)(tuple(u), *args)
-    else:
-        raise TypeError(f"unknown node {e!r}")
-    return kernel(u)
+        op, *args = UNARY[e.op](*e.params)
+        return getattr(plan, op)(tuple(u), *args)[1](u)
+    raise TypeError(f"unknown node {e!r}")
 
 
 def evaluate(e: PotentialExpr, point) -> float:

@@ -1,6 +1,5 @@
 """Potential expression language: parsing, differentiation, evaluation."""
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -13,17 +12,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatinv import potentials
-from heatinv.potentials import (DERIVATIVE_CAP, NESTING_BUDGET,
-                                DerivativeCapError, Expr, PotentialEvalError,
-                                PotentialSyntaxError, _TaylorPlan,
+from heatinv.potentials import (DERIVATIVE_CAP, NESTING_BUDGET, UNARY, Binary,
+                                Const, DerivativeCapError, Pi,
+                                PotentialEvalError, PotentialSyntaxError,
+                                Unary, Var, _operands, _TaylorPlan,
                                 differentiate, evaluate, evaluate_array,
                                 parse_potential, taylor_derivatives)
 
 
 def _height(expr) -> int:
     """Stored height of a potential AST (leaves are 1)."""
-    return 1 + max((_height(v) for f in dataclasses.fields(expr)
-                    if isinstance(v := getattr(expr, f.name), Expr)), default=0)
+    return 1 + max((_height(a) for a in _operands(expr)), default=0)
+
+
+def _nodes(expr):
+    """Every node of a potential AST, each shared subtree once per path."""
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo += _operands(node)
 
 
 class TestParsing:
@@ -55,7 +63,8 @@ class TestParsing:
             assert evaluate(again, (x,)) == evaluate(e, (x,))
 
     def test_difference_is_stored_as_a_sum(self):
-        """a - b is Binary("+", a, Neg(b)), folded like any sum and negation."""
+        """a - b is Binary("+", a, Unary("-", b)), folded like any sum and
+        negation."""
         assert parse_potential("x1 - x2", 2) == parse_potential("x1 + (-x2)", 2)
         assert parse_potential("x1 - -x2", 2) == parse_potential("x1 + x2", 2)
         assert parse_potential("x1 - 0", 1) == parse_potential("x1", 1)
@@ -133,8 +142,8 @@ class TestParsing:
     @pytest.mark.parametrize("text,_,__,slope", NESTED, ids=NESTED_IDS)
     def test_nesting_at_the_budget_evaluates_to_order_two(self, text, _, __, slope):
         """Parsing and a Taylor pass to order 2 stay below the recursion
-        limit at the budget, where a stored tree, with the Neg of every
-        subtrahend, is below twice the budget high; the values follow the
+        limit at the budget, where a stored tree, with the negation of
+        every subtrahend, is below twice the budget high; the values follow the
         chain rule."""
         x = np.linspace(-1.3, 1.1, 7)
         e = parse_potential(text, 1)
@@ -180,6 +189,34 @@ class TestParsing:
             parse_potential("powr(x1, 1, 0)", 1)
         with pytest.raises(PotentialSyntaxError):
             parse_potential("powr(x1, 1, -2)", 1)
+
+
+class TestStoredTree:
+    """Negation, both powers and every function are stored as one node,
+    Unary(op, arg, params), and derivative trees are built of the same
+    five node kinds as parsed ones."""
+
+    @pytest.mark.parametrize("text,tree", [
+        ("-x1", Unary("-", Var(0))),
+        ("x1^-2", Unary("^", Var(0), (-2,))),
+        ("powr(x1, 1, 3)", Unary("powr", Var(0), (1, 3))),
+        *[(f"{f}(x1)", Unary(f, Var(0))) for f in ("sqrt", "exp", "sin", "cos", "tanh")],
+        ("x1 - x2", Binary("+", Var(0), Unary("-", Var(1)))),
+        ("exp(x1) - x2^3", Binary("+", Unary("exp", Var(0)), Unary("-", Unary("^", Var(1), (3,))))),
+    ])
+    def test_parsed_tree(self, text, tree):
+        assert parse_potential(text, 2).root == tree
+
+    def test_derivative_trees_hold_only_ast_nodes(self):
+        e = parse_potential("-x1^-2 + powr(x1, 1, 3) * sqrt(x1) - exp(x1) * sin(x1) / cos(x1)"
+                            " + tanh(pi * x1)", 1)
+        params = {"^": 1, "powr": 2}
+        for k in range(1, 4):
+            nodes = list(_nodes(differentiate(e, (k,)).root))
+            assert {type(node) for node in nodes} <= {Const, Pi, Var, Binary, Unary}, k
+            for node in nodes:
+                if isinstance(node, Unary):
+                    assert node.op in UNARY and len(node.params) == params.get(node.op, 0)
 
 
 class TestDifferentiation:
@@ -384,6 +421,33 @@ def assert_matches_trees(e, nus, coords):
         want = evaluate_array(differentiate(e, nu), coords)
         scale = max(float(np.abs(want).max()), 1e-300)
         assert np.abs(got[nu] - want).max() <= 1e-12 * scale, nu
+
+
+class TestUnaryOps:
+    """One potential per key of UNARY, whose Taylor derivatives to
+    |nu| <= 4 match differentiate's trees: an op without a plan operation
+    or a derivative rule fails here."""
+
+    CASES = {"-": "-x1*x2 + x2", "^": "(1 + x1*x2)^-3", "powr": "powr(2 + x1 - x2, -1, 3)",
+             "sqrt": "sqrt(2 + x1*x2)", "exp": "exp(x1 - x2^2)", "sin": "sin(x1*x2 + x2)",
+             "cos": "cos(2*x1 - x2)", "tanh": "tanh(x1*x2 - x1)"}
+
+    @staticmethod
+    def ops(e):
+        return {node.op for node in _nodes(e.root) if isinstance(node, Unary)}
+
+    def test_the_cases_cover_every_op(self):
+        covered = set().union(*(self.ops(parse_potential(src, 2)) for src in self.CASES.values()))
+        assert covered == set(self.CASES) == set(UNARY)
+
+    @pytest.mark.parametrize("op", sorted(CASES))
+    def test_matches_trees(self, op):
+        e = parse_potential(self.CASES[op], 2)
+        assert op in self.ops(e)
+        rng = np.random.default_rng(2)
+        coords = [rng.uniform(-0.6, 0.6, 9) for _ in range(2)]
+        nus = [nu for nu in itertools.product(range(5), repeat=2) if sum(nu) <= 4]
+        assert_matches_trees(e, nus, coords)
 
 
 class TestTaylorMode:
