@@ -197,7 +197,7 @@ def _emit_table(args, density) -> int:
     built."""
     potential = parse_potential(args.potential, args.dim)
     config = QuadratureConfig(half_width=args.box)
-    check_quadrature(args.dim, config)
+    check_quadrature(args.dim, config, potential)
     invariants = [density(j) for j in range(1, args.order + 1)]
     table = coefficient_table(invariants, potential, args.dim, config)
     _emit(args, table, table["rows"], TABLE_COLUMNS, table_text(table))
@@ -412,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--potential": dict(required=True, help=POTENTIAL_HELP),
         "--order": dict(type=int, required=True, help=ORDER_HELP),
         "--box": dict(type=float, default=QuadratureConfig.half_width,
-                      help="quadrature box half-width"),
+                      help="half-width L of the quadrature box [-L, L]^n; for a"
+                           " radial potential, the scale L of the half-line map"
+                           " r = L (u/(1-u))^3"),
     }
     suite_options = {
         "--dim": dict(type=int, default=1),

@@ -1,7 +1,14 @@
 """Numeric pipeline: evaluate symbolic densities for a concrete potential,
-integrate them over the truncated box [-L, L]^n (not over R^n), and convert
-integrated invariants into scattering phase / trace-distribution
-coefficients.
+integrate them, and convert integrated invariants into scattering phase /
+trace-distribution coefficients.
+
+A table integrates over R^n when the potential is structurally radial
+(potentials.is_radial): its densities are radial too, since the local
+invariants are O(n)-invariant polynomials in the jets, so each row is
+|S^(n-1)| times one integral over the half-line [0, inf), which the
+G10/K21 rule takes in one dimension on [0, 1) by r = L (u/(1-u))^3.  Any
+other potential is integrated over the truncated box [-L, L]^n (not over
+R^n), as integrate_density does.
 
 All exact Gamma and (4 pi)^(-n/2) factors are combined as one exact pair
 (q, k), standing for q * pi^(k/2), before any float conversion; floats only
@@ -19,7 +26,7 @@ from ._lazy import np
 from .diffpoly import DiffPoly
 from .halfint import gamma_half_integer
 from .invariants import InvariantResult, monomial_decay_weight
-from .potentials import PotentialExpr, taylor_derivatives
+from .potentials import PotentialExpr, is_radial, taylor_derivatives
 
 
 class QuadratureError(RuntimeError):
@@ -34,7 +41,7 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    half_width: float = 12.0     # integration box [-L, L]^n
+    half_width: float = 12.0     # box [-L, L]^n, or the radial half-line map's scale L
 
 
 QUAD_TOL = 1e-9  # absolute and relative error target of every integral
@@ -162,9 +169,11 @@ def _subintervals_per_axis(centers: np.ndarray, halves: np.ndarray) -> int:
                for c, h in zip(centers.T, halves.T))
 
 
-def _adaptive_gauss_kronrod(f, n: int, config: QuadratureConfig) -> tuple[float, float]:
-    """Globally adaptive tensor-product G10/K21 quadrature of f over the box
-    [-L, L]^n, with f taking one coordinate array per axis.
+def _adaptive_gauss_kronrod(f, n: int, center: float,
+                            half_width: float) -> tuple[float, float]:
+    """Globally adaptive tensor-product G10/K21 quadrature of f over the cube
+    of that center and half-width on every axis, with f taking one
+    coordinate array per axis.
 
     Each round bisects the fewest largest-error cells that hold all but half
     a tolerance of the total error, each along the axis where its Gauss and
@@ -173,14 +182,16 @@ def _adaptive_gauss_kronrod(f, n: int, config: QuadratureConfig) -> tuple[float,
     error being the sum of the cells' |Kronrod - Gauss|.  Raises
     QuadratureError, carrying the value and error reached, when they stop
     being finite floats, or when a bisection would cut an axis into more
-    than QUAD_LIMIT subintervals or take the integral past
-    MAX_INTEGRAL_NODES nodes.
+    than QUAD_LIMIT subintervals, take the integral past MAX_INTEGRAL_NODES
+    nodes, or make a cell so narrow that its outermost node rounds onto its
+    edge, so that f never sees a node on the cube's boundary.
     """
+    outermost = _XGK[0]
     # an overflow in the integrand or in the cell rules shows as a
     # non-finite value or error, which the first check of each round refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        centers = np.zeros((1, n))
-        halves = np.full((1, n), float(config.half_width))
+        centers = np.full((1, n), float(center))
+        halves = np.full((1, n), float(half_width))
         est, err, axis = _apply_rules(f, centers, halves)
         cell_nodes = len(_gk_rule()[0]) ** n
         spent = cell_nodes
@@ -212,6 +223,13 @@ def _adaptive_gauss_kronrod(f, n: int, config: QuadratureConfig) -> tuple[float,
                 raise QuadratureError(
                     f"quadrature did not converge: error {error:.3g} above tolerance"
                     f" {tol:.3g} with {QUAD_LIMIT} subintervals per axis", value, error)
+            reach = child_halves * outermost
+            if (np.any(child_centers + reach == child_centers + child_halves)
+                    or np.any(child_centers - reach == child_centers - child_halves)):
+                raise QuadratureError(
+                    f"quadrature did not converge: error {error:.3g} above tolerance"
+                    f" {tol:.3g} in cells too narrow for distinct float64 nodes",
+                    value, error)
             spent += len(child_centers) * cell_nodes
             if spent > MAX_INTEGRAL_NODES:
                 raise QuadratureError(
@@ -223,10 +241,13 @@ def _adaptive_gauss_kronrod(f, n: int, config: QuadratureConfig) -> tuple[float,
                               for old, new in zip((est, err, axis), child))
 
 
-def check_quadrature(n: int, config: QuadratureConfig):
-    """Raise ValueError unless the box half-width L is positive and finite,
-    the first cell's volume L^n is a finite float, and one cell's 21^n nodes
-    fit in MAX_ROUND_NODES (n <= 4)."""
+def check_quadrature(n: int, config: QuadratureConfig,
+                     potential: PotentialExpr | None = None):
+    """Raise ValueError unless the half-width L is positive and finite and
+    L^n is a finite float, and, on the box, unless one cell's 21^n nodes fit
+    in MAX_ROUND_NODES (n <= 4).  A radial potential's table takes the
+    half-line, 21 nodes per cell in every n; with no potential the box is
+    checked."""
     if not 0 < config.half_width < math.inf:
         raise ValueError(
             f"box half-width must be positive and finite, got {config.half_width}")
@@ -234,7 +255,8 @@ def check_quadrature(n: int, config: QuadratureConfig):
         raise ValueError(
             f"box half-width {config.half_width} is too large in dimension {n}:"
             f" the cell volume L^{n} overflows a float")
-    if 21 ** n > MAX_ROUND_NODES:
+    radial = potential is not None and is_radial(potential)
+    if not radial and 21 ** n > MAX_ROUND_NODES:
         raise ValueError(
             f"quadrature in dimension {n} needs 21^{n} = {21 ** n} nodes per cell,"
             f" past the budget of {MAX_ROUND_NODES} nodes per round")
@@ -253,7 +275,39 @@ def integrate_density(density: DiffPoly, potential: PotentialExpr, n: int,
     if not density:
         return 0.0, 0.0
     return _adaptive_gauss_kronrod(
-        lambda coords: _density_values(density, potential, coords), n, config)
+        lambda coords: _density_values(density, potential, coords), n, 0.0,
+        config.half_width)
+
+
+def _half_line_integral(density: DiffPoly, potential: PotentialExpr, n: int,
+                        config: QuadratureConfig) -> tuple[float, float]:
+    """The integral over R^n of a radial density f, as |S^(n-1)| times
+    int_0^inf r^(n-1) f(r e_1) dr, which the G10/K21 rule takes on [0, 1)
+    by r = L (u/(1-u))^3, L the config's half-width.
+
+    Where f decays like r^(-w), the mapped integrand behaves like
+    (1-u)^(3(w-n)-1) at u = 1: bounded for w >= n + 1/3, and unbounded and
+    not integrable for w <= n, so that a density with no integral over R^n
+    runs into the subinterval limit or into cells too narrow for distinct
+    nodes, and raises QuadratureError, rather than converging.  Returns
+    (value, error estimate), as integrate_density does."""
+    if not density:
+        return 0.0, 0.0
+    # |S^(n-1)| = 2 pi^(n/2) / Gamma(n/2), from the exact Gamma(n/2) = q pi^(k/2)
+    q, k = gamma_half_integer(n)
+    sphere = float(2 / q) * math.pi ** ((n - k) / 2)
+    scale = float(config.half_width)
+
+    def f(coords):
+        t = 1.0 - coords[0]  # positive: no node lies on u = 1
+        s = coords[0] / t
+        r = scale * s ** 3
+        # |S^(n-1)| r^(n-1) dr/du, with dr/du = 3 L s^2 / t^2
+        weight = sphere * r ** (n - 1) * 3.0 * scale * (s / t) ** 2
+        return weight * _density_values(density, potential,
+                                         [r] + [np.zeros_like(r)] * (n - 1))
+
+    return _adaptive_gauss_kronrod(f, 1, 0.5, 0.5)
 
 
 def box_tail_1d(density: DiffPoly, potential: PotentialExpr, epsilon: Fraction,
@@ -318,15 +372,22 @@ def coefficient_table(invariants: list[InvariantResult],
                       potential: PotentialExpr, n: int,
                       config: QuadratureConfig | None = None) -> dict:
     """Integrate a list of densities and derive each row's b_j, or beta_j for
-    a regularized density (one with an epsilon).  Returns the JSON document
-    that schemas/coefficient_table.schema.json describes."""
+    a regularized density (one with an epsilon).  Each row is the integral
+    over R^n for a radial potential (domain "R^n") and over [-L, L]^n for
+    any other (domain "box").  Returns the JSON document that
+    schemas/coefficient_table.schema.json describes."""
     config = config or QuadratureConfig()
+    check_quadrature(n, config, potential)
+    radial = is_radial(potential)
     epsilon = invariants[0].epsilon if invariants else None
     rows = []
     for inv in invariants:
-        value, err = integrate_density(inv.density, potential, n, config)
-        if n == 1 and inv.epsilon is not None and inv.density:
-            err += box_tail_1d(inv.density, potential, inv.epsilon, config.half_width)
+        if radial:
+            value, err = _half_line_integral(inv.density, potential, n, config)
+        else:
+            value, err = integrate_density(inv.density, potential, n, config)
+            if n == 1 and inv.epsilon is not None and inv.density:
+                err += box_tail_1d(inv.density, potential, inv.epsilon, config.half_width)
         if inv.epsilon is None:
             extra = b_from_a(value, inv.j, n)
         else:
@@ -334,7 +395,7 @@ def coefficient_table(invariants: list[InvariantResult],
         rows.append({"j": inv.j, "density": inv.density.to_text(), "value": value,
                      "b_or_beta": extra, "route": inv.route, "err": err})
     return {"dim": n, "epsilon": None if epsilon is None else str(epsilon),
-            "rows": rows}
+            "domain": "R^n" if radial else "box", "rows": rows}
 
 
 def table_text(table: dict) -> str:

@@ -726,6 +726,46 @@ def _occurrences(e: Expr, counts: list[int]) -> list[int]:
     return counts
 
 
+def is_radial(e: PotentialExpr) -> bool:
+    """Whether V is, by the structure of its AST, a function of |x|^2: it
+    reaches its coordinates only through subtrees c (x_1^2 + ... + x_n^2) + k
+    with one rational c on every axis and k free of coordinates, once the
+    "+" chain is flattened and negations and constant factors are folded.
+    V is never sampled.  The test is conservative: exp(-x1^2)*exp(-x2^2) is
+    radial but not seen, and in one dimension it holds for every f(x1^2)."""
+    n = e.dim
+
+    def walk(a: Expr) -> tuple[list[Fraction] | None, bool]:
+        # (the c_i of a = sum_i c_i x_i^2 + k, or None when a is not of
+        # that form; whether a is a function of |x|^2)
+        if isinstance(a, Var):
+            return None, False
+        parts = [walk(b) for b in _operands(a)]
+        forms = [form for form, _ in parts]
+        form = None
+        if all(f is not None and not any(f) for f in forms):  # a constant
+            form = [Fraction(0)] * n
+        elif (isinstance(a, Unary) and a.op == "^" and a.params == (2,)
+              and isinstance(a.arg, Var)):
+            form = [Fraction(i == a.arg.index) for i in range(n)]
+        elif isinstance(a, Unary) and a.op == "-" and forms[0] is not None:
+            form = [-c for c in forms[0]]
+        elif isinstance(a, Binary) and a.op == "+" and None not in forms:
+            form = [l + r for l, r in zip(*forms)]
+        elif isinstance(a, Binary) and a.op == "*":
+            for factor, other in ((a.left, forms[1]), (a.right, forms[0])):
+                if isinstance(factor, Const) and other is not None:
+                    form = [factor.value * c for c in other]
+        elif (isinstance(a, Binary) and a.op == "/" and isinstance(a.right, Const)
+              and a.right.value and forms[0] is not None):
+            form = [c / a.right.value for c in forms[0]]
+        if form is not None:
+            return form, len(set(form)) == 1
+        return None, all(radial for _, radial in parts)
+
+    return walk(e.root)[1]
+
+
 def _taylor(e: Expr, plan: _TaylorPlan, coords: list[np.ndarray], unread) -> dict:
     """The series of e at the points of `coords`: a dict from each row of
     its support to that row's array, arrays held by the caller alone.  A

@@ -148,12 +148,46 @@ class TestCoeffs:
         """An integral that would pass MAX_INTEGRAL_NODES exits 3, naming the
         budget, and prints no partial table."""
         monkeypatch.setattr(numeric, "MAX_INTEGRAL_NODES", 4 * 21 ** 2)
-        assert main(["coeffs", "--dim", "2", "--potential", "exp(-x1^2-x2^2)",
+        assert main(["coeffs", "--dim", "2", "--potential", "exp(-x1^2-2*x2^2)",
                      "--order", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("numeric failure:")
         assert f"within {4 * 21 ** 2} nodes" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("potential,domain", [
+        ("exp(-x1^2-x2^2)", "R^n"), ("exp(-x1^2-2*x2^2)", "box")])
+    def test_json_names_the_domain_its_rows_cover(self, potential, domain, capsys):
+        assert main(["coeffs", "--dim", "2", "--potential", potential, "--order", "1",
+                     "--box", "6", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["domain"] == domain
+
+    @pytest.mark.parametrize("argv,exact", [
+        (("coeffs", "--dim", "1", "--potential", "1/(1+x1^2)", "--order", "2"),
+         [-math.pi, math.pi / 4]),
+        (("coeffs", "--dim", "3", "--potential", "powr(1+x1^2+x2^2+x3^2,-2,1)",
+          "--order", "2"), [-math.pi ** 2, math.pi ** 2 / 16]),
+        (("regtrace", "--dim", "2", "--epsilon", "1", "--potential",
+          "powr(1+x1^2+x2^2,-1,2)", "--order", "3", "--box", "50"),
+         [0.0, 0.0, -3 * math.pi / 8]),
+    ], ids=["lorentzian", "n3-s2", "regtrace-n2"])
+    def test_radial_rows_are_whole_space_integrals(self, argv, exact, capsys):
+        """Rows that the box missed by its tail (a_1 = -2.975 for -pi; alpha_2
+        = -0.0377 for 0 at --box 50) are the integrals over R^n."""
+        assert main([*argv, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        for row, value in zip(rows, exact, strict=True):
+            assert abs(row["value"] - value) <= row["err"]
+
+    def test_non_integrable_radial_row_is_a_numeric_failure(self, capsys):
+        """(1+x1^2)^(-1/4) decays like |x1|^(-1/2), so a_1 = -V has no
+        integral over R: exit 3 naming the non-convergence, and no table
+        (the box printed -11.4681299 with err 1.11e-8)."""
+        assert main(["coeffs", "--dim", "1", "--potential", "powr(1+x1^2,-1,4)",
+                     "--order", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric failure: quadrature did not converge")
 
     @pytest.mark.parametrize("argv", [
         ("--dim", "2", "--potential", "x1", "--order", "1", "--box", "1e154",
@@ -397,7 +431,7 @@ REPORT_BYTES = [
      "j  value        b_or_beta     err       route     density            \n"
      "1  {rows[0][value]:.9g}  {rows[0][b_or_beta]:.9g}   {rows[0][err]:.3g}"
      "  binomial  -V                 \n"
-     "2  {rows[1][value]:.9g}  {rows[1][b_or_beta]:.9g}  {rows[1][err]:.3g} "
+     "2  {rows[1][value]:.9g}  {rows[1][b_or_beta]:.9g}  {rows[1][err]:.3g}"
      "  binomial  1/2*V^2 - 1/6*D[2]V\n"),
     (("regtrace", "--dim", "1", "--epsilon", "1/3", "--potential",
       "powr(1+x1^2,-1,6)", "--order", "3", "--box", "2000"), "csv",
@@ -408,11 +442,11 @@ REPORT_BYTES = [
      '"-1/4*D[1]V^2 - 1/3*D[2]V*V + 3/20*D[4]V"\n'),
     (("regtrace", "--dim", "1", "--epsilon", "1/3", "--potential",
       "powr(1+x1^2,-1,6)", "--order", "3", "--box", "2000"), "text",
-     "j  value          b_or_beta      err       route       density"
+     "j  value          b_or_beta       err       route       density"
      "                                \n"
-     "1  0              0              0         subtracted  0"
+     "1  0              0               0         subtracted  0"
      "                                      \n"
-     "2  0              0              0         subtracted  0"
+     "2  0              0               0         subtracted  0"
      "                                      \n"
      "3  {rows[2][value]:.9g}  {rows[2][b_or_beta]:.9g}  {rows[2][err]:.3g}"
      "  subtracted  -1/4*D[1]V^2 - 1/3*D[2]V*V + 3/20*D[4]V\n"),
@@ -600,12 +634,25 @@ class TestProcessLevel:
         ("coeffs",), ("regtrace", "--epsilon", "1"),
     ], ids=["coeffs", "regtrace"])
     def test_quadrature_past_four_dimensions_is_usage_error(self, argv):
-        # one G10/K21 cell in n = 5 has 21^5 nodes: refused before any is
-        # evaluated instead of running for minutes or running out of memory
+        # one G10/K21 cell of the box in n = 5 has 21^5 nodes: refused before
+        # any is evaluated instead of running for minutes or running out of
+        # memory.  The potential is not radial, so the box is its path
         code, out, err = run_cli(*argv, "--dim", "5", "--order", "1", "--potential",
-                                 "exp(-x1^2-x2^2-x3^2-x4^2-x5^2)", timeout=60)
+                                 "exp(-x1^2-x2^2-x3^2-x4^2-2*x5^2)", timeout=60)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "21^5" in err
+
+    @pytest.mark.parametrize("dim,order", [(5, 5), (8, 3)])
+    def test_radial_quadrature_past_four_dimensions_runs(self, dim, order):
+        # a radial potential integrates one half-line, 21 nodes per cell, so
+        # no cell budget refuses it
+        potential = "exp(-" + "-".join(f"x{i}^2" for i in range(1, dim + 1)) + ")"
+        code, out, err = run_cli("coeffs", "--dim", str(dim), "--order", str(order),
+                                 "--potential", potential, "--format", "json", timeout=60)
+        assert (code, err) == (0, "")
+        table = json.loads(out)
+        assert table["domain"] == "R^n" and len(table["rows"]) == order
+        assert table["rows"][0]["value"] == pytest.approx(-math.pi ** (dim / 2), rel=1e-12)
 
     def test_fk_window_past_a_tenth_of_the_target_fails(self):
         # near the pole the weights are heavy-tailed but finite: at 2000

@@ -4,12 +4,14 @@ import itertools
 import json
 import math
 import operator
+import re
 from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from heatinv.cli import MAX_ORDER
 from heatinv.diffpoly import DiffPoly
 from heatinv import numeric
 from heatinv.halfint import gamma_half_integer
@@ -40,6 +42,24 @@ class TestDensityEvaluation:
         density = heat_invariant_binomial(1, 2).density
         assert evaluate_density(density, v, (0.5, -0.5)) == pytest.approx(
             -math.exp(-0.5))
+
+    def test_densities_commute_with_rotations(self):
+        """a_j[V o R](x) = a_j[V](Rx) for a rotation R and a V that is not
+        radial, and likewise for middle-regime alpha_j: the densities are
+        built from O(n)-invariant contractions of the jets, which is what
+        lets a radial V's table integrate one half-line."""
+        rot = ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
+        text = "exp(-x1^2-2*x2^2)*(1+x1+x1*x2^2)"
+        rotated = re.sub(r"x(\d)", lambda m: "({}*x1+{}*x2)".format(*rot[int(m[1]) - 1]),
+                         text)
+        v, v_rot = parse_potential(text, 2), parse_potential(rotated, 2)
+        densities = ([heat_invariant_binomial(j, 2).density for j in range(1, 6)]
+                     + [alpha_density(j, 2, Fraction(1, 2)).density for j in (3, 4)])
+        for x in [(0.3, -0.7), (1.1, 0.4), (-0.6, -1.3)]:
+            rx = [float(sum(c * xi for c, xi in zip(row, x))) for row in rot]
+            for density in densities:
+                assert evaluate_density(density, v_rot, x) == pytest.approx(
+                    evaluate_density(density, v, rx), rel=1e-12, abs=1e-13)
 
 
 class TestIntegration:
@@ -390,6 +410,46 @@ class TestReflectionlessRuler:
             assert _reflectionless_pairs(l, 2) == {0: Fraction(2, 3) * (l * (l + 1)) ** 2}
 
 
+def _algebraic(n: int, s: Fraction):
+    """(1+|x|^2)^(-s) as the CLI parses it."""
+    squares = "+".join(f"x{i}^2" for i in range(1, n + 1))
+    return parse_potential(f"powr(1+{squares},{-s.numerator},{s.denominator})", n)
+
+
+class TestWholeSpaceTables:
+    """coefficient_table of a radial potential integrates each row over R^n,
+    as one integral over the half-line, in every dimension the CLI admits.
+    Each row lies within its err of the exact integral, with no box tail,
+    and a row with no integral over R^n ends in QuadratureError."""
+
+    @pytest.mark.parametrize("n", sorted(MAX_ORDER))
+    def test_gaussian_rows_up_to_the_order_cap(self, n):
+        invariants = [heat_invariant_binomial(j, n) for j in range(1, MAX_ORDER[n] + 1)]
+        table = coefficient_table(invariants, _gaussian(n), n)
+        assert table["domain"] == "R^n"
+        for inv, row in zip(invariants, table["rows"]):
+            exact = sum(float(q) * (math.pi / m) ** (n / 2)
+                        for m, q in _gaussian_pairs(inv.density).items())
+            assert abs(row["value"] - exact) <= row["err"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("s", [Fraction(k, 2) for k in range(1, 6)], ids=str)
+    def test_algebraic_rows_or_refusals(self, n, s):
+        """Every integrable row within its err of the closed form, which the
+        box misses by its tail (0.47 for a_1 at n = 2, s = 3/2), and every
+        row the closed form finds not integrable refused by name."""
+        for j in (1, 2, 3):
+            inv = heat_invariant_binomial(j, n)
+            pairs = _algebraic_pairs(inv.density, s)
+            if pairs is None:
+                with pytest.raises(QuadratureError, match="did not converge"):
+                    coefficient_table([inv], _algebraic(n, s), n)
+                continue
+            row = coefficient_table([inv], _algebraic(n, s), n)["rows"][0]
+            exact = sum(float(q) * math.pi ** (k / 2) for k, q in pairs.items())
+            assert abs(row["value"] - exact) <= row["err"]
+
+
 def _record_calls(monkeypatch):
     """Node counts of every call of the integrand, in order."""
     sizes = []
@@ -537,25 +597,51 @@ class TestGaussKronrod:
 class TestRegularizedTail:
     EPS = Fraction(1, 3)
     POWR = parse_potential("powr(1+x1^2,-1,6)", 1)
+    # POWR moved by one along the line: not radial, so its table takes the
+    # box, and its integrals over R are POWR's
+    SHIFTED = parse_potential("powr(1+(x1-1)^2,-1,6)", 1)
+    BOX = 2000.0
 
-    def test_tail_term_covers_whole_line_integral(self):
+    @pytest.fixture(scope="class")
+    def whole_line(self):
+        """alpha_3 and alpha_4 of POWR and their integrals over R, from
+        sympy and mpmath at 30 digits: the slowest term, V^4 in alpha_4,
+        decays like |x|^(-4/3), past the reach of 15 digits."""
         mpmath = pytest.importorskip("mpmath")
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x", real=True)
         v = (1 + x ** 2) ** sympy.Rational(-1, 6)
         invariants = [alpha_density(j, 1, self.EPS) for j in (3, 4)]
-        box = 2000.0
-        table = coefficient_table(invariants, self.POWR, 1,
-                                  QuadratureConfig(half_width=box))
-        for inv, row in zip(invariants, table["rows"]):
-            expr = sum(sympy.Rational(c.numerator, c.denominator)
-                       * sympy.Mul(*(sympy.diff(v, x, nu[0]) for nu in mono))
-                       for mono, c in inv.density.terms.items())
-            f = sympy.lambdify(x, expr, "mpmath")
-            whole = float(mpmath.quad(f, [-mpmath.inf, -box, -1, 0, 1, box, mpmath.inf]))
+        wholes = []
+        with mpmath.workdps(30):
+            for inv in invariants:
+                expr = sum(sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*(sympy.diff(v, x, nu[0]) for nu in mono))
+                           for mono, c in inv.density.terms.items())
+                f = sympy.lambdify(x, expr, "mpmath")
+                ends = [mpmath.mpf(10) ** k for k in range(-1, 31)]
+                wholes.append(float(2 * mpmath.quad(f, [0, *ends, mpmath.inf])))
+        return invariants, wholes
+
+    def test_tail_term_covers_whole_line_integral(self, whole_line):
+        invariants, wholes = whole_line
+        table = coefficient_table(invariants, self.SHIFTED, 1,
+                                  QuadratureConfig(half_width=self.BOX))
+        assert table["domain"] == "box"
+        for row, whole in zip(table["rows"], wholes):
             assert abs(row["value"] - whole) <= row["err"]
             # the tail term is what covers the miss, not the quadrature error
             assert row["err"] < 3 * abs(row["value"] - whole) + 1e-6
+
+    def test_radial_rows_are_the_whole_line_integral(self, whole_line):
+        """The unshifted potential is radial: its rows integrate over R with
+        no tail term, to within an err at the quadrature tolerance."""
+        invariants, wholes = whole_line
+        table = coefficient_table(invariants, self.POWR, 1,
+                                  QuadratureConfig(half_width=self.BOX))
+        assert table["domain"] == "R^n"
+        for row, whole in zip(table["rows"], wholes):
+            assert abs(row["value"] - whole) <= row["err"] <= QUAD_TOL
 
     def test_zero_density_keeps_zero_error(self):
         table = coefficient_table([alpha_density(1, 1, self.EPS)], self.POWR, 1)

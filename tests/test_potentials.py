@@ -17,7 +17,7 @@ from heatinv.potentials import (DERIVATIVE_CAP, NESTING_BUDGET, UNARY, Binary,
                                 PotentialEvalError, PotentialSyntaxError,
                                 Unary, Var, _operands, _TaylorPlan,
                                 differentiate, evaluate, evaluate_array,
-                                parse_potential, taylor_derivatives)
+                                is_radial, parse_potential, taylor_derivatives)
 
 
 def _height(expr) -> int:
@@ -692,3 +692,83 @@ class TestHandedOverCoordinates:
         values = evaluate_array(parse_potential("exp(-x1^2)", 1), [handed],
                                 overwrite_coords=True)
         assert np.shares_memory(values, handed)
+
+
+@st.composite
+def _potential_texts(draw, radial_only: bool):
+    """(n, text) of a random potential in n = 1..3.  Its leaves are blocks
+    c (x_1^2 + ... + x_n^2) + k, written in several ways, and, unless
+    radial_only, pieces that reach the coordinates otherwise; above them,
+    random functions, powers, sums, products and quotients."""
+    n = draw(st.integers(1, 3))
+
+    def block():
+        squares = [f"x{i}^2" for i in draw(st.permutations(range(1, n + 1)))]
+        c = draw(st.sampled_from(["2", "1/2", "3/4"]))
+        body = draw(st.sampled_from([
+            f"{c}*({'+'.join(squares)})", "+".join(f"{c}*{q}" for q in squares),
+            "-" + "-".join(squares), f"-({'+'.join(squares)})/{c}"]))
+        return f"({body}{draw(st.sampled_from(['', '+1', '-2', '+pi']))})"
+
+    def other():
+        pieces = ["x1", "sin(x1)", "(x1-1)^2", "x1^4"]
+        if n > 1:
+            pieces += ["x1^2", f"x{n}", "x1*x2", "x1^2+2*x2^2", "(x1^2+x2^2)"]
+        return f"({draw(st.sampled_from(pieces))})"
+
+    def expr(depth):
+        kind = draw(st.integers(0, 13 if depth else 1))
+        if kind <= 1:
+            return block() if kind == 0 or radial_only else other()
+        a = expr(depth - 1)
+        if kind <= 9:
+            return ["exp(-{}^2)", "sin({})", "cos({})", "tanh({})", "sqrt(1+{}^2)",
+                    "powr(2+{}^2,-1,3)", "(-{})", "({}^3)"][kind - 2].format(a)
+        b = expr(depth - 1)
+        return ["({}+{})", "({}-{})", "({}*{})", "({}/(2+{}^2))"][kind - 10].format(a, b)
+
+    return n, expr(3)
+
+
+class TestRadialStructure:
+    """is_radial reads the AST and never samples V; these tests sample."""
+
+    # (3/5, -4/5; 4/5, 3/5) on the first two axes, after each permutation
+    ROTATION = np.array([[0.6, -0.8], [0.8, 0.6]])
+
+    @pytest.mark.parametrize("n,text,radial", [
+        (2, "exp(-x1^2-x2^2)", True), (2, "exp(-(x1^2+x2^2))", True),
+        (2, "powr(1+x1^2+x2^2,-3,2)", True), (3, "2*(x3^2+x1^2+x2^2)/3 + sin(pi)", True),
+        (1, "powr(1+x1^2,-1,6)", True), (1, "1/(1+x1^2)", True), (1, "cos(x1^2)*7", True),
+        (2, "exp(-x1^2)*exp(-x2^2)", False), (2, "exp(-x1^2-2*x2^2)", False),
+        (2, "exp(-x1^2)", False), (1, "x1*exp(-x1^2)", False),
+        (1, "-2*(1-tanh(x1)^2)", False), (1, "exp(-x1^4)", False),
+        (5, "exp(-x1^2-x2^2-x3^2-x4^2-2*x5^2)", False),
+    ])
+    def test_examples(self, n, text, radial):
+        assert is_radial(parse_potential(text, n)) is radial
+
+    def assert_invariant(self, n, text):
+        e = parse_potential(text, n)
+        x = np.random.default_rng(0).uniform(-1.2, 1.2, (n, 25))
+        value = evaluate_array(e, list(x))
+        for perm in itertools.permutations(range(n)):
+            moved = x[list(perm)]
+            if n > 1:
+                moved[:2] = self.ROTATION @ moved[:2]
+            assert np.allclose(evaluate_array(e, list(moved)), value, rtol=1e-9,
+                               atol=1e-9 * (1 + np.max(np.abs(value)))), perm
+
+    @given(_potential_texts(radial_only=True))
+    @settings(max_examples=80, deadline=None)
+    def test_functions_of_radial_blocks_are_seen(self, case):
+        n, text = case
+        assert is_radial(parse_potential(text, n)), text
+        self.assert_invariant(n, text)
+
+    @given(_potential_texts(radial_only=False))
+    @settings(max_examples=150, deadline=None)
+    def test_a_potential_seen_radial_is_rotation_invariant(self, case):
+        n, text = case
+        if is_radial(parse_potential(text, n)):
+            self.assert_invariant(n, text)
